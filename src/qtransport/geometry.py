@@ -68,11 +68,6 @@ def _dir_cmp(a, b):
     raise ValueError("cannot order opposite directions")
 
 
-def sort_ccw(directions):
-    """Sort direction vectors counterclockwise starting just above +x."""
-    return sorted(directions, key=cmp_to_key(_dir_cmp))
-
-
 def _segment_ray_crossing(p1, p2, marker):
     """Signed crossing of segment p1->p2 with the downward ray from marker.
 

@@ -90,6 +90,7 @@ class Network:
             if len(self.geometry.face_markers) != form.n:
                 raise ValueError("one face marker per generator required")
         self._acyclic = None
+        self._exponents_checked = False
 
     @property
     def is_acyclic(self):
@@ -112,8 +113,17 @@ class Network:
         return self._acyclic
 
     def ensure_exponents(self):
-        """Fill in edge exponents, deriving them from the drawing if needed."""
-        if all(e.exponent is not None for e in self.edges):
+        """Fill in edge exponents from the drawing, or check stored ones against it.
+
+        An acyclic network with a drawing has its skew form and every stored
+        exponent checked against the data derived from the drawing, once.  A
+        cyclic network that stores every exponent uses its drawing only for
+        path signs; such a drawing may cross edges, so nothing is derived.
+        """
+        if self._exponents_checked:
+            return
+        stored = all(e.exponent is not None for e in self.edges)
+        if stored and (self.geometry is None or not self.is_acyclic):
             return
         if self.geometry is None:
             if self.is_acyclic:
@@ -136,6 +146,7 @@ class Network:
                 e.exponent = tuple(vec)
             elif tuple(e.exponent) != tuple(vec):
                 raise ValueError("drawing disagrees with stored edge exponents")
+        self._exponents_checked = True
 
 
 def _coord_to_json(x):
@@ -183,6 +194,13 @@ def network_to_dict(net):
     return doc
 
 
+def _int_list(values, what):
+    """values as a tuple of ints; booleans, floats and strings are refused."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
 def network_from_dict(doc):
     try:
         e_rows = doc["epsilon2"]
@@ -192,13 +210,14 @@ def network_from_dict(doc):
         sinks = doc["sinks"]
     except KeyError as exc:
         raise ValueError(f"network document is missing {exc.args[0]!r}") from exc
-    form = SkewForm(e_rows)
+    form = SkewForm([_int_list(row, "epsilon2 row") for row in e_rows])
     edges = []
     for ed in edges_doc:
+        if not isinstance(ed, dict) or "from" not in ed or "to" not in ed:
+            raise ValueError(f"every edge needs 'from' and 'to', got {ed!r}")
         exp = ed.get("exponent")
-        edges.append(
-            Edge(ed["from"], ed["to"], tuple(exp) if exp is not None else None)
-        )
+        exp = None if exp is None else _int_list(exp, "edge exponent")
+        edges.append(Edge(ed["from"], ed["to"], exp))
     geom = None
     gdoc = doc.get("geometry")
     if gdoc is not None:
@@ -351,7 +370,7 @@ def _network_from_drawing(vertices, edges, sources, sinks, coords, markers,
         coords={v: (Fraction(x), Fraction(y)) for v, (x, y) in coords.items()},
         face_markers=[(Fraction(x), Fraction(y)) for x, y in markers],
     )
-    return Network(
+    net = Network(
         form=form,
         vertices=vertices,
         edges=edge_objs,
@@ -360,6 +379,8 @@ def _network_from_drawing(vertices, edges, sources, sinks, coords, markers,
         geometry=geom,
         generators=generators,
     )
+    net._exponents_checked = True  # derived from this drawing just above
+    return net
 
 
 def build_triangle(n):

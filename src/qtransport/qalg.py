@@ -130,14 +130,6 @@ class QScalar:
         return self.render()
 
 
-def scalar_add(x: QScalar, y: QScalar) -> QScalar:
-    return x + y
-
-
-def scalar_mul(x: QScalar, y: QScalar) -> QScalar:
-    return x * y
-
-
 def bar(x):
     """v -> v^-1 on scalars; coefficient-wise on Weyl-basis elements.
 

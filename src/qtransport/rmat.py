@@ -234,18 +234,3 @@ def yang_baxter_residual(r: CMatrix, k: int) -> CMatrix:
     r13 = _embed_two_legs(r, k, 0, 2)
     r23 = _embed_two_legs(r, k, 1, 2)
     return r12 * r13 * r23 - r23 * r13 * r12
-
-
-def check_yang_baxter(k: int) -> bool:
-    """Does R_k satisfy the braid relation R12 R13 R23 = R23 R13 R12?"""
-    return yang_baxter_residual(build_R(k), k).is_zero()
-
-
-def check_rrp_identity(k: int) -> bool:
-    """Does R_k satisfy R R^T = (q - q^-1) R P + Id and P R = R^T P?"""
-    r = build_R(k)
-    p = build_P(k)
-    qq = QScalar.q_power(1) - QScalar.q_power(-1)
-    first = r * transpose(r) == (r * p).scale(qq) + CMatrix.identity(k * k)
-    second = p * r == transpose(r) * p
-    return first and second

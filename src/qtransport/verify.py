@@ -5,10 +5,17 @@ CheckReport listing the first offending entry of each failing relation.
 Nothing here is numerical: coefficients stay Laurent polynomials in v
 throughout, so a pass is an exact statement about the network, not an
 approximation.
+
+Each exchange relation is a table of words in paper notation, constants
+(R, R*, P, R^t1) and matrices on sheet 1 or 2; one evaluator, ``evaluate``,
+turns the table into residual matrices.
 """
 
+import functools
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .ncmat import (
     QMatrix,
@@ -23,7 +30,6 @@ from .ncmat import (
 from .qalg import QScalar
 from .rmat import (
     CMatrix,
-    build_P,
     build_P_rect,
     build_R,
     partial_transpose_t1,
@@ -88,101 +94,169 @@ def _finish(name, parameters, items, t0):
     )
 
 
-def _r_pair(k):
-    """R and its transposed inverse, the two constant exchange forms."""
-    return build_R(k), transpose(build_R(k, inverse_q=True))
+@functools.cache
+def const(name, *dims):
+    """The constant matrix called name in the paper, built once per size.
+
+    R, R^-1, R* = (R^-1)^t, R^t1 and R*^t1 take the dimension k of V; P takes
+    (a, b) and flips V_a (x) V_b -> V_b (x) V_a.  Callers must not modify it.
+    """
+    if name == "P":
+        return build_P_rect(*dims)
+    if name.endswith("^t1"):
+        return partial_transpose_t1(const(name[:-3], *dims))
+    if name == "R*":
+        return transpose(const("R^-1", *dims))
+    return build_R(*dims, inverse_q={"R": False, "R^-1": True}[name])
+
+
+def _constant_at(name, core, at):
+    """The constant called name, sized for its place at "left", "mid" or "right"."""
+    (s, x), (_, y) = core[0], core[-1]
+    a = x.rows if at == "left" else x.cols
+    b = y.cols if at == "right" else y.rows
+    a, b = (a, b) if s == 1 else (b, a)  # sheet-1 and sheet-2 dimensions
+    if name != "P":
+        return const(name, a)
+    return const("P", b, a) if at == "right" else const("P", a, b)
+
+
+def _split(word):
+    """A word as (outer constant name, the side it acts on, the inner factors)."""
+    if isinstance(word[0], str):
+        return word[0], "left", word[1:]
+    if isinstance(word[-1], str):
+        return word[-1], "right", word[:-1]
+    return None, None, word
+
+
+def _key(core):
+    """Identifies a product by its constant names and matrix objects."""
+    return tuple(f if isinstance(f, str) else (f[0], id(f[1])) for f in core)
+
+
+def _product(core):
+    """(s)X (t)Y as a sheet product, or (s)X C (t)Y through the lifts."""
+    (s, x), (_, y) = core[0], core[-1]
+    if len(core) == 2:
+        return sheet_product(x, y, 12) if s == 1 else sheet_product(y, x, 21)
+    c = _constant_at(core[1], core, "mid")
+    lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
+    return matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols), "left"))
+
+
+def _fold(total, run):
+    """Add one run [constant, side, coefficient, summed products] to total."""
+    if run is None:
+        return total
+    c, side, coeff, acc = run
+    if c is not None:
+        acc = classical_act(c, acc, side)
+    if coeff != 1:
+        acc = -acc if coeff == -1 else acc.scale(coeff)
+    return acc if total is None else total + acc
+
+
+def evaluate(*relations):
+    """The residual QMatrix of each relation.
+
+    A relation is a list of (coefficient, word) terms, the coefficient 1, -1
+    or a QScalar.  A word reads as in the paper: R (1)X (2)Y is
+    ("R", (1, X), (2, Y)).  It places one matrix on each sheet, next to each
+    other or around one constant, with at most one more constant outside;
+    constants are named as in const and sized from the matrices beside them.
+
+    Terms are folded in as they are built.  Adjacent terms with the same
+    outer constant and side, and coefficients equal up to sign, are summed
+    before the constant acts.  A product that terms of one call share is
+    built once and dropped after its last use.
+    """
+    parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
+    uses = Counter(_key(core) for rel in parts for *_, core in rel)
+    kept = {}
+    out = []
+    for rel in parts:
+        total = run = None
+        for coeff, name, side, core in rel:
+            key = _key(core)
+            value = kept.pop(key) if key in kept else _product(core)
+            uses[key] -= 1
+            if uses[key]:
+                kept[key] = value
+            c = name and _constant_at(name, core, side)
+            if run and run[0] is c and run[1] == side and coeff in (run[2], -run[2]):
+                run[3] = run[3] + value if coeff == run[2] else run[3] - value
+            else:
+                total = _fold(total, run)
+                run = [c, side, coeff, value]
+        out.append(_fold(total, run))
+    return out
+
+
+def _table(rows):
+    """Evaluate labelled relations in one call: [(label, residual)]."""
+    return list(zip([label for label, _ in rows], evaluate(*(t for _, t in rows))))
+
+
+def _exchange(terms):
+    """The relation sum c w = sum c (w read backwards), as residual terms."""
+    return terms + [(-c, word[::-1]) for c, word in terms]
+
+
+def _self_exchange(m, tag=""):
+    """C (1)M (2)M = (2)M (1)M C for C = R and C = R*."""
+    return [(tag + c, _exchange([(1, (c, (1, m), (2, m)))])) for c in ("R", "R*")]
 
 
 def check_rmatrix(k):
     """All constant R-matrix identities at size k."""
     t0 = time.perf_counter()
-    r = build_R(k)
-    ri = build_R(k, inverse_q=True)
+    r = const("R", k)
+    ri = const("R^-1", k)
     rt = transpose(r)
-    rit = transpose(ri)
-    p = build_P(k)
+    rit = const("R*", k)
+    p = const("P", k, k)
     ident = CMatrix.identity(k * k)
     spectral = QScalar.q_power(2) + QScalar.q_power(-2)
     items = [
         ("yang-baxter", yang_baxter_residual(r, k)),
         ("inverse", r * ri - ident),
         ("hecke", r * rt - (r * p).scale(QQ) - ident),
-        ("hecke-inv", ri * transpose(ri) + (ri * p).scale(QQ) - ident),
+        ("hecke-inv", ri * rit + (ri * p).scale(QQ) - ident),
         ("flip", p * r - rt * p),
         ("skein", r - rit - p.scale(QQ)),
         ("spectral", r * rt + rit * ri - ident.scale(spectral)),
     ]
-    for nm, a in (("t1(R)", partial_transpose_t1(r)), ("t1(R*)", partial_transpose_t1(rit))):
+    for nm, a in (("t1(R)", const("R^t1", k)), ("t1(R*)", const("R*^t1", k))):
         for nm2, b in (("R", r), ("R*", rit)):
             items.append((f"commute:{nm},{nm2}", a * b - b * a))
     return _finish("rmatrix", {"k": k}, items, t0)
 
 
-def _rtt_items(m, tag=""):
-    """Self-exchange residuals of one matrix, in both constant forms."""
-    r_out, rit_out = _r_pair(m.rows)
-    r_in, rit_in = _r_pair(m.cols)
-    s12 = sheet_product(m, m, 12)
-    s21 = sheet_product(m, m, 21)
-    items = []
-    for nm, c_out, c_in in (("R", r_out, r_in), ("R*", rit_out, rit_in)):
-        lhs = classical_act(c_out, s12, "left")
-        rhs = classical_act(c_in, s21, "right")
-        items.append((tag + nm, lhs - rhs))
-    return items
-
-
 def check_rtt(m):
     """Self-exchange relations of a full transport matrix."""
     t0 = time.perf_counter()
-    return _finish("rtt", {"rows": m.rows, "cols": m.cols}, _rtt_items(m), t0)
+    items = _table(_self_exchange(m))
+    return _finish("rtt", {"rows": m.rows, "cols": m.cols}, items, t0)
 
 
 def check_blocks(b):
     """The complete set of exchange relations among the four blocks."""
     t0 = time.perf_counter()
-    n1, m, n2 = b.n1, b.m, b.n2
-    r_m = build_R(m)
-    r_n1 = build_R(n1)
-    r_n2 = build_R(n2)
-    items = []
-    items += _rtt_items(b.M11, "M11:")
-    items += _rtt_items(b.M12, "M12:")
-    items += _rtt_items(b.M21, "M21:")
-    items += _rtt_items(b.M22, "M22:")
-    items.append((
-        "M12,M11",
-        sheet_product(b.M12, b.M11, 21)
-        - classical_act(r_m, sheet_product(b.M12, b.M11, 12), "left"),
-    ))
-    items.append((
-        "M12,M22",
-        sheet_product(b.M12, b.M22, 12)
-        - classical_act(r_m, sheet_product(b.M12, b.M22, 21), "right"),
-    ))
-    items.append((
-        "M11,M21",
-        sheet_product(b.M11, b.M21, 12)
-        - classical_act(r_n1, sheet_product(b.M11, b.M21, 21), "right"),
-    ))
-    items.append((
-        "M22,M21",
-        sheet_product(b.M22, b.M21, 21)
-        - classical_act(r_n2, sheet_product(b.M22, b.M21, 12), "left"),
-    ))
-    items.append((
-        "M12,M21",
-        sheet_product(b.M12, b.M21, 12) - sheet_product(b.M12, b.M21, 21),
-    ))
-    items.append((
-        "M11,M22",
-        sheet_product(b.M11, b.M22, 12)
-        - sheet_product(b.M11, b.M22, 21)
-        - classical_act(
-            build_P_rect(n1, m), sheet_product(b.M12, b.M21, 21), "right"
-        ).scale(QQ),
-    ))
-    return _finish("blocks", {"n1": n1, "m": m, "n2": n2}, items, t0)
+    m11, m12, m21, m22 = b.M11, b.M12, b.M21, b.M22
+    rows = []
+    for tag, mat in (("M11:", m11), ("M12:", m12), ("M21:", m21), ("M22:", m22)):
+        rows += _self_exchange(mat, tag)
+    rows += [
+        ("M12,M11", [(1, ((2, m11), (1, m12))), (-1, ("R", (1, m12), (2, m11)))]),
+        ("M12,M22", [(1, ((1, m12), (2, m22))), (-1, ((2, m22), (1, m12), "R"))]),
+        ("M11,M21", [(1, ((1, m11), (2, m21))), (-1, ((2, m21), (1, m11), "R"))]),
+        ("M22,M21", [(1, ((2, m21), (1, m22))), (-1, ("R", (1, m22), (2, m21)))]),
+        ("M12,M21", [(1, ((1, m12), (2, m21))), (-1, ((2, m21), (1, m12)))]),
+        ("M11,M22", _exchange([(1, ((1, m11), (2, m22)))])
+         + [(-QQ, ((2, m21), (1, m12), "P"))]),
+    ]
+    return _finish("blocks", {"n1": b.n1, "m": b.m, "n2": b.n2}, _table(rows), t0)
 
 
 def affine_level_residual(tser, k, p):
@@ -192,34 +266,17 @@ def affine_level_residual(tser, k, p):
     minus the same with the sheets read in the other order and the constant
     matrices acting on the column side instead.
     """
-    r_out, p_out = build_R(tser.rows), build_P(tser.rows)
-    r_in, p_in = build_R(tser.cols), build_P(tser.cols)
-    tk, tp = tser.get(k), tser.get(p)
-    res = classical_act(r_out, sheet_product(tk, tp, 12), "left") - classical_act(
-        r_in, sheet_product(tk, tp, 21), "right"
-    )
-    sum12 = None
-    sum21 = None
-    for m in range(1, p + 1):
-        a, c = tser.get(k + m), tser.get(p - m)
-        s12 = sheet_product(a, c, 12)
-        s21 = sheet_product(a, c, 21)
-        sum12 = s12 if sum12 is None else sum12 + s12
-        sum21 = s21 if sum21 is None else sum21 + s21
-    if sum12 is not None:
-        res = res + classical_act(p_out, sum12, "left").scale(QQ)
-        res = res - classical_act(p_in, sum21, "right").scale(QQ)
-    return res
+    t = tser.get
+    terms = [(1, ("R", (1, t(k)), (2, t(p))))]
+    terms += [(QQ, ("P", (1, t(k + m)), (2, t(p - m)))) for m in range(1, p + 1)]
+    return evaluate(_exchange(terms))[0]
 
 
 def check_affine(tser, kmax, pmax):
     """Summed level relations over 0 <= k <= kmax, 0 <= p <= pmax."""
     t0 = time.perf_counter()
-    items = [
-        (f"S({k},{p})", affine_level_residual(tser, k, p))
-        for k in range(kmax + 1)
-        for p in range(pmax + 1)
-    ]
+    window = product(range(kmax + 1), range(pmax + 1))
+    items = [(f"S({k},{p})", affine_level_residual(tser, k, p)) for k, p in window]
     return _finish("affine", {"kmax": kmax, "pmax": pmax}, items, t0)
 
 
@@ -229,23 +286,17 @@ def loop_component_residual(x, y, a, b):
     R* (1)X_{a+1} (2)Y_b - R (1)X_a (2)Y_{b+1}
     minus the sheet-reversed products with the constants on the column side.
     """
-    r_out, rit_out = _r_pair(x.rows)
-    r_in, rit_in = _r_pair(x.cols)
-    return (
-        classical_act(rit_out, sheet_product(x.get(a + 1), y.get(b), 12), "left")
-        - classical_act(r_out, sheet_product(x.get(a), y.get(b + 1), 12), "left")
-        - classical_act(rit_in, sheet_product(x.get(a + 1), y.get(b), 21), "right")
-        + classical_act(r_in, sheet_product(x.get(a), y.get(b + 1), 21), "right")
-    )
+    x0, x1, y0, y1 = x.get(a), x.get(a + 1), y.get(b), y.get(b + 1)
+    terms = [(1, ("R*", (1, x1), (2, y0))), (-1, ("R", (1, x0), (2, y1)))]
+    return evaluate(_exchange(terms))[0]
 
 
 def check_loop(tser, lo, hi):
     """Componentwise exchange relations of a two-sided level family."""
     t0 = time.perf_counter()
+    window = product(range(lo, hi + 1), repeat=2)
     items = [
-        (f"C({a},{b})", loop_component_residual(tser, tser, a, b))
-        for a in range(lo, hi + 1)
-        for b in range(lo, hi + 1)
+        (f"C({a},{b})", loop_component_residual(tser, tser, a, b)) for a, b in window
     ]
     return _finish("loop", {"lo": lo, "hi": hi}, items, t0)
 
@@ -255,16 +306,10 @@ def check_subalgebra(tser):
     t0 = time.perf_counter()
     tp0 = tser.get(0)
     tm1 = tser.get(-1)
-    r_out, _ = _r_pair(tp0.rows)
-    r_in, _ = _r_pair(tp0.cols)
-    items = _rtt_items(tp0, "T+0:")
-    items.append((
-        "T-1,T+0",
-        classical_act(r_out, sheet_product(tm1, tp0, 12), "left")
-        - classical_act(r_in, sheet_product(tm1, tp0, 21), "right"),
-    ))
-    items += _rtt_items(tm1, "T-1:")
-    return _finish("subalgebra", {}, items, t0)
+    rows = _self_exchange(tp0, "T+0:")
+    rows.append(("T-1,T+0", _exchange([(1, ("R", (1, tm1), (2, tp0)))])))
+    rows += _self_exchange(tm1, "T-1:")
+    return _finish("subalgebra", {}, _table(rows), t0)
 
 
 def check_groupoid(b):
@@ -286,54 +331,26 @@ def check_aux_inverse(b):
     (1)G (2)M11 R^-1 = (2)M11 (1)G - (q-q^-1) (1)M21 (2)M11 P.
     """
     t0 = time.perf_counter()
-    m, n1, n2 = b.m, b.n1, b.n2
     inv = invert_restricted(b.M12)
-    r_m = build_R(m)
-    rinv_m = build_R(m, inverse_q=True)
-    items = []
-    lhs = matmul(lift2(b.M22, m), classical_act(rinv_m, lift1(inv, m), "left"))
-    rhs = matmul(lift1(inv, n2), lift2(b.M22, m))
-    items.append(("M22,M12^-1", lhs - rhs))
-    lhs = matmul(lift1(inv, m), classical_act(rinv_m, lift2(b.M11, m), "left"))
-    rhs = matmul(lift2(b.M11, m), lift1(inv, n1))
-    items.append(("M12^-1,M11", lhs - rhs))
-    items.append((
-        "M12^-1,M12^-1",
-        classical_act(r_m, sheet_product(inv, inv, 12), "right")
-        - classical_act(r_m, sheet_product(inv, inv, 21), "left"),
-    ))
     g = matmul(matmul(b.M22, inv), b.M11)
-    rinv_n1 = build_R(n1, inverse_q=True)
-    items.append((
-        "G,M11",
-        classical_act(rinv_n1, sheet_product(g, b.M11, 12), "right")
-        - sheet_product(g, b.M11, 21)
-        + classical_act(
-            build_P(n1), sheet_product(b.M21, b.M11, 12), "right"
-        ).scale(QQ),
-    ))
-    return _finish("aux-inverse", {"n1": n1, "m": m, "n2": n2}, items, t0)
-
-
-def _chain1(x, c, y):
-    """(1)x . c . (2)y on the doubled space, c a matrix of scalars."""
-    n = x.rows
-    return matmul(lift1(x, n), classical_act(c, lift2(y, n), "left"))
-
-
-def _chain2(y, c, x):
-    """(2)y . c . (1)x on the doubled space."""
-    n = y.rows
-    return matmul(lift2(y, n), classical_act(c, lift1(x, n), "left"))
+    m11, m21, m22 = b.M11, b.M21, b.M22
+    rows = [
+        ("M22,M12^-1", [(1, ((2, m22), "R^-1", (1, inv))), (-1, ((1, inv), (2, m22)))]),
+        ("M12^-1,M11", [(1, ((1, inv), "R^-1", (2, m11))), (-1, ((2, m11), (1, inv)))]),
+        ("M12^-1,M12^-1", _exchange([(1, ((1, inv), (2, inv), "R"))])),
+        ("G,M11", [
+            (1, ((1, g), (2, m11), "R^-1")),
+            (-1, ((2, m11), (1, g))),
+            (QQ, ((1, m21), (2, m11), "P")),
+        ]),
+    ]
+    params = {"n1": b.n1, "m": b.m, "n2": b.n2}
+    return _finish("aux-inverse", params, _table(rows), t0)
 
 
 def reflection_constant_residual(a0):
     """R (1)A R^t1 (2)A - (2)A R^t1 (1)A R for one square matrix A."""
-    r = build_R(a0.rows)
-    rt1 = partial_transpose_t1(r)
-    return classical_act(r, _chain1(a0, rt1, a0), "left") - classical_act(
-        r, _chain2(a0, rt1, a0), "right"
-    )
+    return evaluate(_exchange([(1, ("R", (1, a0), "R^t1", (2, a0)))]))[0]
 
 
 def check_reflection_constant(a0):
@@ -347,33 +364,20 @@ def check_reflection_constant(a0):
 
 def reflection_affine_residual(aser, alpha, beta):
     """Bidegree (alpha, beta) component of the spectral reflection relation."""
-    r, rit = _r_pair(aser.rows)
-    rt1 = partial_transpose_t1(r)
-    ritt1 = partial_transpose_t1(rit)
     a = aser.get
-    left = (
-        classical_act(rit, _chain1(a(alpha), ritt1, a(beta)), "left")
-        - classical_act(rit, _chain1(a(alpha + 1), rt1, a(beta + 1)), "left")
-        - classical_act(r, _chain1(a(alpha - 1), ritt1, a(beta + 1)), "left")
-        + classical_act(r, _chain1(a(alpha), rt1, a(beta + 2)), "left")
-    )
-    right = (
-        classical_act(rit, _chain2(a(beta), ritt1, a(alpha)), "right")
-        - classical_act(rit, _chain2(a(beta + 1), rt1, a(alpha + 1)), "right")
-        - classical_act(r, _chain2(a(beta + 1), ritt1, a(alpha - 1)), "right")
-        + classical_act(r, _chain2(a(beta + 2), rt1, a(alpha)), "right")
-    )
-    return left - right
+    return evaluate(_exchange([
+        (1, ("R*", (1, a(alpha)), "R*^t1", (2, a(beta)))),
+        (-1, ("R*", (1, a(alpha + 1)), "R^t1", (2, a(beta + 1)))),
+        (-1, ("R", (1, a(alpha - 1)), "R*^t1", (2, a(beta + 1)))),
+        (1, ("R", (1, a(alpha)), "R^t1", (2, a(beta + 2)))),
+    ]))[0]
 
 
 def check_reflection_affine(aser, kmax):
     """Spectral reflection relation over a window of bidegrees."""
     t0 = time.perf_counter()
-    items = [
-        (f"({a},{b})", reflection_affine_residual(aser, a, b))
-        for a in range(0, kmax + 1)
-        for b in range(-1, kmax)
-    ]
+    window = product(range(0, kmax + 1), range(-1, kmax))
+    items = [(f"({a},{b})", reflection_affine_residual(aser, a, b)) for a, b in window]
     return _finish("reflection-affine", {"kmax": kmax}, items, t0)
 
 
@@ -421,14 +425,6 @@ def check_appendix(b):
         acc = matmul(inv, acc)
     t2, t3 = raw[2], raw[3]
     d = raw[1] - b.M21
-    _, rit_out = _r_pair(t2.rows)
-    _, rit_in = _r_pair(t2.cols)
-    p_out, p_in = build_P(t2.rows), build_P(t2.cols)
-    res = (
-        classical_act(rit_out, sheet_product(t2, t2, 12), "left")
-        - classical_act(rit_in, sheet_product(t2, t2, 21), "right")
-        - classical_act(p_out, sheet_product(t3, d, 12), "left").scale(QQ)
-        + classical_act(p_in, sheet_product(t3, d, 21), "right").scale(QQ)
-    )
-    items = [("appendix", res)]
-    return _finish("appendix", {"n1": b.n1, "m": b.m, "n2": b.n2}, items, t0)
+    terms = [(1, ("R*", (1, t2), (2, t2))), (-QQ, ("P", (1, t3), (2, d)))]
+    rows = [("appendix", _exchange(terms))]
+    return _finish("appendix", {"n1": b.n1, "m": b.m, "n2": b.n2}, _table(rows), t0)

@@ -5,12 +5,16 @@ import pathlib
 
 from fractions import Fraction
 
+import pytest
+
 from qtransport import cli
 from qtransport.network import (
     Edge,
     Geometry,
     Network,
     build_chain,
+    build_triangle,
+    network_to_dict,
     save_network,
     transport_matrix,
 )
@@ -250,3 +254,42 @@ def test_split_flag_overrides_default(capsys):
         capsys,
     )
     assert code == 2
+
+
+def test_stored_exponents_are_checked_against_the_drawing(tmp_path, capsys):
+    doc = network_to_dict(build_triangle(2))
+    doc["edges"][3]["exponent"][0] += 1
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "rtt", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: drawing disagrees with stored edge exponents\n"
+
+
+def _set_exponent(value):
+    def edit(edge):
+        edge["exponent"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_exponent(0.5),
+        _set_exponent(True),
+        _set_exponent("1"),
+        lambda edge: edge.pop("from"),
+        lambda edge: edge.pop("to"),
+    ],
+    ids=["float-exponent", "bool-exponent", "str-exponent", "no-from", "no-to"],
+)
+def test_malformed_network_exits_2_with_one_line(edit, tmp_path, capsys):
+    doc = network_to_dict(build_triangle(2))
+    doc["geometry"] = None
+    edit(doc["edges"][3])
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "rtt", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
