@@ -6,14 +6,13 @@ exchange relations they satisfy: RTT relations, block Lie-Poisson relations,
 affine/loop-algebra relations, groupoid and reflection-equation identities.
 """
 
-from .qalg import NotAUnit, QElem, QScalar, SkewForm, bar, invert_monomial, qmul, weyl
+from .qalg import NotAUnit, QElem, QScalar, SkewForm, invert_monomial, qmul, weyl
 
 __all__ = [
     "NotAUnit",
     "QElem",
     "QScalar",
     "SkewForm",
-    "bar",
     "invert_monomial",
     "qmul",
     "weyl",

@@ -284,24 +284,6 @@ class Disc:
     def crossings(self, points, closed=False):
         return _polyline_crossings(points, self.markers, closed=closed)
 
-    def return_arc(self, sink, source):
-        """Waypoints of the clockwise arc sink -> square -> source."""
-        t1, t2 = self.tval[sink], self.tval[source]
-        return (
-            [self.pos[sink], self.proj[sink]]
-            + self._corners_between(t1, t2)
-            + [self.proj[source], self.pos[source]]
-        )
-
-    def loop_winding(self, path_vertices):
-        """Winding vector of path plus clockwise return arc, per marker."""
-        first, last = path_vertices[0], path_vertices[-1]
-        if first not in self.sources or last not in self.sinks:
-            raise ValueError("path must run from a source to a sink")
-        pts = [self.pos[v] for v in path_vertices]
-        pts += self.return_arc(last, first)[1:]
-        return tuple(self.crossings(pts, closed=False))
-
     def potential(self, b):
         """Winding vector A(b) of the clockwise arc from O to boundary b."""
         if b not in self._potentials:
@@ -502,17 +484,3 @@ def derive_network_data(vertices, edges, sources, sinks, coords, markers):
     disc = Disc(vertices, edges, sources, sinks, coords, markers)
     return disc.exchange_matrix(), disc.edge_exponents()
 
-
-def path_winding_vector(net, path_vertices):
-    """Winding vector of a source-to-sink path closed by its return arc."""
-    if net.geometry is None:
-        raise ValueError("network has no drawing to take windings in")
-    disc = Disc(
-        net.vertices,
-        [(e.frm, e.to) for e in net.edges],
-        net.sources,
-        net.sinks,
-        net.geometry.coords,
-        net.geometry.face_markers,
-    )
-    return disc.loop_winding(path_vertices)

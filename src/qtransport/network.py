@@ -16,7 +16,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
+from operator import add
 
 from .qalg import QElem, QScalar, SkewForm, weyl
 from .ncmat import QMatrix, matmul
@@ -73,11 +74,16 @@ class Network:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("vertex names must be unique")
+        sinks = set(self.sinks)
+        self.out_edges = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.frm not in vset or e.to not in vset:
                 raise ValueError(f"edge {e.frm!r}->{e.to!r} uses unknown vertex")
+            if e.frm in sinks:
+                raise ValueError(f"edge {e.frm!r}->{e.to!r} leaves a sink")
             if e.exponent is not None and len(e.exponent) != form.n:
                 raise ValueError("edge exponent length must match the form size")
+            self.out_edges[e.frm].append(e)
         for b in self.sources + self.sinks:
             if b not in vset:
                 raise ValueError(f"unknown boundary vertex {b!r}")
@@ -96,19 +102,17 @@ class Network:
     def is_acyclic(self):
         if self._acyclic is None:
             indeg = {v: 0 for v in self.vertices}
-            out = {v: [] for v in self.vertices}
             for e in self.edges:
                 indeg[e.to] += 1
-                out[e.frm].append(e.to)
             queue = [v for v, d in indeg.items() if d == 0]
             seen = 0
             while queue:
                 v = queue.pop()
                 seen += 1
-                for w in out[v]:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        queue.append(w)
+                for e in self.out_edges[v]:
+                    indeg[e.to] -= 1
+                    if indeg[e.to] == 0:
+                        queue.append(e.to)
             self._acyclic = seen == len(self.vertices)
         return self._acyclic
 
@@ -155,11 +159,17 @@ def _coord_to_json(x):
 
 
 def _coord_from_json(v):
-    if isinstance(v, int):
+    if type(v) is int:
         return Fraction(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(t, int) for t in v):
+    if isinstance(v, list) and len(v) == 2 and all(type(t) is int for t in v) and v[1]:
         return Fraction(v[0], v[1])
     raise ValueError(f"coordinates must be ints or [num, den] pairs, got {v!r}")
+
+
+def _point_from_json(xy):
+    if not isinstance(xy, list) or len(xy) != 2:
+        raise ValueError(f"points must be [x, y] pairs, got {xy!r}")
+    return (_coord_from_json(xy[0]), _coord_from_json(xy[1]))
 
 
 def network_to_dict(net):
@@ -194,51 +204,73 @@ def network_to_dict(net):
     return doc
 
 
-def _int_list(values, what):
-    """values as a tuple of ints; booleans, floats and strings are refused."""
-    if not isinstance(values, list) or any(type(x) is not int for x in values):
-        raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    return tuple(values)
+_KINDS = {int: "integers", str: "strings", list: "lists", dict: "objects"}
+
+
+def _list_of(kind, values, what):
+    """values, which must be a JSON list of kind; booleans are not integers."""
+    if not isinstance(values, list) or any(type(x) is not kind for x in values):
+        raise ValueError(f"{what} must be a list of {_KINDS[kind]}, got {values!r}")
+    return values
+
+
+def _fields(doc, what, *keys):
+    """The values of keys in the JSON object doc, each of which must be present."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} is missing {key!r}")
+    return [doc[key] for key in keys]
 
 
 def network_from_dict(doc):
-    try:
-        e_rows = doc["epsilon2"]
-        vertices = doc["vertices"]
-        edges_doc = doc["edges"]
-        sources = doc["sources"]
-        sinks = doc["sinks"]
-    except KeyError as exc:
-        raise ValueError(f"network document is missing {exc.args[0]!r}") from exc
-    form = SkewForm([_int_list(row, "epsilon2 row") for row in e_rows])
+    """The network a JSON document describes; any malformed shape is a ValueError."""
+    e_rows, vertices, edges_doc, sources, sinks = _fields(
+        doc, "network document", "epsilon2", "vertices", "edges", "sources", "sinks"
+    )
+    form = SkewForm(
+        [
+            tuple(_list_of(int, row, "epsilon2 row"))
+            for row in _list_of(list, e_rows, "epsilon2")
+        ]
+    )
     edges = []
-    for ed in edges_doc:
-        if not isinstance(ed, dict) or "from" not in ed or "to" not in ed:
-            raise ValueError(f"every edge needs 'from' and 'to', got {ed!r}")
+    for ed in _list_of(dict, edges_doc, "edges"):
+        frm, to = _fields(ed, "edge", "from", "to")
+        if type(frm) is not str or type(to) is not str:
+            raise ValueError(f"edge endpoints must be vertex names, got {ed!r}")
         exp = ed.get("exponent")
-        exp = None if exp is None else _int_list(exp, "edge exponent")
-        edges.append(Edge(ed["from"], ed["to"], exp))
+        exp = None if exp is None else tuple(_list_of(int, exp, "edge exponent"))
+        edges.append(Edge(frm, to, exp))
     geom = None
     gdoc = doc.get("geometry")
     if gdoc is not None:
-        coords = {
-            v: (_coord_from_json(xy[0]), _coord_from_json(xy[1]))
-            for v, xy in gdoc["coords"].items()
-        }
-        markers = [
-            (_coord_from_json(xy[0]), _coord_from_json(xy[1]))
-            for xy in gdoc["face_markers"]
-        ]
-        geom = Geometry(coords=coords, face_markers=markers)
+        coords, markers = _fields(gdoc, "geometry", "coords", "face_markers")
+        _fields(coords, "geometry coords")  # an object; no key is required
+        geom = Geometry(
+            coords={v: _point_from_json(xy) for v, xy in coords.items()},
+            face_markers=[
+                _point_from_json(xy) for xy in _list_of(list, markers, "face_markers")
+            ],
+        )
+    max_cycle_uses = doc.get("max_cycle_uses")
+    if max_cycle_uses is not None and type(max_cycle_uses) is not int:
+        raise ValueError(
+            f"max_cycle_uses must be an integer or null, got {max_cycle_uses!r}"
+        )
+    generators = doc.get("generators")
+    if generators is not None:
+        _list_of(str, generators, "generators")
     return Network(
         form=form,
-        vertices=vertices,
+        vertices=_list_of(str, vertices, "vertices"),
         edges=edges,
-        sources=sources,
-        sinks=sinks,
+        sources=_list_of(str, sources, "sources"),
+        sinks=_list_of(str, sinks, "sinks"),
         geometry=geom,
-        max_cycle_uses=doc.get("max_cycle_uses"),
-        generators=doc.get("generators"),
+        max_cycle_uses=max_cycle_uses,
+        generators=generators,
     )
 
 
@@ -258,65 +290,62 @@ def save_network(net, path):
 # ---------------------------------------------------------------------------
 
 
-def transport_entry(net, a, c):
-    """Transport amplitude from source index a to sink index c."""
-    net.ensure_exponents()
-    src = net.sources[a]
-    snk = net.sinks[c]
-    out = {v: [] for v in net.vertices}
-    for e in net.edges:
-        out[e.frm].append(e)
-    n = net.form.n
-    total = QElem.zero(net.form)
-
-    if net.is_acyclic:
-        def walk(v, vec):
-            nonlocal total
-            if v == snk:
-                total = total + weyl(net.form, tuple(vec))
-                return
-            for e in out[v]:
-                walk(e.to, [x + y for x, y in zip(vec, e.exponent)])
-
-        walk(src, [0] * n)
-        return total
-
-    if net.geometry is None:
-        raise CyclicWithoutGeometry(
-            "path signs in a cyclic network require a drawing"
-        )
-    if net.max_cycle_uses is None:
-        raise TruncationRequired(
-            "cyclic network: set max_cycle_uses to bound path enumeration"
-        )
-    coords = net.geometry.coords
-    uses = {id(e): 0 for e in net.edges}
-
-    def walk(v, vec, trail):
-        nonlocal total
-        if v == snk:
-            sign = geometry.path_self_crossings([coords[u] for u in trail])
-            coeff = QScalar.from_int(-1 if sign % 2 else 1)
-            total = total + weyl(net.form, tuple(vec), coeff)
-            return
-        for e in out[v]:
-            if uses[id(e)] >= net.max_cycle_uses:
-                continue
-            uses[id(e)] += 1
-            walk(e.to, [x + y for x, y in zip(vec, e.exponent)], trail + [e.to])
-            uses[id(e)] -= 1
-
-    walk(src, [0] * n, [src])
-    return total
-
-
 def transport_matrix(net):
-    """Matrix of transport amplitudes, sinks indexing rows, sources columns."""
-    data = [
-        [transport_entry(net, a, c) for a in range(len(net.sources))]
-        for c in range(len(net.sinks))
-    ]
-    return QMatrix.from_rows(net.form, data)
+    """Matrix of transport amplitudes, sinks indexing rows, sources columns.
+
+    One walk per source visits every directed path that leaves it and adds
+    the path's monomial to the entry of the sink where the path ends.  In a
+    cyclic network each edge may be used at most max_cycle_uses times on a
+    path, and a path is signed by the parity of its self-crossings in the
+    drawing; an acyclic network needs neither.
+    """
+    net.ensure_exponents()
+    bound, coords = inf, None
+    if not net.is_acyclic:
+        if net.geometry is None:
+            raise CyclicWithoutGeometry(
+                "path signs in a cyclic network require a drawing"
+            )
+        if net.max_cycle_uses is None:
+            raise TruncationRequired(
+                "cyclic network: set max_cycle_uses to bound path enumeration"
+            )
+        bound, coords = net.max_cycle_uses, net.geometry.coords
+
+    def sign(trail):
+        if coords is None:
+            return 1
+        crossings = geometry.path_self_crossings([coords[u] for u in trail])
+        return -1 if crossings % 2 else 1
+
+    row = {snk: c for c, snk in enumerate(net.sinks)}
+    uses = {id(e): 0 for e in net.edges}
+    trail = []
+
+    def walk(v, vec, column):
+        trail.append(v)
+        if v in row:
+            cell = column[row[v]]
+            cell[vec] = cell.get(vec, 0) + sign(trail)
+        else:
+            for e in net.out_edges[v]:
+                if uses[id(e)] < bound:
+                    uses[id(e)] += 1
+                    walk(e.to, tuple(map(add, vec, e.exponent)), column)
+                    uses[id(e)] -= 1
+        trail.pop()
+
+    columns = []
+    for src in net.sources:
+        counts = [{} for _ in net.sinks]
+        walk(src, (0,) * net.form.n, counts)
+        columns.append(
+            [
+                QElem(net.form, {vec: QScalar.from_int(k) for vec, k in cell.items()})
+                for cell in counts
+            ]
+        )
+    return QMatrix.from_rows(net.form, zip(*columns))
 
 
 @dataclass

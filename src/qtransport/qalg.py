@@ -130,15 +130,6 @@ class QScalar:
         return self.render()
 
 
-def bar(x):
-    """v -> v^-1 on scalars; coefficient-wise on Weyl-basis elements.
-
-    The Weyl monomials :w^a: are fixed by the bar involution, which therefore
-    acts on an element purely through its coefficients (and reverses products).
-    """
-    return x.bar()
-
-
 class SkewForm:
     """The commutation data of the torus: an integer skew-symmetric matrix E = 2*eps."""
 
@@ -263,6 +254,10 @@ class QElem:
         return hash((self.form, frozenset((e, c) for e, c in self.terms.items())))
 
     def bar(self) -> "QElem":
+        """The bar involution v -> v^-1, which reverses products.
+
+        It fixes the Weyl monomials :w^a:, so it acts on the coefficients only.
+        """
         res = QElem.__new__(QElem)
         res.form = self.form
         res.terms = {exps: c.bar() for exps, c in self.terms.items()}

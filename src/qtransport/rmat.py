@@ -198,11 +198,6 @@ def build_P_rect(a: int, b: int) -> CMatrix:
     return CMatrix(a * b, b * a, entries)
 
 
-def affine_R_pair(k: int) -> tuple[CMatrix, CMatrix]:
-    """The coefficient pair (R^-T, R) of the spectral R-matrix u R^-T - v R."""
-    return transpose(build_R(k, inverse_q=True)), build_R(k)
-
-
 def _embed_two_legs(r: CMatrix, k: int, leg1: int, leg2: int) -> CMatrix:
     """Embed a k^2-matrix into legs (leg1, leg2) of a 3-fold tensor power."""
     dims = [k, k, k]

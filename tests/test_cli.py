@@ -151,12 +151,17 @@ def test_cyclic_without_bound_exits_3(tmp_path, capsys):
 
 
 def test_export_transport_matches_golden(tmp_path, capsys):
-    out = tmp_path / "t.txt"
-    code = cli.main(
-        ["export", "transport", "--builder", "triangle", "--n", "2", "--out", str(out)]
-    )
-    assert code == 0
-    assert out.read_text() == (GOLDEN / "triangle2_transport.txt").read_text()
+    # cyclic2x2.json: two sources and two sinks around one signed loop,
+    # max_cycle_uses 2
+    cases = [
+        (["--builder", "triangle", "--n", "2"], "triangle2_transport.txt"),
+        (["--input", str(GOLDEN / "cyclic2x2.json")], "cyclic2x2_transport.txt"),
+    ]
+    for args, golden in cases:
+        out = tmp_path / golden
+        code = cli.main(["export", "transport", *args, "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == (GOLDEN / golden).read_text()
 
 
 def test_export_is_deterministic(tmp_path, capsys):
@@ -267,27 +272,60 @@ def test_stored_exponents_are_checked_against_the_drawing(tmp_path, capsys):
     assert captured.err == "error: drawing disagrees with stored edge exponents\n"
 
 
-def _set_exponent(value):
-    def edit(edge):
-        edge["exponent"][0] = value
+_DROP = object()
+
+
+def _edit(*path, value=_DROP):
+    """A document edit that sets the item at path to value, or drops it."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return doc
     return edit
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _set_exponent(0.5),
-        _set_exponent(True),
-        _set_exponent("1"),
-        lambda edge: edge.pop("from"),
-        lambda edge: edge.pop("to"),
-    ],
-    ids=["float-exponent", "bool-exponent", "str-exponent", "no-from", "no-to"],
-)
+MALFORMED = {
+    "float-exponent": _edit("edges", 3, "exponent", 0, value=0.5),
+    "bool-exponent": _edit("edges", 3, "exponent", 0, value=True),
+    "str-exponent": _edit("edges", 3, "exponent", 0, value="1"),
+    "no-from": _edit("edges", 3, "from"),
+    "no-to": _edit("edges", 3, "to"),
+    "list-endpoint": _edit("edges", 3, "from", value=["g0_1"]),
+    "not-an-object": lambda doc: [doc],
+    "int-epsilon2": _edit("epsilon2", value=5),
+    "int-vertices": _edit("vertices", value=3),
+    "int-edges": _edit("edges", value=7),
+    "int-generators": _edit("generators", value=4),
+    "str-sources": _edit("sources", value="12"),
+    "str-max-cycle-uses": _edit("max_cycle_uses", value="2"),
+    "geometry-without-coords": _edit("geometry", value={"face_markers": []}),
+    "one-element-coordinate": _edit(
+        "geometry", value={"coords": {"1": [0]}, "face_markers": []}
+    ),
+    "one-element-face-marker": _edit(
+        "geometry", value={"coords": {}, "face_markers": [[0]]}
+    ),
+    "zero-denominator": _edit(
+        "geometry", value={"coords": {"1": [[1, 0], 0]}, "face_markers": []}
+    ),
+    # a path walk stops at the first sink it reaches, so sinks have no exits
+    "edge-leaving-a-sink": lambda doc: {
+        **doc,
+        "edges": doc["edges"] + [{"from": "1'", "to": "2'", "exponent": [0] * 6}],
+    },
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_network_exits_2_with_one_line(edit, tmp_path, capsys):
     doc = network_to_dict(build_triangle(2))
     doc["geometry"] = None
-    edit(doc["edges"][3])
+    doc = edit(doc)
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["check", "rtt", "--input", str(path)]) == 2

@@ -9,6 +9,7 @@ split vertex the edge leaves or a merge vertex it enters.
 """
 
 import json
+import pathlib
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -17,7 +18,7 @@ import pytest
 
 from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import QMatrix, invert_restricted, matmul
-from qtransport.geometry import path_winding_vector
+from qtransport import geometry
 from qtransport.network import (
     CyclicWithoutGeometry,
     Edge,
@@ -33,8 +34,8 @@ from qtransport.network import (
     hat_matrix,
     load_network,
     network_from_dict,
+    network_to_dict,
     save_network,
-    transport_entry,
     transport_matrix,
 )
 
@@ -266,6 +267,81 @@ def _enumerate_paths(net, src, sink):
     return done
 
 
+def path_winding_vector(net, path_vertices):
+    """Winding vector of a source-to-sink path closed by its return arc."""
+    disc = geometry.Disc(
+        net.vertices,
+        [(e.frm, e.to) for e in net.edges],
+        net.sources,
+        net.sinks,
+        net.geometry.coords,
+        net.geometry.face_markers,
+    )
+    first, last = path_vertices[0], path_vertices[-1]
+    pts = [disc.pos[v] for v in path_vertices]
+    # the return arc: out to the square, clockwise along it, in to the source
+    pts += [disc.proj[last]]
+    pts += disc._corners_between(disc.tval[last], disc.tval[first])
+    pts += [disc.proj[first], disc.pos[first]]
+    return tuple(disc.crossings(pts))
+
+
+def transport_entry(net, a, c):
+    """Reference transport amplitude from source index a to sink index c.
+
+    Rebuilds the adjacency and walks every path from the source on its own,
+    keeping only the paths that end at the one sink.
+    """
+    net.ensure_exponents()
+    src = net.sources[a]
+    snk = net.sinks[c]
+    out = {v: [] for v in net.vertices}
+    for e in net.edges:
+        out[e.frm].append(e)
+    n = net.form.n
+    total = QElem.zero(net.form)
+
+    if net.is_acyclic:
+        def walk(v, vec):
+            nonlocal total
+            if v == snk:
+                total = total + weyl(net.form, tuple(vec))
+                return
+            for e in out[v]:
+                walk(e.to, [x + y for x, y in zip(vec, e.exponent)])
+
+        walk(src, [0] * n)
+        return total
+
+    if net.geometry is None:
+        raise CyclicWithoutGeometry(
+            "path signs in a cyclic network require a drawing"
+        )
+    if net.max_cycle_uses is None:
+        raise TruncationRequired(
+            "cyclic network: set max_cycle_uses to bound path enumeration"
+        )
+    coords = net.geometry.coords
+    uses = {id(e): 0 for e in net.edges}
+
+    def walk(v, vec, trail):
+        nonlocal total
+        if v == snk:
+            sign = geometry.path_self_crossings([coords[u] for u in trail])
+            coeff = QScalar.from_int(-1 if sign % 2 else 1)
+            total = total + weyl(net.form, tuple(vec), coeff)
+            return
+        for e in out[v]:
+            if uses[id(e)] >= net.max_cycle_uses:
+                continue
+            uses[id(e)] += 1
+            walk(e.to, [x + y for x, y in zip(vec, e.exponent)], trail + [e.to])
+            uses[id(e)] -= 1
+
+    walk(src, [0] * n, [src])
+    return total
+
+
 def _oracle_entry(net, a, c):
     total = QElem.zero(net.form)
     for path in _enumerate_paths(net, net.sources[a], net.sinks[c]):
@@ -283,9 +359,61 @@ def _oracle_entry(net, a, c):
     ids=["triangle2", "triangle3", "chain22b"],
 )
 def test_transport_matches_bruteforce_dfs(net):
+    m = transport_matrix(net)
     for a in range(len(net.sources)):
         for c in range(len(net.sinks)):
-            assert transport_entry(net, a, c) == _oracle_entry(net, a, c)
+            assert m.entry(c, a) == _oracle_entry(net, a, c)
+
+
+CYCLIC2X2 = pathlib.Path(__file__).parent / "golden" / "cyclic2x2.json"
+
+
+def _cyclic2x2(max_cycle_uses):
+    """A drawn cyclic network with two sources and two sinks around one loop."""
+    net = load_network(CYCLIC2X2)
+    net.max_cycle_uses = max_cycle_uses
+    return net
+
+
+def _shuffled(net, seed=7):
+    """The network reloaded with its vertex and edge lists shuffled.
+
+    An acyclic network also drops its exponents, so the loader derives them
+    from the drawing again; a cyclic one keeps them, as its drawing may cross.
+    """
+    rng = random.Random(seed)
+    doc = network_to_dict(net)
+    rng.shuffle(doc["vertices"])
+    rng.shuffle(doc["edges"])
+    if net.is_acyclic:
+        for edge in doc["edges"]:
+            edge["exponent"] = None
+    return network_from_dict(doc)
+
+
+DIFFERENTIAL_NETWORKS = {
+    "triangle2": lambda: build_triangle(2),
+    "triangle3": lambda: build_triangle(3),
+    "triangle4": lambda: build_triangle(4),
+    "chain12": lambda: build_chain(1, 2),
+    "chain22": lambda: build_chain(2, 2),
+    "chain22b": lambda: build_chain(2, 2, bridge=True),
+    "cyclic2x2-uses1": lambda: _cyclic2x2(1),
+    "cyclic2x2-uses2": lambda: _cyclic2x2(2),
+}
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["built", "shuffled"])
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_NETWORKS))
+def test_transport_matrix_matches_per_entry_oracle(name, shuffle):
+    net = DIFFERENTIAL_NETWORKS[name]()
+    if shuffle:
+        net = _shuffled(net)
+    m = transport_matrix(net)
+    assert (m.rows, m.cols) == (len(net.sinks), len(net.sources))
+    for a in range(len(net.sources)):
+        for c in range(len(net.sinks)):
+            assert m.entry(c, a) == transport_entry(net, a, c)
 
 
 @pytest.mark.parametrize(
@@ -374,24 +502,26 @@ def test_cyclic_transport_frozen():
     form = net.form
     # one crossing on the short path, two on the once-around path
     expected = wv(form, (1,), QScalar.from_int(-1)) + wv(form, (2,))
-    assert transport_entry(net, 0, 0) == expected
+    assert transport_matrix(net).entry(0, 0) == expected
 
 
 def test_cyclic_truncation_bound_one():
     net = _cyclic_fixture(max_cycle_uses=1)
-    assert transport_entry(net, 0, 0) == wv(net.form, (1,), QScalar.from_int(-1))
+    assert transport_matrix(net).entry(0, 0) == wv(
+        net.form, (1,), QScalar.from_int(-1)
+    )
 
 
 def test_cyclic_requires_truncation():
     net = _cyclic_fixture(max_cycle_uses=None)
     with pytest.raises(TruncationRequired):
-        transport_entry(net, 0, 0)
+        transport_matrix(net).entry(0, 0)
 
 
 def test_cyclic_requires_geometry():
     net = _cyclic_fixture(with_geometry=False)
     with pytest.raises(CyclicWithoutGeometry):
-        transport_entry(net, 0, 0)
+        transport_matrix(net).entry(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +556,7 @@ def test_network_loader_validates(tmp_path):
         network_from_dict(doc)
     doc["epsilon2"] = [[0, 1], [-1, 0]]
     net = network_from_dict(doc)
-    assert transport_entry(net, 0, 0) == wv(net.form, (1, 0))
+    assert transport_matrix(net).entry(0, 0) == wv(net.form, (1, 0))
     doc["edges"][0]["exponent"] = [1]
     with pytest.raises(ValueError):
         network_from_dict(doc)

@@ -12,7 +12,6 @@ import pytest
 from qtransport.qalg import QScalar
 from qtransport.rmat import (
     CMatrix,
-    affine_R_pair,
     build_P,
     build_P_rect,
     build_R,
@@ -21,7 +20,7 @@ from qtransport.rmat import (
     transpose,
     yang_baxter_residual,
 )
-from qtransport.verify import check_rmatrix
+from qtransport.verify import check_rmatrix, const
 
 Q = QScalar.q_power(1)
 QI = QScalar.q_power(-1)
@@ -193,12 +192,11 @@ def test_t1_transposes_commute_with_R():
 
 
 def test_affine_R_pair_frozen():
-    rit, r = affine_R_pair(1)
-    assert rit.entries == {(0, 0): QI}
-    assert r.entries == {(0, 0): Q}
-    rit3, r3 = affine_R_pair(3)
-    assert r3 == build_R(3)
-    assert rit3 == transpose(build_R(3, inverse_q=True))
+    # the coefficient pair (R*, R) of the spectral R-matrix u R* - v R
+    assert const("R*", 1).entries == {(0, 0): QI}
+    assert const("R", 1).entries == {(0, 0): Q}
+    assert const("R", 3) == build_R(3)
+    assert const("R*", 3) == transpose(build_R(3, inverse_q=True))
 
 
 def test_R_block_structure_under_split():
