@@ -7,7 +7,7 @@ other end, which requires M12 to be invertible.  TSeries holds such a family
 sparsely with explicit knowledge of where it vanishes.
 """
 
-from .ncmat import QMatrix, invert_restricted, matmul, transpose_q
+from .ncmat import QMatrix, matmul, transpose_q
 
 
 class TruncationError(Exception):
@@ -18,17 +18,15 @@ class TSeries:
     """A level-indexed family of matrices with known-zero tails.
 
     Levels in ``levels`` are stored explicitly; levels at or below
-    ``zero_le`` and at or above ``zero_ge`` are known to vanish; anything
-    else raises TruncationError.
+    ``zero_le`` are known to vanish; anything else raises TruncationError.
     """
 
-    def __init__(self, form, rows, cols, levels, zero_le=None, zero_ge=None):
+    def __init__(self, form, rows, cols, levels, zero_le=None):
         self.form = form
         self.rows = rows
         self.cols = cols
         self.levels = dict(levels)
         self.zero_le = zero_le
-        self.zero_ge = zero_ge
         for mat in self.levels.values():
             if (mat.rows, mat.cols) != (rows, cols):
                 raise ValueError("all levels must have the same shape")
@@ -36,11 +34,7 @@ class TSeries:
     def available(self, k):
         if k in self.levels:
             return True
-        if self.zero_le is not None and k <= self.zero_le:
-            return True
-        if self.zero_ge is not None and k >= self.zero_ge:
-            return True
-        return False
+        return self.zero_le is not None and k <= self.zero_le
 
     def get(self, k):
         if k in self.levels:
@@ -57,11 +51,8 @@ def levels_T(block, kmax):
     """Nonnegative level matrices T_0 = M21, T_k = M22 M12^(k-1) M11."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    levels = {0: block.M21}
-    acc = block.M11
-    for k in range(1, kmax + 1):
-        levels[k] = matmul(block.M22, acc)
-        acc = matmul(block.M12, acc)
+    levels = {k: block.power(k - 1) for k in range(1, kmax + 1)}
+    levels[0] = block.M21
     return TSeries(block.M21.form, block.n2, block.n1, levels, zero_le=-1)
 
 
@@ -71,57 +62,39 @@ def loop_generators(block, kmax, groupoid_mode=False):
     Positive levels are M22 M12^(k-1) M11 with M21 at level zero.  Negative
     levels invert M12; by default level -k holds M22 M12^(-k) M11 with M21
     subtracted once at level -1.  In groupoid mode the network must satisfy
-    M22 M12^-1 M11 = M21 exactly; that product is then used as the level-zero
+    M22 M12^-1 M11 = M21 exactly; that product is then the level-zero
     generator and the negative levels shift one power deeper, with no
     subtraction anywhere.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    form = block.M21.form
-    levels = {}
-    acc = block.M11
-    for k in range(1, kmax + 1):
-        levels[k] = matmul(block.M22, acc)
-        acc = matmul(block.M12, acc)
-    inv = invert_restricted(block.M12)
-    raw = {}
-    acc = matmul(inv, block.M11)
-    for k in range(1, kmax + 2):
-        raw[k] = matmul(block.M22, acc)
-        acc = matmul(inv, acc)
+    levels = {k: block.power(k - 1) for k in range(1, kmax + 1)}
+    levels[0] = block.M21
     if groupoid_mode:
-        if raw[1] != block.M21:
+        if block.power(-1) != block.M21:
             raise ValueError(
                 "groupoid mode needs M22 M12^-1 M11 = M21, which fails here"
             )
-        levels[0] = raw[1]
-        for k in range(1, kmax + 1):
-            levels[-k] = raw[k + 1]
+        levels.update({-k: block.power(-k - 1) for k in range(1, kmax + 1)})
     else:
-        levels[0] = block.M21
-        levels[-1] = raw[1] - block.M21
-        for k in range(2, kmax + 1):
-            levels[-k] = raw[k]
-    return TSeries(form, block.n2, block.n1, levels)
+        levels.update({-k: block.power(-k) for k in range(1, kmax + 1)})
+        levels[-1] = levels[-1] - block.M21
+    return TSeries(block.M21.form, block.n2, block.n1, levels)
 
 
-def reflection_series(tminus, tplus, kmax):
-    """Reflection matrices built from the two level families.
+def reflection_series(t, kmax):
+    """Reflection matrices built from a two-sided level family t.
 
     The degree-n entry (n = 1..kmax+1) is the sum over j + i = n, j >= 1,
     i >= 0 of [T_-j]^t T_i, where the transpose is the multiplicative one.
-    Degrees at or below zero vanish.  Both arguments may be the same
-    two-sided series.
+    Degrees at or below zero vanish.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    n1 = tplus.cols
-    form = tplus.form
     levels = {}
     for k in range(0, kmax + 1):
-        acc = QMatrix.zero(n1, n1, form)
+        acc = QMatrix.zero(t.cols, t.cols, t.form)
         for j in range(1, k + 2):
-            i = k + 1 - j
-            acc = acc + matmul(transpose_q(tminus.get(-j)), tplus.get(i))
+            acc = acc + matmul(transpose_q(t.get(-j)), t.get(k + 1 - j))
         levels[k + 1] = acc
-    return TSeries(form, n1, n1, levels, zero_le=0)
+    return TSeries(t.form, t.cols, t.cols, levels, zero_le=0)

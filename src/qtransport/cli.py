@@ -16,7 +16,7 @@ import sys
 
 from . import verify
 from .affine import TruncationError, levels_T, loop_generators, reflection_series
-from .ncmat import NotInvertibleInSupportedClass, QMatrix
+from .ncmat import NotInvertibleInSupportedClass
 from .network import (
     TruncationRequired,
     block_split,
@@ -24,11 +24,10 @@ from .network import (
     build_composite_example,
     build_triangle,
     f_rp,
-    hat_matrix,
+    hat_blocks,
     load_network,
     transport_matrix,
 )
-from .qalg import QScalar, SkewForm, weyl
 
 CHECK_NAMES = [
     "rmatrix",
@@ -55,14 +54,6 @@ def _parse_ints(text, count=None):
     if count is not None and len(vals) != count:
         raise ValueError(f"expected {count} comma-separated integers, got {text!r}")
     return vals
-
-
-def _hat_as_qmatrix(ints):
-    form = SkewForm([[0]])
-    rows = []
-    for row in ints:
-        rows.append([weyl(form, (0,), QScalar.from_int(v)) for v in row])
-    return QMatrix.from_rows(form, rows)
 
 
 class _Source:
@@ -104,9 +95,8 @@ def _resolve_source(args):
         tag = ",bridge" if args.bridge else ""
         return _Source(m, split or (n1, 1, n2), f"chain({n1},{n2}{tag})")
     if args.builder == "hat":
-        r = args.r if args.r is not None else 2
-        m = _hat_as_qmatrix(hat_matrix(r))
-        return _Source(m, split or (1, r, 1), f"hat({r})")
+        b = hat_blocks(args.r if args.r is not None else 2)
+        return _Source(b.matrix, split or b, f"hat({b.m})")
     if args.builder == "composite":
         b = build_composite_example()
         return _Source(b.matrix, split or b, "composite")
@@ -185,12 +175,12 @@ def _run_checks(args):
         return [verify.check_subalgebra(t)], [], []
     if kind == "reflection":
         t = loop_generators(src.blocks(), 2)
-        a = reflection_series(t, t, 1)
+        a = reflection_series(t, 1)
         return [verify.check_reflection_constant(a.get(1))], [], []
     if kind == "reflection-affine":
         order = args.order if args.order is not None else 1
         t = loop_generators(src.blocks(), order + 2)
-        a = reflection_series(t, t, order + 1)
+        a = reflection_series(t, order + 1)
         return [verify.check_reflection_affine(a, order)], [], []
     if kind == "all":
         return _run_all(src, args)
@@ -225,7 +215,7 @@ def _run_all(src, args):
     reports.append(verify.check_loop(t, -order, order - 1))
     reports.append(verify.check_subalgebra(t))
     reports.append(verify.check_appendix(blocks))
-    a = reflection_series(t, t, 2)
+    a = reflection_series(t, 2)
     reports.append(verify.check_reflection_affine(a, 1))
     return reports, skips, []
 
@@ -303,7 +293,7 @@ def cmd_export(args):
         labeled = [(f"T_{k}", t.get(k)) for k in range(order + 1)]
     else:
         t = loop_generators(src.blocks(), order + 1)
-        a = reflection_series(t, t, order)
+        a = reflection_series(t, order)
         labeled = [(f"A^({k})", a.get(k + 1)) for k in range(order + 1)]
     if args.as_json:
         doc = {

@@ -12,6 +12,7 @@ for the conventions.  Builders for standard families are provided at the
 bottom of the file.
 """
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from math import comb, inf
 from operator import add
 
 from .qalg import QElem, QScalar, SkewForm, weyl
-from .ncmat import QMatrix, matmul
+from .ncmat import QMatrix, invert_restricted, matmul
 from . import geometry
 
 
@@ -71,6 +72,10 @@ class Network:
         )
         if len(self.generators) != form.n:
             raise ValueError("one generator name per skew-form row required")
+        if max_cycle_uses is not None and max_cycle_uses < 1:
+            raise ValueError(
+                f"max_cycle_uses must be at least 1, got {max_cycle_uses}"
+            )
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("vertex names must be unique")
@@ -84,6 +89,8 @@ class Network:
             if e.exponent is not None and len(e.exponent) != form.n:
                 raise ValueError("edge exponent length must match the form size")
             self.out_edges[e.frm].append(e)
+        if not self.sources or not self.sinks:
+            raise ValueError("a network needs at least one source and one sink")
         for b in self.sources + self.sinks:
             if b not in vset:
                 raise ValueError(f"unknown boundary vertex {b!r}")
@@ -350,6 +357,14 @@ def transport_matrix(net):
 
 @dataclass
 class BlockTransport:
+    """The blocks of a transport matrix split as [[M11, M12], [M21, M22]].
+
+    Every level matrix of the split is one product M22 M12^j M11; power(j)
+    builds it, inverting M12 (once) for negative j.  Products and the inverse
+    are cached on the instance, so a dataclasses.replace copy starts afresh;
+    callers must not modify the matrices it hands out.
+    """
+
     n1: int
     m: int
     n2: int
@@ -361,6 +376,33 @@ class BlockTransport:
     @property
     def matrix(self):
         return QMatrix.from_blocks([[self.M11, self.M12], [self.M21, self.M22]])
+
+    @functools.cached_property
+    def M12_inverse(self):
+        """M12^-1; NotInvertibleInSupportedClass if it is out of reach."""
+        return invert_restricted(self.M12)
+
+    @functools.cached_property
+    def _tails(self):
+        return {0: self.M11}  # j -> M12^j M11
+
+    @functools.cached_property
+    def _powers(self):
+        return {}  # j -> M22 M12^j M11
+
+    def power(self, j):
+        """M22 M12^j M11 for any integer j; each M12^j M11 is built once."""
+        if j not in self._powers:
+            step = 1 if j > 0 else -1
+            k = j
+            while k not in self._tails:
+                k -= step
+            while k != j:
+                k += step
+                factor = self.M12 if step > 0 else self.M12_inverse
+                self._tails[k] = matmul(factor, self._tails[k - step])
+            self._powers[j] = matmul(self.M22, self._tails[j])
+        return self._powers[j]
 
 
 def block_split(m, n1, msize, n2):
@@ -634,44 +676,32 @@ def hat_matrix(r):
     return [[1 if i - j + 1 >= 0 else 0 for j in range(r + 1)] for i in range(r + 1)]
 
 
-def _int_matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
+def hat_blocks(r):
+    """The staircase example as a block system split (1, r, 1).
 
-
-def hat_m12_inverse_power(r, p):
-    """p-th power of the inverse of the r-square lower-triangular ones block."""
-    if r < 1 or p < 0:
-        raise ValueError("need r >= 1 and p >= 0")
-    inv = [
-        [1 if i == j else (-1 if i == j + 1 else 0) for j in range(r)]
-        for i in range(r)
+    Its entries are the integers of hat_matrix(r), read as constants of a
+    one-generator torus; M12 is the r-square lower-triangular ones block.
+    """
+    form = SkewForm([[0]])
+    rows = [
+        [weyl(form, (0,), QScalar.from_int(x)) for x in row] for row in hat_matrix(r)
     ]
-    out = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for _ in range(p):
-        out = _int_matmul(out, inv)
-    return out
+    return block_split(QMatrix.from_rows(form, rows), 1, r, 1)
 
 
 def f_rp(r, p, mode="matrix"):
     """Scalar level entry of the staircase example.
 
-    All three modes agree: "matrix" contracts the corner blocks of the
-    staircase transport matrix against the p-th inverse power of its middle
-    block, "recursion" uses f(r, p+1) = f(r, p) - f(r-1, p) with first row
-    and column one, and "closed" evaluates the binomial form directly.
+    All three modes agree: "matrix" reads the level M22 M12^-p M11 of the
+    staircase block system, "recursion" uses f(r, p+1) = f(r, p) - f(r-1, p)
+    with first row and column one, and "closed" evaluates the binomial form
+    directly.
     """
     if r < 1 or p < 1:
         raise ValueError("need r >= 1 and p >= 1")
     if mode == "matrix":
-        hat = hat_matrix(r)
-        col = [[hat[i][0]] for i in range(r)]
-        row = [hat[r][1:]]
-        mid = _int_matmul(hat_m12_inverse_power(r, p), col)
-        return _int_matmul(row, mid)[0][0]
+        level = hat_blocks(r).power(-p).entry(0, 0)
+        return level.terms[(0,)].terms[0] if level.terms else 0
     if mode == "recursion":
         memo = {}
 

@@ -56,9 +56,6 @@ class QScalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {0: 1}
-
     def __add__(self, other: "QScalar") -> "QScalar":
         out = dict(self.terms)
         for k, c in other.terms.items():

@@ -32,13 +32,6 @@ class CMatrix:
         one = QScalar.one()
         return cls(n, n, {(i, i): one for i in range(n)})
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "CMatrix":
-        return cls(rows, cols)
-
-    def get(self, r: int, c: int) -> QScalar:
-        return self.entries.get((r, c), QScalar.zero())
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -29,10 +29,6 @@ def test_tseries_access_rules():
     assert t.available(-3) and t.available(1) and not t.available(2)
     with pytest.raises(TruncationError):
         t.get(2)
-    bounded = TSeries(net.form, 1, 1, {}, zero_ge=4)
-    assert bounded.get(7).is_zero()
-    with pytest.raises(TruncationError):
-        bounded.get(3)
 
 
 def test_levels_structural():
@@ -83,7 +79,7 @@ def test_loop_generators_bridged():
 def test_reflection_series_structural():
     b = _blocks(build_chain(1, 2), 1, 1, 2)
     t = loop_generators(b, 3)
-    a = reflection_series(t, t, 2)
+    a = reflection_series(t, 2)
     tp = lambda k: t.get(k)
     tm = lambda k: transpose_q(t.get(-k))
     assert a.get(1) == matmul(tm(1), tp(0))
@@ -100,5 +96,5 @@ def test_reflection_series_structural():
 def test_reflection_series_shape():
     b = _blocks(build_chain(2, 1), 2, 1, 1)
     t = loop_generators(b, 2)
-    a = reflection_series(t, t, 1)
+    a = reflection_series(t, 1)
     assert a.get(1).rows == a.get(1).cols == 2

@@ -6,6 +6,8 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransport import cli
 from qtransport.network import (
@@ -14,6 +16,7 @@ from qtransport.network import (
     Network,
     build_chain,
     build_triangle,
+    network_from_dict,
     network_to_dict,
     save_network,
     transport_matrix,
@@ -303,6 +306,9 @@ MALFORMED = {
     "int-generators": _edit("generators", value=4),
     "str-sources": _edit("sources", value="12"),
     "str-max-cycle-uses": _edit("max_cycle_uses", value="2"),
+    # a bound below one would silently drop every path of a cyclic network
+    "zero-max-cycle-uses": _edit("max_cycle_uses", value=0),
+    "negative-max-cycle-uses": _edit("max_cycle_uses", value=-1),
     "geometry-without-coords": _edit("geometry", value={"face_markers": []}),
     "one-element-coordinate": _edit(
         "geometry", value={"coords": {"1": [0]}, "face_markers": []}
@@ -331,3 +337,52 @@ def test_malformed_network_exits_2_with_one_line(edit, tmp_path, capsys):
     assert cli.main(["check", "rtt", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FUZZ_SEEDS = [
+    network_to_dict(build_triangle(2)),
+    network_to_dict(build_chain(1, 1, bridge=True)),
+    json.loads((GOLDEN / "cyclic2x2.json").read_text()),
+]
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(doc, data):
+    """Drop one key or item somewhere in doc, or put a JSON value in its place."""
+    target = doc
+    while True:
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = target[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            target = child
+        elif data.draw(st.booleans()):
+            del target[key]
+            return
+        else:
+            target[key] = data.draw(JSON_VALUES)
+            return
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_loader_refuses_mutated_documents_with_value_error(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_SEEDS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    try:
+        network_from_dict(doc).ensure_exponents()
+    except ValueError:
+        pass

@@ -1,9 +1,12 @@
-"""Golden residual output of every checker on perturbed networks.
+"""Golden output of the checkers and of the level-family exports.
 
-Each input is a builder network saved without its drawing and with one edge
-exponent raised by one, so every relation it is checked against fails.  The
-stdout of the command (labels, first nonzero indices, residual values) and
-its exit code are pinned byte for byte.
+Two inputs are builder networks saved without their drawing and with one
+edge exponent raised by one, so every relation they are checked against
+fails.  The others run named builders as they are: the level and reflection
+exports of a bridged chain, the f^r_p table and the identity suite on the
+composite example.  The stdout of each command (labels, first nonzero
+indices, residual values, matrix entries) and its exit code are pinned byte
+for byte.
 """
 
 import json
@@ -16,16 +19,40 @@ from qtransport.network import build_chain, build_triangle, network_to_dict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# (golden file, builder of the perturbed input or None, argv, exit code)
 CASES = [
     (
         "chain22_bridge_check_all.txt",
         lambda: build_chain(2, 2, bridge=True),
         ["check", "all", "--split", "2,1,2"],
+        1,
     ),
     (
         "triangle2_disc_reflection.txt",
         lambda: build_triangle(2),
         ["check", "disc-reflection"],
+        1,
+    ),
+    (
+        "chain22_bridge_export_levels.txt",
+        None,
+        ["export", "levels", "--builder", "chain", "--n", "2,2", "--bridge",
+         "--order", "3"],
+        0,
+    ),
+    (
+        "chain22_bridge_export_reflection.txt",
+        None,
+        ["export", "reflection", "--builder", "chain", "--n", "2,2", "--bridge",
+         "--order", "2"],
+        0,
+    ),
+    ("check_frp.txt", None, ["check", "frp", "--r", "8", "--p", "8"], 0),
+    (
+        "composite_check_all.txt",
+        None,
+        ["check", "all", "--builder", "composite"],
+        1,
     ),
 ]
 
@@ -38,11 +65,15 @@ def perturbed_doc(net):
     return doc
 
 
-@pytest.mark.parametrize("golden,build,argv", CASES, ids=[c[0] for c in CASES])
-def test_residual_output_matches_golden(golden, build, argv, tmp_path, capsys):
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(perturbed_doc(build())))
-    code = cli.main(argv + ["--input", str(path)])
+@pytest.mark.parametrize(
+    "golden,build,argv,exit_code", CASES, ids=[c[0] for c in CASES]
+)
+def test_residual_output_matches_golden(golden, build, argv, exit_code, tmp_path, capsys):
+    if build is not None:
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(perturbed_doc(build())))
+        argv = argv + ["--input", str(path)]
+    code = cli.main(argv)
     out = capsys.readouterr().out
     expected = (GOLDEN / golden).read_text()
-    assert (code, out) == (1, expected)
+    assert (code, out) == (exit_code, expected)

@@ -2,13 +2,14 @@
 
 perfbench/tracer.py rebinds traced functions by name in every qtransport
 module that holds them.  A rename in the package would break the benchmark's
-layer metrics; this test makes such a rename fail here instead.
+layer metrics; this test makes such a rename fail here instead.  The same
+tracer counts the calls of one identity suite, which must invert M12 once.
 """
 
 import importlib.util
 import pathlib
 
-import qtransport.cli  # noqa: F401  (imports every qtransport module)
+from qtransport import cli  # imports every qtransport module
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +35,18 @@ def test_every_traced_function_is_rebound():
     finally:
         tracer.uninstall()
     assert functions and not unbound
+
+
+def test_check_all_inverts_m12_once(capsys):
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        argv = ["check", "all", "--builder", "chain", "--n", "2,2", "--bridge"]
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = {name: n for name, (n, _) in tracer.layer_totals().items()}
+    assert code == 0
+    assert calls["ncmat.invert_restricted"] == 1
+    assert calls["ncmat.lift"] > 0

@@ -237,7 +237,7 @@ def test_groupoid_checker_unsupported_inverse():
 
 def test_reflection_constant_and_lowest_bidegree():
     t = loop_generators(_chain_blocks(2, 1, bridge=True), 3)
-    a = reflection_series(t, t, 2)
+    a = reflection_series(t, 2)
     a1 = a.get(1)
     assert not a1.is_zero()
     rep = verify.check_reflection_constant(a1)
@@ -250,14 +250,14 @@ def test_reflection_constant_and_lowest_bidegree():
 
 def test_reflection_affine_window():
     t = loop_generators(_chain_blocks(2, 1, bridge=True), 3)
-    a = reflection_series(t, t, 2)
+    a = reflection_series(t, 2)
     rep = verify.check_reflection_affine(a, 1)
     assert rep.passed, rep.residuals
 
 
 def test_reflection_negative_controls():
     t = loop_generators(_chain_blocks(2, 1, bridge=True), 3)
-    a = reflection_series(t, t, 2)
+    a = reflection_series(t, 2)
     bad1 = _perturbed(a.get(1))
     assert not verify.check_reflection_constant(bad1).passed
     bad_levels = {k: a.get(k) for k in a.known_levels()}
