@@ -56,13 +56,26 @@ def _parse_ints(text, count=None):
     return vals
 
 
+def _size(args, name, default, least):
+    """The value of --name, or default when it is absent; below least is refused.
+
+    A smaller size would crash, fail an identity that holds, or leave a
+    checker an empty window that passes without checking anything.
+    """
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if value < least:
+        raise ValueError(f"--{name} must be at least {least}, got {value}")
+    return value
+
+
 class _Source:
     """The resolved input: a transport matrix plus an optional block split."""
 
-    def __init__(self, matrix, split, label):
+    def __init__(self, matrix, split):
         self.matrix = matrix
         self.split = split
-        self.label = label
         self._blocks = None
 
     def blocks(self):
@@ -84,22 +97,21 @@ def _resolve_source(args):
     split = _parse_ints(args.split, 3) if args.split else None
     if args.input:
         net = load_network(args.input)
-        return _Source(transport_matrix(net), split, args.input)
+        return _Source(transport_matrix(net), split)
     if args.builder == "triangle":
         n = int(args.n) if args.n else 2
         m = transport_matrix(build_triangle(n))
-        return _Source(m, split or (1, 1, 2 * n - 1), f"triangle({n})")
+        return _Source(m, split or (1, 1, 2 * n - 1))
     if args.builder == "chain":
         n1, n2 = _parse_ints(args.n, 2) if args.n else (1, 1)
         m = transport_matrix(build_chain(n1, n2, bridge=args.bridge))
-        tag = ",bridge" if args.bridge else ""
-        return _Source(m, split or (n1, 1, n2), f"chain({n1},{n2}{tag})")
+        return _Source(m, split or (n1, 1, n2))
     if args.builder == "hat":
         b = hat_blocks(args.r if args.r is not None else 2)
-        return _Source(b.matrix, split or b, f"hat({b.m})")
+        return _Source(b.matrix, split or b)
     if args.builder == "composite":
         b = build_composite_example()
-        return _Source(b.matrix, split or b, "composite")
+        return _Source(b.matrix, split or b)
     raise ValueError("no input: pass --input FILE or --builder NAME")
 
 
@@ -141,13 +153,9 @@ def _run_checks(args):
     """Returns (reports, skips, extra_lines)."""
     kind = args.kind
     if kind == "rmatrix":
-        k = args.k if args.k is not None else 2
-        return [verify.check_rmatrix(k)], [], []
+        return [verify.check_rmatrix(_size(args, "k", 2, 1))], [], []
     if kind == "frp":
-        rep, table = _frp_report(
-            args.r if args.r is not None else 8,
-            args.p if args.p is not None else 8,
-        )
+        rep, table = _frp_report(_size(args, "r", 8, 1), _size(args, "p", 8, 1))
         return [rep], [], _frp_table_lines(table)
 
     src = _resolve_source(args)
@@ -162,12 +170,12 @@ def _run_checks(args):
     if kind == "appendix":
         return [verify.check_appendix(src.blocks())], [], []
     if kind == "affine":
-        kmax = args.kmax if args.kmax is not None else 2
-        pmax = args.pmax if args.pmax is not None else kmax
+        kmax = _size(args, "kmax", 2, 0)
+        pmax = _size(args, "pmax", kmax, 0)
         t = levels_T(src.blocks(), kmax + pmax)
         return [verify.check_affine(t, kmax, pmax)], [], []
     if kind == "loop":
-        order = args.order if args.order is not None else 2
+        order = _size(args, "order", 2, 1)
         t = loop_generators(src.blocks(), order)
         return [verify.check_loop(t, -order, order - 1)], [], []
     if kind == "subalgebra":
@@ -178,7 +186,7 @@ def _run_checks(args):
         a = reflection_series(t, 1)
         return [verify.check_reflection_constant(a.get(1))], [], []
     if kind == "reflection-affine":
-        order = args.order if args.order is not None else 1
+        order = _size(args, "order", 1, 0)
         t = loop_generators(src.blocks(), order + 2)
         a = reflection_series(t, order + 1)
         return [verify.check_reflection_affine(a, order)], [], []
@@ -194,7 +202,9 @@ def _run_all(src, args):
     structure (a loopback-consistent network, a mirrored sink split), so
     they are property probes rather than identities; run them explicitly.
     """
-    order = args.order if args.order is not None else 2
+    order = _size(args, "order", 2, 1)
+    kmax = _size(args, "kmax", 2, 0)
+    pmax = _size(args, "pmax", kmax, 0)
     reports = [verify.check_rtt(src.matrix)]
     skips = []
     try:
@@ -203,8 +213,6 @@ def _run_all(src, args):
         skips.append(("block checks", "no --split given"))
         return reports, skips, []
     reports.append(verify.check_blocks(blocks))
-    kmax = args.kmax if args.kmax is not None else 2
-    pmax = args.pmax if args.pmax is not None else kmax
     reports.append(verify.check_affine(levels_T(blocks, kmax + pmax), kmax, pmax))
     try:
         t = loop_generators(blocks, max(order, 3))

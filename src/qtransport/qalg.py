@@ -9,9 +9,15 @@ monomial basis
     :w^a: ,  a in Z^N,
 
 with the product rule  :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:  (a.E.b = a^T E b).
+
+The pairing is bilinear, so the product computes the row vector a^T E once per
+distinct left exponent vector a, memoised on the SkewForm; each phase is then
+one dot product with b.
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 
 class NotAUnit(ValueError):
@@ -127,10 +133,31 @@ class QScalar:
         return self.render()
 
 
-class SkewForm:
-    """The commutation data of the torus: an integer skew-symmetric matrix E = 2*eps."""
+class _Rows(dict):
+    """The memo of one skew form: exponent tuple a -> the row vector a^T E.
 
-    __slots__ = ("E", "n")
+    A missing row is computed on first lookup.  E is skew, so entry j of
+    a^T E is -(E a)_j, one dot product per generator.
+    """
+
+    __slots__ = ("E",)
+
+    def __init__(self, E):
+        super().__init__()
+        self.E = E
+
+    def __missing__(self, a):
+        row = self[a] = tuple(-sum(map(mul, e, a)) for e in self.E)
+        return row
+
+
+class SkewForm:
+    """The commutation data of the torus: an integer skew-symmetric matrix E = 2*eps.
+
+    rows memoises a^T E for every exponent tuple a looked up in it.
+    """
+
+    __slots__ = ("E", "n", "rows")
 
     def __init__(self, E):
         rows = [tuple(int(x) for x in row) for row in E]
@@ -143,16 +170,11 @@ class SkewForm:
                     raise ValueError("E must be skew-symmetric")
         self.E = tuple(rows)
         self.n = n
+        self.rows = _Rows(self.E)
 
     def pairing(self, a, b) -> int:
         """a^T E b for integer exponent vectors a, b."""
-        E = self.E
-        total = 0
-        for i, ai in enumerate(a):
-            if ai:
-                row = E[i]
-                total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
-        return total
+        return sum(map(mul, self.rows[tuple(a)], b))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewForm) and self.E == other.E
@@ -280,20 +302,36 @@ def weyl(form: SkewForm, exponents, coeff: QScalar | None = None) -> QElem:
 
 
 def qmul(x: QElem, y: QElem) -> QElem:
-    """Product in the torus: :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:."""
+    """Product in the torus: :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:.
+
+    The row a^T E is looked up once per left term.  Coefficient products are
+    summed as plain {v-exponent: int} maps, one per result monomial, and
+    become QScalars at the end.
+    """
     form = _same_form(x, y)
-    pairing = form.pairing
-    out = {}
+    rows = form.rows
+    right = [(eb, cb.terms.items()) for eb, cb in y.terms.items()]
+    sums = {}
     for ea, ca in x.terms.items():
-        for eb, cb in y.terms.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            c = (ca * cb) * QScalar.v_power(-pairing(ea, eb))
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+        row = rows[ea]
+        left = ca.terms.items()
+        for eb, cb in right:
+            shift = sum(map(mul, row, eb))
+            key = tuple(map(add, ea, eb))
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = {}
+            for k1, c1 in left:
+                for k2, c2 in cb:
+                    k = k1 + k2 - shift
+                    acc[k] = acc.get(k, 0) + c1 * c2
+    out = {}
+    for key, acc in sums.items():
+        terms = {k: c for k, c in acc.items() if c}
+        if terms:
+            c = QScalar.__new__(QScalar)
+            c.terms = terms
+            out[key] = c
     res = QElem.__new__(QElem)
     res.form = form
     res.terms = out

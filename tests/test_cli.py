@@ -55,6 +55,48 @@ def test_check_frp_table(capsys):
     assert "PASS frp" in out
 
 
+# Each size below its least value either crashed, failed an identity that
+# holds, or left a checker an empty window that passed without checking.
+BAD_SIZES = {
+    "frp-r-zero": ["check", "frp", "--r", "0"],
+    "frp-r-negative": ["check", "frp", "--r", "-1"],
+    "frp-p-zero": ["check", "frp", "--p", "0"],
+    "rmatrix-k-zero": ["check", "rmatrix", "--k", "0"],
+    "rmatrix-k-negative": ["check", "rmatrix", "--k", "-2"],
+    "affine-kmax-negative": [
+        "check", "affine", "--builder", "chain", "--n", "1,1",
+        "--kmax", "-1", "--pmax", "2",
+    ],
+    "affine-pmax-negative": [
+        "check", "affine", "--builder", "chain", "--n", "1,1", "--pmax", "-1",
+    ],
+    "all-order-zero": [
+        "check", "all", "--builder", "chain", "--n", "1,1", "--bridge",
+        "--order", "0",
+    ],
+    "reflection-affine-order-negative": [
+        "check", "reflection-affine", "--builder", "chain", "--n", "1,1",
+        "--bridge", "--order", "-1",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_SIZES.values()), ids=list(BAD_SIZES))
+def test_bad_size_exits_2_with_one_line(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+def test_smallest_sizes_still_run(capsys):
+    assert _run(["check", "rmatrix", "--k", "1"], capsys)[0] == 0
+    assert _run(["check", "frp", "--r", "1", "--p", "1"], capsys)[0] == 0
+    argv = ["check", "affine", "--builder", "chain", "--n", "1,1", "--kmax", "0"]
+    code, out = _run(argv, capsys)
+    assert code == 0 and out == "PASS affine [kmax=0 pmax=0]\n"
+
+
 def test_check_groupoid_exit_codes(capsys):
     code, _ = _run(["check", "groupoid", "--builder", "chain", "--n", "2,1"], capsys)
     assert code == 0

@@ -2,7 +2,8 @@
 
 Expected values in the frozen tests were computed by hand from the defining
 relations (w_i w_j = q^{-2 eps_ij} w_j w_i with q = v^2 and E = 2*eps) before
-the implementation was written.
+the implementation was written.  The memoised product is checked against a
+straightforward term-by-term product kept here as the oracle.
 """
 
 import random
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtransport import qalg
+from qtransport.network import build_triangle, transport_matrix
 from qtransport.qalg import (
     NotAUnit,
     QElem,
@@ -20,6 +23,40 @@ from qtransport.qalg import (
     qmul,
     weyl,
 )
+from qtransport.verify import check_rtt
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the double-loop pairing and the term-by-term product
+# ---------------------------------------------------------------------------
+
+
+def oracle_pairing(form, a, b):
+    """a^T E b as a double loop over the nonzero exponents."""
+    E = form.E
+    total = 0
+    for i, ai in enumerate(a):
+        if ai:
+            row = E[i]
+            total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
+    return total
+
+
+def oracle_qmul(x, y):
+    """:w^a: :w^b: = v^{-a.E.b} :w^{a+b}: term by term, in QScalar arithmetic."""
+    form = x.form
+    out = {}
+    for ea, ca in x.terms.items():
+        for eb, cb in y.terms.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            c = (ca * cb) * QScalar.v_power(-oracle_pairing(form, ea, eb))
+            s = out.get(key)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return QElem(form, out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +283,7 @@ def test_qmul_associative_bulk():
 
 
 @st.composite
-def form_and_elems(draw, count):
-    n = draw(st.integers(min_value=1, max_value=4))
+def skew_forms(draw, n):
     upper = draw(
         st.lists(
             st.integers(min_value=-2, max_value=2),
@@ -262,40 +298,133 @@ def form_and_elems(draw, count):
             e[i][j] = upper[k]
             e[j][i] = -upper[k]
             k += 1
-    form = SkewForm(e)
-    elems = []
-    for _ in range(count):
-        nterms = draw(st.integers(min_value=1, max_value=2))
-        x = QElem.zero(form)
-        for _ in range(nterms):
-            exps = tuple(
-                draw(st.integers(min_value=-2, max_value=2)) for _ in range(n)
-            )
-            coeff = QScalar(
-                {
-                    draw(st.integers(min_value=-2, max_value=2)): draw(
-                        st.integers(min_value=-2, max_value=2)
-                    )
-                }
-            )
-            x = x + weyl(form, exps, coeff)
-        elems.append(x)
-    return form, elems
+    return SkewForm(e)
 
 
-@settings(max_examples=150, deadline=None)
+def exponents(n):
+    return st.tuples(*[st.integers(min_value=-2, max_value=2)] * n)
+
+
+@st.composite
+def elems(draw, form):
+    x = QElem.zero(form)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        coeff = QScalar(
+            draw(
+                st.dictionaries(
+                    st.integers(min_value=-2, max_value=2),
+                    st.integers(min_value=-2, max_value=2),
+                    min_size=1,
+                    max_size=2,
+                )
+            )
+        )
+        x = x + weyl(form, draw(exponents(form.n)), coeff)
+    return x
+
+
+@st.composite
+def form_and_elems(draw, count):
+    form = draw(skew_forms(draw(st.integers(min_value=1, max_value=4))))
+    return form, [draw(elems(form)) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(form_and_elems(2))
+def test_qmul_matches_oracle(data):
+    _, (x, y) = data
+    assert qmul(x, y) == oracle_qmul(x, y)
+    assert qmul(y, x) == oracle_qmul(y, x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(form_and_elems(3))
 def test_qmul_associative_hypothesis(data):
     _, (x, y, z) = data
     assert qmul(qmul(x, y), z) == qmul(x, qmul(y, z))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(form_and_elems(2))
 def test_bar_antiautomorphism(data):
     _, (x, y) = data
     assert qmul(x, y).bar() == qmul(y.bar(), x.bar())
     assert x.bar().bar() == x
+
+
+@st.composite
+def form_and_vectors(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return draw(skew_forms(n)), [draw(exponents(n)) for _ in range(3)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(form_and_vectors(), st.integers(-3, 3), st.integers(-3, 3))
+def test_pairing_is_bilinear_and_skew(data, s, t):
+    form, (a, b, c) = data
+    sa_tb = tuple(s * ai + t * bi for ai, bi in zip(a, b))
+    p = form.pairing
+    assert p(a, b) == oracle_pairing(form, a, b)
+    assert p(sa_tb, c) == s * p(a, c) + t * p(b, c)
+    assert p(c, sa_tb) == s * p(c, a) + t * p(c, b)
+    assert p(a, b) == -p(b, a)
+    assert p(a, a) == 0
+
+
+@st.composite
+def two_forms(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    first = draw(skew_forms(n))
+    second = draw(skew_forms(n).filter(lambda f: f != first))
+    return first, second
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(two_forms(), st.data())
+def test_row_memo_is_per_form(forms, data):
+    first, second = forms
+    n = first.n
+    a, b = data.draw(exponents(n)), data.draw(exponents(n))
+    x1, y1 = weyl(first, a), weyl(first, b)
+    x2, y2 = weyl(second, a), weyl(second, b)
+    assert qmul(x1, y1) == oracle_qmul(x1, y1)
+    assert qmul(x2, y2) == oracle_qmul(x2, y2)
+    # generators where the two forms differ multiply to different phases
+    i, j = next(
+        (i, j) for i in range(n) for j in range(n) if first.E[i][j] != second.E[i][j]
+    )
+    unit = [tuple(int(k == m) for k in range(n)) for m in (i, j)]
+    p1 = qmul(weyl(first, unit[0]), weyl(first, unit[1]))
+    p2 = qmul(weyl(second, unit[0]), weyl(second, unit[1]))
+    assert p1.terms != p2.terms
+
+
+def test_rtt_memoises_each_transport_exponent_once(monkeypatch):
+    # check_rtt multiplies transport entries only, and the product looks up
+    # a^T E once per left term instead of pairing term by term: the memo ends
+    # up holding exactly the distinct exponent vectors of the entries, each
+    # computed once, and pairing is never called.
+    computed = []
+    missing = qalg._Rows.__missing__
+
+    def counting(rows, a):
+        computed.append(a)
+        return missing(rows, a)
+
+    def per_pair(form, a, b):
+        raise AssertionError("qmul paired a term pair")
+
+    monkeypatch.setattr(qalg._Rows, "__missing__", counting)
+    monkeypatch.setattr(SkewForm, "pairing", per_pair)
+    m = transport_matrix(build_triangle(3))
+    assert check_rtt(m).passed
+    form = m.form
+    distinct = {e for row in m.data for x in row for e in x.terms}
+    assert sorted(computed) == sorted(distinct)
+    assert set(form.rows) == distinct
+    units = [tuple(int(k == j) for k in range(form.n)) for j in range(form.n)]
+    for a, row in form.rows.items():
+        assert row == tuple(oracle_pairing(form, a, u) for u in units)
 
 
 def test_generator_commutation_random_forms():
