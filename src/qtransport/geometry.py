@@ -89,12 +89,9 @@ def _segment_ray_crossing(p1, p2, marker):
     return sign if y_at < yf else 0
 
 
-def _polyline_crossings(points, markers, closed=False):
-    pts = list(points)
-    if closed:
-        pts.append(pts[0])
+def _polyline_crossings(points, markers):
     vec = [0] * len(markers)
-    for p1, p2 in zip(pts, pts[1:]):
+    for p1, p2 in zip(points, points[1:]):
         for i, m in enumerate(markers):
             vec[i] += _segment_ray_crossing(p1, p2, m)
     return vec
@@ -219,7 +216,6 @@ class Disc:
         gap = (t_first_sink - t_last_source) % (8 * self.R)
         self.t_origin = (t_last_source + gap / 2) % (8 * self.R)
         self._potentials = {}
-        self._faces = None
 
     # -- square perimeter ---------------------------------------------------
 
@@ -281,8 +277,8 @@ class Disc:
 
     # -- winding vectors ----------------------------------------------------
 
-    def crossings(self, points, closed=False):
-        return _polyline_crossings(points, self.markers, closed=closed)
+    def crossings(self, points):
+        return _polyline_crossings(points, self.markers)
 
     def potential(self, b):
         """Winding vector A(b) of the clockwise arc from O to boundary b."""
@@ -353,12 +349,9 @@ class Disc:
     def faces(self):
         """Bounded faces and the marker each contains.
 
-        Returns (orbit list, left-face index per edge, right-face index per
-        edge) where faces are numbered by their marker's position in the
-        marker list.
+        Returns (left-face index per edge, right-face index per edge) where
+        faces are numbered by their marker's position in the marker list.
         """
-        if self._faces is not None:
-            return self._faces
         pos, adj = self._scaffold_graph()
         rotation = {}
         rot_index = {}
@@ -427,12 +420,11 @@ class Disc:
                 raise ValueError("network edge touches the outer face")
             lefts.append(face_marker[lo])
             rights.append(face_marker[ro])
-        self._faces = (orbits, lefts, rights)
-        return self._faces
+        return lefts, rights
 
     def exchange_matrix(self):
         """Twice the face skew form, from the per-endpoint edge rule."""
-        _, lefts, rights = self.faces()
+        lefts, rights = self.faces()
         indeg = {v: 0 for v in self.vertices}
         outdeg = {v: 0 for v in self.vertices}
         for frm, to in self.edges:

@@ -96,18 +96,6 @@ class QScalar:
         res.terms = out
         return res
 
-    def __pow__(self, n: int) -> "QScalar":
-        if n < 0:
-            raise ValueError("negative powers are only defined for units; use bar/v_power")
-        out = QScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QScalar) and self.terms == other.terms
 

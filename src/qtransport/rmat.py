@@ -139,17 +139,6 @@ def partial_transpose_t1(m: CMatrix) -> CMatrix:
     return CMatrix(m.rows, m.cols, out)
 
 
-def partial_transpose_t2(m: CMatrix) -> CMatrix:
-    """Transpose the second tensor leg: e_ij (x) e_kl -> e_ij (x) e_lk."""
-    k = _tensor_dim(m)
-    out = {}
-    for (row, col), val in m.entries.items():
-        i, a = divmod(row, k)
-        j, b = divmod(col, k)
-        out[(i * k + b, j * k + a)] = val
-    return CMatrix(m.rows, m.cols, out)
-
-
 def build_R(k: int, inverse_q: bool = False) -> CMatrix:
     """The k^2 x k^2 trigonometric R-matrix.
 
@@ -171,11 +160,6 @@ def build_R(k: int, inverse_q: bool = False) -> CMatrix:
             # e_ij (x) e_ji: row (i, j), col (j, i)
             entries[(i * k + j, j * k + i)] = qq
     return CMatrix(k * k, k * k, entries)
-
-
-def build_P(k: int) -> CMatrix:
-    """The k^2 x k^2 permutation matrix P(x (x) y) = y (x) x."""
-    return build_P_rect(k, k)
 
 
 def build_P_rect(a: int, b: int) -> CMatrix:

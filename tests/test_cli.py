@@ -78,6 +78,13 @@ BAD_SIZES = {
         "check", "reflection-affine", "--builder", "chain", "--n", "1,1",
         "--bridge", "--order", "-1",
     ],
+    "export-levels-order-negative": [
+        "export", "levels", "--builder", "chain", "--n", "1,1", "--order", "-1",
+    ],
+    "export-reflection-order-negative": [
+        "export", "reflection", "--builder", "chain", "--n", "1,1", "--bridge",
+        "--order", "-1",
+    ],
 }
 
 
@@ -133,8 +140,10 @@ def test_check_all_on_bridged_chain(capsys):
         assert f"PASS {name}" in out
 
 
-def test_check_all_on_triangle_skips_loop_family(capsys):
-    code, out = _run(["check", "all", "--builder", "triangle", "--n", "2"], capsys)
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_all_on_triangle_skips_loop_family(n, capsys):
+    # the default split (1, n-1, n+1) fits the 2n x n transport matrix
+    code, out = _run(["check", "all", "--builder", "triangle", "--n", str(n)], capsys)
     assert code == 0
     assert "SKIP loop family" in out
     assert "PASS blocks" in out
@@ -299,11 +308,12 @@ def test_split_flag_overrides_default(capsys):
         capsys,
     )
     assert code == 0
-    code, _ = _run(
-        ["check", "blocks", "--builder", "chain", "--n", "2,2", "--split", "9,9,9"],
-        capsys,
-    )
-    assert code == 2
+    for kind in ("blocks", "all"):
+        argv = ["check", kind, "--builder", "chain", "--n", "2,2", "--split", "9,9,9"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_stored_exponents_are_checked_against_the_drawing(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Golden output of the checkers and of the level-family exports.
 
-Two inputs are builder networks saved without their drawing and with one
-edge exponent raised by one, so every relation they are checked against
-fails.  The others run named builders as they are: the level and reflection
+Two builder networks are saved without their drawing and with one edge
+exponent raised by one, so every relation they are checked against fails;
+the perturbed bridged chain goes through every checker that reads a level
+series, at the depths the CLI sizes for it.  The other cases run named builders as they are: the level and reflection
 exports of a bridged chain, the f^r_p table and the identity suite on the
 composite example.  The stdout of each command (labels, first nonzero
 indices, residual values, matrix entries) and its exit code are pinned byte
@@ -46,6 +47,37 @@ CASES = [
         ["export", "reflection", "--builder", "chain", "--n", "2,2", "--bridge",
          "--order", "2"],
         0,
+    ),
+    (
+        "chain22_bridge_check_loop.txt",
+        lambda: build_chain(2, 2, bridge=True),
+        ["check", "loop", "--split", "2,1,2", "--order", "3"],
+        1,
+    ),
+    (
+        "chain22_bridge_check_reflection_affine.txt",
+        lambda: build_chain(2, 2, bridge=True),
+        ["check", "reflection-affine", "--split", "2,1,2", "--order", "2"],
+        1,
+    ),
+    (
+        "chain22_bridge_check_subalgebra.txt",
+        lambda: build_chain(2, 2, bridge=True),
+        ["check", "subalgebra", "--split", "2,1,2"],
+        1,
+    ),
+    (
+        "chain22_bridge_check_reflection.txt",
+        lambda: build_chain(2, 2, bridge=True),
+        ["check", "reflection", "--split", "2,1,2"],
+        1,
+    ),
+    (
+        "chain22_bridge_check_all_deep.txt",
+        lambda: build_chain(2, 2, bridge=True),
+        ["check", "all", "--split", "2,1,2", "--order", "3", "--kmax", "1",
+         "--pmax", "3"],
+        1,
     ),
     ("check_frp.txt", None, ["check", "frp", "--r", "8", "--p", "8"], 0),
     (

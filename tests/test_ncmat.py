@@ -20,7 +20,7 @@ from qtransport.ncmat import (
     sheet_product,
     transpose_q,
 )
-from qtransport.rmat import CMatrix, build_P
+from qtransport.rmat import CMatrix, build_P_rect
 
 FORM2 = SkewForm([[0, 2], [-2, 0]])
 FORM3 = SkewForm([[0, 2, 0], [-2, 0, 2], [0, -2, 0]])
@@ -107,7 +107,7 @@ def test_sheet_product_flip_commutative_case():
     rng = random.Random(23)
     a = _random_qmatrix(rng, form, 2, 2)
     b = _random_qmatrix(rng, form, 2, 2)
-    p = build_P(2)
+    p = build_P_rect(2, 2)
     flipped = classical_act(p, classical_act(p, sheet_product(a, b, 12), "right"), "left")
     assert flipped == sheet_product(b, a, 12)
 

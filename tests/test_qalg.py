@@ -88,12 +88,6 @@ def test_scalar_zero_one():
     assert QScalar({3: 0}) == QScalar.zero()
 
 
-def test_scalar_power():
-    s = QScalar({1: 1, -1: 1})
-    assert s**0 == QScalar.one()
-    assert s**3 == s * s * s
-
-
 def test_scalar_bar_frozen():
     # bar: v -> v^-1, fixed on integers
     s = QScalar({2: 1, -2: -1})  # v^2 - v^-2

@@ -12,11 +12,9 @@ import pytest
 from qtransport.qalg import QScalar
 from qtransport.rmat import (
     CMatrix,
-    build_P,
     build_P_rect,
     build_R,
     partial_transpose_t1,
-    partial_transpose_t2,
     transpose,
     yang_baxter_residual,
 )
@@ -73,10 +71,11 @@ def test_R_inverse_is_R_of_inverse_q():
 
 
 def test_build_P_frozen():
-    p = build_P(2)
+    p = build_P_rect(2, 2)
     assert p.entries == {(0, 0): ONE, (1, 2): ONE, (2, 1): ONE, (3, 3): ONE}
     for k in (2, 3):
-        assert build_P(k) * build_P(k) == CMatrix.identity(k * k)
+        p = build_P_rect(k, k)
+        assert p * p == CMatrix.identity(k * k)
 
 
 def test_build_P_rect_flip():
@@ -86,13 +85,12 @@ def test_build_P_rect_flip():
     assert p * build_P_rect(3, 2) == CMatrix.identity(6)
     # entry for (i,k) = (1,2): col 1*3+2 = 5, row (k,i) = 2*2+1 = 5
     assert p.entries[(5, 5)] == ONE
-    assert build_P_rect(2, 2) == build_P(2)
 
 
 def test_pr_equals_rt_p():
     for k in (2, 3):
         r = build_R(k)
-        p = build_P(k)
+        p = build_P_rect(k, k)
         assert p * r == transpose(r) * p
 
 
@@ -100,7 +98,7 @@ def test_rrp_identity():
     # R R^T = (q - q^-1) R P + Id
     for k in (2, 3):
         r = build_R(k)
-        p = build_P(k)
+        p = build_P_rect(k, k)
         lhs = r * transpose(r)
         rhs = (r * p).scale(QQ) + CMatrix.identity(k * k)
         assert lhs == rhs
@@ -112,7 +110,7 @@ def test_r_minus_rinvt_is_qq_p():
     for k in (2, 3):
         r = build_R(k)
         ri = build_R(k, inverse_q=True)
-        p = build_P(k).scale(QQ)
+        p = build_P_rect(k, k).scale(QQ)
         assert transpose(r) - ri == p
         assert r - transpose(ri) == p
 
@@ -124,7 +122,7 @@ def test_yang_baxter():
 
 def test_yang_baxter_negative_control():
     # Perturbing R breaks the braid relation.
-    r = build_R(2) + build_P(2).scale(QScalar.v_power(1))
+    r = build_R(2) + build_P_rect(2, 2).scale(QScalar.v_power(1))
     assert not yang_baxter_residual(r, 2).is_zero()
     assert yang_baxter_residual(build_R(2), 2).is_zero()
 
@@ -140,7 +138,7 @@ def test_partial_transposes_frozen():
         (3, 3): Q,
         (0, 3): QQ,
     }
-    t2 = partial_transpose_t2(r)
+    t2 = partial_transpose_t1(transpose(r))  # the second-leg transpose
     # e_21 (x) e_12 becomes e_21 (x) e_21: row (1,1), col (0,0)
     assert t2.entries == {
         (0, 0): Q,
@@ -155,8 +153,6 @@ def test_partial_transpose_composition():
     for k in (2, 3):
         r = build_R(k)
         assert partial_transpose_t1(partial_transpose_t1(r)) == r
-        assert partial_transpose_t2(partial_transpose_t2(r)) == r
-        assert partial_transpose_t1(partial_transpose_t2(r)) == transpose(r)
 
 
 def test_partial_transpose_requires_square_tensor():

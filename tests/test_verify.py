@@ -13,13 +13,7 @@ from dataclasses import replace
 import pytest
 
 from qtransport import verify
-from qtransport.affine import (
-    TruncationError,
-    TSeries,
-    levels_T,
-    loop_generators,
-    reflection_series,
-)
+from qtransport.affine import TSeries, levels_T, loop_generators, reflection_series
 from qtransport.ncmat import (
     NotInvertibleInSupportedClass,
     QMatrix,
@@ -71,7 +65,16 @@ def _scrambled_series(form_size=3, shape=(2, 2), top=5, seed=7):
                 row.append(weyl(form, exps, QScalar.v_power(rng.randrange(-2, 3))))
             rows.append(row)
         levels[n] = QMatrix.from_rows(form, rows)
-    return TSeries(form, shape[0], shape[1], levels, zero_le=-1)
+    return TSeries(form, shape[0], shape[1], levels.__getitem__, zero_le=-1)
+
+
+def _with_perturbed_level(t, k):
+    """The family t with level k perturbed and every other level as in t."""
+
+    def level(n):
+        return _perturbed(t.get(n)) if n == k else t.get(n)
+
+    return TSeries(t.form, t.rows, t.cols, level, zero_le=t.zero_le)
 
 
 def test_report_shape_and_json():
@@ -128,15 +131,9 @@ def test_blocks_negative_control():
 
 def test_affine_levels_on_triangles():
     for n, split in ((2, (1, 1, 3)), (3, (1, 2, 4))):
-        t = levels_T(_triangle_blocks(n, split), 4)
+        t = levels_T(_triangle_blocks(n, split))
         rep = verify.check_affine(t, 2, 2)
         assert rep.passed, rep.residuals
-
-
-def test_affine_truncation_propagates():
-    t = levels_T(_triangle_blocks(2, (1, 1, 3)), 2)
-    with pytest.raises(TruncationError):
-        verify.check_affine(t, 2, 2)
 
 
 def test_affine_negative_control():
@@ -162,26 +159,27 @@ def test_telescoping_summed_vs_componentwise():
 
 def test_loop_componentwise_on_chains():
     for bridge in (False, True):
-        t = loop_generators(_chain_blocks(1, 1, bridge=bridge), 2)
+        t = loop_generators(_chain_blocks(1, 1, bridge=bridge))
         rep = verify.check_loop(t, -2, 1)
         assert rep.passed, rep.residuals
-    t = loop_generators(_chain_blocks(2, 1, bridge=True), 2)
+    t = loop_generators(_chain_blocks(2, 1, bridge=True))
     rep = verify.check_loop(t, -2, 1)
     assert rep.passed, rep.residuals
 
 
 def test_loop_groupoid_mode_on_plain_chain():
-    t = loop_generators(_chain_blocks(1, 1), 2, groupoid_mode=True)
+    # M22 M12^-1 M11 = M21 here, so it can be the level-zero generator and
+    # the negative levels shift one power deeper, with no subtraction
+    b = _chain_blocks(1, 1)
+    assert verify.check_groupoid(b).passed
+    t = TSeries(b.M21.form, b.n2, b.n1, lambda k: b.power(k - 1) if k else b.M21)
     rep = verify.check_loop(t, -2, 1)
     assert rep.passed, rep.residuals
 
 
 def test_loop_negative_control():
-    t = loop_generators(_chain_blocks(2, 1, bridge=True), 2)
-    bad_levels = {k: t.get(k) for k in t.known_levels()}
-    bad_levels[1] = _perturbed(bad_levels[1])
-    bad = TSeries(t.form, t.rows, t.cols, bad_levels)
-    rep = verify.check_loop(bad, -2, 1)
+    t = loop_generators(_chain_blocks(2, 1, bridge=True))
+    rep = verify.check_loop(_with_perturbed_level(t, 1), -2, 1)
     assert not rep.passed
 
 
@@ -191,17 +189,14 @@ def test_subalgebra_on_chains():
         _chain_blocks(2, 1, bridge=True),
         _chain_blocks(1, 2),
     ):
-        t = loop_generators(blocks, 1)
+        t = loop_generators(blocks)
         rep = verify.check_subalgebra(t)
         assert rep.passed, rep.residuals
 
 
 def test_subalgebra_negative_control():
-    t = loop_generators(_chain_blocks(2, 1, bridge=True), 1)
-    bad_levels = {k: t.get(k) for k in t.known_levels()}
-    bad_levels[0] = _perturbed(bad_levels[0])
-    bad = TSeries(t.form, t.rows, t.cols, bad_levels)
-    rep = verify.check_subalgebra(bad)
+    t = loop_generators(_chain_blocks(2, 1, bridge=True))
+    rep = verify.check_subalgebra(_with_perturbed_level(t, 0))
     assert not rep.passed
 
 
@@ -236,8 +231,8 @@ def test_groupoid_checker_unsupported_inverse():
 
 
 def test_reflection_constant_and_lowest_bidegree():
-    t = loop_generators(_chain_blocks(2, 1, bridge=True), 3)
-    a = reflection_series(t, 2)
+    t = loop_generators(_chain_blocks(2, 1, bridge=True))
+    a = reflection_series(t)
     a1 = a.get(1)
     assert not a1.is_zero()
     rep = verify.check_reflection_constant(a1)
@@ -249,20 +244,19 @@ def test_reflection_constant_and_lowest_bidegree():
 
 
 def test_reflection_affine_window():
-    t = loop_generators(_chain_blocks(2, 1, bridge=True), 3)
-    a = reflection_series(t, 2)
+    t = loop_generators(_chain_blocks(2, 1, bridge=True))
+    a = reflection_series(t)
     rep = verify.check_reflection_affine(a, 1)
     assert rep.passed, rep.residuals
 
 
 def test_reflection_negative_controls():
-    t = loop_generators(_chain_blocks(2, 1, bridge=True), 3)
-    a = reflection_series(t, 2)
+    t = loop_generators(_chain_blocks(2, 1, bridge=True))
+    a = reflection_series(t)
     bad1 = _perturbed(a.get(1))
     assert not verify.check_reflection_constant(bad1).passed
-    bad_levels = {k: a.get(k) for k in a.known_levels()}
-    bad_levels[1] = bad1
-    bad = TSeries(a.form, a.rows, a.cols, bad_levels, zero_le=0)
+    bad = _with_perturbed_level(a, 1)
+    assert bad.get(1) == bad1
     assert not verify.check_reflection_affine(bad, 1).passed
 
 
