@@ -13,40 +13,36 @@ from .ncmat import QMatrix, matmul, transpose_q
 class TSeries:
     """A level-indexed family of matrices, each built on its first read.
 
-    ``level(k)`` builds the matrix at level k; levels at or below ``zero_le``
-    vanish without calling it.  Every level is checked for shape and kept,
-    so reading a level twice returns the same matrix.
+    ``level(k)`` builds the matrix at level k, zero levels included.  Every
+    level is checked for shape and kept, so reading a level twice returns
+    the same matrix.
     """
 
-    def __init__(self, form, rows, cols, level, zero_le=None):
+    def __init__(self, form, rows, cols, level):
         self.form = form
         self.rows = rows
         self.cols = cols
         self.level = level
-        self.zero_le = zero_le
         self._levels = {}
 
     def get(self, k):
         if k not in self._levels:
-            if self.zero_le is not None and k <= self.zero_le:
-                mat = QMatrix.zero(self.rows, self.cols, self.form)
-            else:
-                mat = self.level(k)
-                if (mat.rows, mat.cols) != (self.rows, self.cols):
-                    raise ValueError("all levels must have the same shape")
+            mat = self.level(k)
+            if (mat.rows, mat.cols) != (self.rows, self.cols):
+                raise ValueError("all levels must have the same shape")
             self._levels[k] = mat
         return self._levels[k]
 
 
 def levels_T(block):
-    """Nonnegative level matrices T_0 = M21, T_k = M22 M12^(k-1) M11."""
-    return TSeries(
-        block.M21.form,
-        block.n2,
-        block.n1,
-        lambda k: block.power(k - 1) if k else block.M21,
-        zero_le=-1,
-    )
+    """Level matrices T_0 = M21, T_k = M22 M12^(k-1) M11; zero below level 0."""
+
+    def level(k):
+        if k < 0:
+            return QMatrix.zero(block.n2, block.n1, block.M21.form)
+        return block.power(k - 1) if k else block.M21
+
+    return TSeries(block.M21.form, block.n2, block.n1, level)
 
 
 def loop_generators(block):
@@ -80,4 +76,4 @@ def reflection_series(t):
             acc = acc + matmul(transpose_q(t.get(-j)), t.get(n - j))
         return acc
 
-    return TSeries(t.form, t.cols, t.cols, level, zero_le=0)
+    return TSeries(t.form, t.cols, t.cols, level)

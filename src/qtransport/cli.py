@@ -5,8 +5,8 @@ the verify module, and exports transport data in a canonical text or JSON
 rendering.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
 arguments or unreadable input, 3 a cyclic network without max_cycle_uses.
 
-Level and reflection series are built on first read, so each checker reads
-as far into them as its window goes; only the window is sized here.
+Each check kind is one entry of CHECKS; `check all` runs its suite through
+the same entries.  Series are built on first read, so only windows are sized.
 
 Output is deterministic for a fixed command line; checker timings are
 stripped from reports so that identical runs are byte-identical.
@@ -15,6 +15,8 @@ stripped from reports so that identical runs are byte-identical.
 import argparse
 import json
 import sys
+import time
+from functools import cached_property
 
 from . import verify
 from .affine import levels_T, loop_generators, reflection_series
@@ -31,29 +33,13 @@ from .network import (
     transport_matrix,
 )
 
-CHECK_NAMES = [
-    "rmatrix",
-    "rtt",
-    "blocks",
-    "affine",
-    "loop",
-    "subalgebra",
-    "groupoid",
-    "reflection",
-    "reflection-affine",
-    "disc-reflection",
-    "appendix",
-    "frp",
-    "all",
-]
 
-
-def _parse_ints(text, count=None):
+def _parse_ints(text, count):
     try:
         vals = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
-    if count is not None and len(vals) != count:
+    if len(vals) != count:
         raise ValueError(f"expected {count} comma-separated integers, got {text!r}")
     return vals
 
@@ -62,7 +48,9 @@ def _size(args, name, default, least):
     """The value of --name, or default when it is absent; below least is refused.
 
     A smaller size would crash, fail an identity that holds, or leave a
-    checker an empty window that passes without checking anything.
+    checker an empty window that passes without checking anything.  Checks
+    read their sizes before the blocks, so a bad size is refused even where
+    no block split exists.
     """
     value = getattr(args, name)
     if value is None:
@@ -73,24 +61,30 @@ def _size(args, name, default, least):
 
 
 class _Source:
-    """The resolved input: a transport matrix plus an optional block split."""
+    """The resolved input: a transport matrix plus an optional block split.
+
+    The blocks and the series built from them are built once, on first read.
+    """
 
     def __init__(self, matrix, split):
         self.matrix = matrix
         self.split = split
-        self._blocks = None
 
+    @cached_property
     def blocks(self):
-        if self._blocks is None:
-            if self.split is None:
-                raise ValueError(
-                    "this check needs a block split; pass --split n1,m,n2"
-                )
-            if isinstance(self.split, tuple):
-                self._blocks = block_split(self.matrix, *self.split)
-            else:
-                self._blocks = self.split  # prebuilt blocks (composite)
-        return self._blocks
+        if self.split is None:
+            raise ValueError("this check needs a block split; pass --split n1,m,n2")
+        if isinstance(self.split, tuple):
+            return block_split(self.matrix, *self.split)
+        return self.split  # prebuilt blocks (composite)
+
+    @cached_property
+    def loop(self):
+        return loop_generators(self.blocks)
+
+    @cached_property
+    def reflection(self):
+        return reflection_series(self.loop)
 
 
 def _resolve_source(args):
@@ -101,7 +95,7 @@ def _resolve_source(args):
         net = load_network(args.input)
         return _Source(transport_matrix(net), split)
     if args.builder == "triangle":
-        n = int(args.n) if args.n else 2
+        (n,) = _parse_ints(args.n, 1) if args.n else (2,)
         m = transport_matrix(build_triangle(n))  # 2n x n
         return _Source(m, split or ((1, n - 1, n + 1) if n > 1 else None))
     if args.builder == "chain":
@@ -109,7 +103,7 @@ def _resolve_source(args):
         m = transport_matrix(build_chain(n1, n2, bridge=args.bridge))
         return _Source(m, split or (n1, 1, n2))
     if args.builder == "hat":
-        b = hat_blocks(args.r if args.r is not None else 2)
+        b = hat_blocks(_size(args, "r", 2, 1))
         return _Source(b.matrix, split or b)
     if args.builder == "composite":
         b = build_composite_example()
@@ -118,22 +112,19 @@ def _resolve_source(args):
 
 
 def _frp_report(rmax, pmax):
-    import time
-
+    """The f^r_p agreement report and the lines of its table."""
     t0 = time.perf_counter()
     residuals = []
-    table = []
+    lines = [f"f^r_p (rows r=1..{rmax}, columns p=1..{pmax})"]
     for r in range(1, rmax + 1):
         row = []
         for p in range(1, pmax + 1):
             vals = {mode: f_rp(r, p, mode=mode) for mode in ("matrix", "recursion", "closed")}
             if len(set(vals.values())) != 1:
-                residuals.append({
-                    "index": f"({r},{p})",
-                    "value": ", ".join(f"{m}={v}" for m, v in sorted(vals.items())),
-                })
-            row.append(vals["matrix"])
-        table.append(row)
+                value = ", ".join(f"{m}={v}" for m, v in sorted(vals.items()))
+                residuals.append({"index": f"({r},{p})", "value": value})
+            row.append(str(vals["matrix"]))
+        lines.append(f"r={r}: " + " ".join(row))
     rep = verify.CheckReport(
         name="frp",
         parameters={"r": rmax, "p": pmax},
@@ -141,56 +132,48 @@ def _frp_report(rmax, pmax):
         residuals=residuals,
         timing_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    return rep, table
+    return rep, lines
 
 
-def _frp_table_lines(table):
-    lines = [f"f^r_p (rows r=1..{len(table)}, columns p=1..{len(table[0])})"]
-    for r, row in enumerate(table, start=1):
-        lines.append(f"r={r}: " + " ".join(str(v) for v in row))
-    return lines
+def _loop_order(args):
+    return _size(args, "order", 2, 1)
 
 
-def _run_checks(args):
-    """Returns (reports, skips, extra_lines)."""
-    kind = args.kind
-    if kind == "rmatrix":
-        return [verify.check_rmatrix(_size(args, "k", 2, 1))], [], []
-    if kind == "frp":
-        rep, table = _frp_report(_size(args, "r", 8, 1), _size(args, "p", 8, 1))
-        return [rep], [], _frp_table_lines(table)
+def _affine_levels(args):
+    kmax = _size(args, "kmax", 2, 0)
+    return kmax, _size(args, "pmax", kmax, 0)
 
-    src = _resolve_source(args)
-    if kind == "rtt":
-        return [verify.check_rtt(src.matrix)], [], []
-    if kind == "disc-reflection":
-        return [verify.check_disc_reflection(src.matrix)], [], []
-    if kind == "blocks":
-        return [verify.check_blocks(src.blocks())], [], []
-    if kind == "groupoid":
-        return [verify.check_groupoid(src.blocks())], [], []
-    if kind == "appendix":
-        return [verify.check_appendix(src.blocks())], [], []
-    if kind == "affine":
-        kmax = _size(args, "kmax", 2, 0)
-        pmax = _size(args, "pmax", kmax, 0)
-        return [verify.check_affine(levels_T(src.blocks()), kmax, pmax)], [], []
-    if kind == "loop":
-        order = _size(args, "order", 2, 1)
-        t = loop_generators(src.blocks())
-        return [verify.check_loop(t, -order, order - 1)], [], []
-    if kind == "subalgebra":
-        return [verify.check_subalgebra(loop_generators(src.blocks()))], [], []
-    if kind == "reflection":
-        a = reflection_series(loop_generators(src.blocks()))
-        return [verify.check_reflection_constant(a.get(1))], [], []
-    if kind == "reflection-affine":
-        order = _size(args, "order", 1, 0)
-        a = reflection_series(loop_generators(src.blocks()))
-        return [verify.check_reflection_affine(a, order)], [], []
-    if kind == "all":
-        return _run_all(src, args)
-    raise ValueError(f"unknown check {kind!r}")
+
+def _check_affine(src, args):
+    kmax, pmax = _affine_levels(args)
+    return verify.check_affine(levels_T(src.blocks), kmax, pmax)
+
+
+def _check_loop(src, args):
+    order = _loop_order(args)
+    return verify.check_loop(src.loop, -order, order - 1)
+
+
+def _check_reflection_affine(src, args):
+    order = _size(args, "order", 1, 0)
+    return verify.check_reflection_affine(src.reflection, order)
+
+
+# Check kind -> its report on a resolved source.  "aux-inverse" runs only
+# inside "check all"; every other kind is also a `check` choice.
+CHECKS = {
+    "rtt": lambda src, args: verify.check_rtt(src.matrix),
+    "blocks": lambda src, args: verify.check_blocks(src.blocks),
+    "affine": _check_affine,
+    "loop": _check_loop,
+    "subalgebra": lambda src, args: verify.check_subalgebra(src.loop),
+    "groupoid": lambda src, args: verify.check_groupoid(src.blocks),
+    "reflection": lambda src, args: verify.check_reflection_constant(src.reflection.get(1)),
+    "reflection-affine": _check_reflection_affine,
+    "disc-reflection": lambda src, args: verify.check_disc_reflection(src.matrix),
+    "appendix": lambda src, args: verify.check_appendix(src.blocks),
+    "aux-inverse": lambda src, args: verify.check_aux_inverse(src.blocks),
+}
 
 
 def _run_all(src, args):
@@ -200,26 +183,20 @@ def _run_all(src, args):
     structure (a loopback-consistent network, a mirrored sink split), so
     they are property probes rather than identities; run them explicitly.
     """
-    order = _size(args, "order", 2, 1)
-    kmax = _size(args, "kmax", 2, 0)
-    pmax = _size(args, "pmax", kmax, 0)
-    reports = [verify.check_rtt(src.matrix)]
+    _loop_order(args)  # refuse a bad size before any check runs
+    _affine_levels(args)
+    reports = [CHECKS["rtt"](src, args)]
     if src.split is None:
-        return reports, [("block checks", "no --split given")], []
-    blocks = src.blocks()
-    reports.append(verify.check_blocks(blocks))
-    reports.append(verify.check_affine(levels_T(blocks), kmax, pmax))
+        return reports, [("block checks", "no --split given")]
+    reports += [CHECKS[kind](src, args) for kind in ("blocks", "affine")]
     try:
-        blocks.M12_inverse  # every negative level reads it
+        src.blocks.M12_inverse  # every negative level reads it
     except NotInvertibleInSupportedClass:
-        return reports, [("loop family", "M12 is not invertible here")], []
-    t = loop_generators(blocks)
-    reports.append(verify.check_aux_inverse(blocks))
-    reports.append(verify.check_loop(t, -order, order - 1))
-    reports.append(verify.check_subalgebra(t))
-    reports.append(verify.check_appendix(blocks))
-    reports.append(verify.check_reflection_affine(reflection_series(t), 1))
-    return reports, [], []
+        return reports, [("loop family", "M12 is not invertible here")]
+    for kind in ("aux-inverse", "loop", "subalgebra", "appendix"):
+        reports.append(CHECKS[kind](src, args))
+    reports.append(verify.check_reflection_affine(src.reflection, 1))
+    return reports, []
 
 
 def _report_lines(reports, skips):
@@ -235,79 +212,66 @@ def _report_lines(reports, skips):
     return lines
 
 
-def _write_out(text, args):
+def _emit(args, doc, text_lines):
+    """Write doc as JSON under --json, else text_lines(); to --out or stdout."""
+    if args.as_json:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(text_lines())
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def cmd_check(args):
-    reports, skips, extra = _run_checks(args)
-    if args.as_json:
-        doc = {
-            "reports": [
-                {k: v for k, v in rep.to_json().items() if k != "timing_ms"}
-                for rep in reports
-            ],
-            "skipped": [{"name": n, "reason": r} for n, r in skips],
-        }
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
+    extra, skips = [], []
+    if args.kind == "rmatrix":
+        reports = [verify.check_rmatrix(_size(args, "k", 2, 1))]
+    elif args.kind == "frp":
+        rep, extra = _frp_report(_size(args, "r", 8, 1), _size(args, "p", 8, 1))
+        reports = [rep]
+    elif args.kind == "all":
+        reports, skips = _run_all(_resolve_source(args), args)
     else:
-        lines = extra + _report_lines(reports, skips)
-        _write_out("\n".join(lines) + "\n", args)
+        reports = [CHECKS[args.kind](_resolve_source(args), args)]
+    runs = [{k: v for k, v in rep.to_json().items() if k != "timing_ms"} for rep in reports]
+    doc = {"reports": runs, "skipped": [{"name": n, "reason": r} for n, r in skips]}
+    _emit(args, doc, lambda: extra + _report_lines(reports, skips))
     return 0 if all(rep.passed for rep in reports) else 1
-
-
-def _matrix_lines(m, header):
-    lines = [header]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            lines.append(f"[{i},{j}] {m.entry(i, j).render()}")
-    return lines
-
-
-def _matrix_grid(m):
-    return [[m.entry(i, j).render() for j in range(m.cols)] for i in range(m.rows)]
 
 
 def cmd_export(args):
     src = _resolve_source(args)
     what = args.what
     if what == "transport":
-        m = src.matrix
-        if args.as_json:
-            doc = {
-                "what": "transport",
-                "rows": m.rows,
-                "cols": m.cols,
-                "entries": _matrix_grid(m),
-            }
-            _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
-        else:
-            lines = _matrix_lines(m, f"transport {m.rows}x{m.cols}")
-            _write_out("\n".join(lines) + "\n", args)
-        return 0
-    order = _size(args, "order", 2 if what == "levels" else 1, 0)
-    if what == "levels":
-        t = levels_T(src.blocks())
+        labeled = [("transport", src.matrix)]
+    elif what == "levels":
+        order = _size(args, "order", 2, 0)
+        t = levels_T(src.blocks)
         labeled = [(f"T_{k}", t.get(k)) for k in range(order + 1)]
     else:
-        a = reflection_series(loop_generators(src.blocks()))
-        labeled = [(f"A^({k})", a.get(k + 1)) for k in range(order + 1)]
-    if args.as_json:
-        doc = {
-            "what": what,
-            "order": order,
-            "levels": {label: _matrix_grid(m) for label, m in labeled},
-        }
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
+        order = _size(args, "order", 1, 0)
+        labeled = [(f"A^({k})", src.reflection.get(k + 1)) for k in range(order + 1)]
+    # each matrix is rendered once; both output forms read that rendering
+    grids = {
+        label: [[m.entry(i, j).render() for j in range(m.cols)] for i in range(m.rows)]
+        for label, m in labeled
+    }
+    if what == "transport":
+        m = src.matrix
+        doc = {"what": what, "rows": m.rows, "cols": m.cols, "entries": grids["transport"]}
     else:
-        lines = []
+        doc = {"what": what, "order": order, "levels": grids}
+
+    def text_lines():
         for label, m in labeled:
-            lines += _matrix_lines(m, f"{label} {m.rows}x{m.cols}")
-        _write_out("\n".join(lines) + "\n", args)
+            yield f"{label} {m.rows}x{m.cols}"
+            for i, row in enumerate(grids[label]):
+                yield from (f"[{i},{j}] {entry}" for j, entry in enumerate(row))
+
+    _emit(args, doc, text_lines)
     return 0
 
 
@@ -337,7 +301,8 @@ def _build_parser():
     common.add_argument("--json", dest="as_json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", parents=[common], help="run identity checkers")
-    p_check.add_argument("kind", choices=CHECK_NAMES)
+    kinds = [k for k in CHECKS if k != "aux-inverse"]
+    p_check.add_argument("kind", choices=["rmatrix", *kinds, "frp", "all"])
     p_check.set_defaults(func=cmd_check)
     p_export = sub.add_parser("export", parents=[common], help="export transport data")
     p_export.add_argument("what", choices=["transport", "levels", "reflection"])

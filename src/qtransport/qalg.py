@@ -102,12 +102,6 @@ class QScalar:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def bar(self) -> "QScalar":
-        """The involution v -> v^-1."""
-        res = QScalar.__new__(QScalar)
-        res.terms = {-k: c for k, c in self.terms.items()}
-        return res
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -259,16 +253,6 @@ class QElem:
 
     def __hash__(self):
         return hash((self.form, frozenset((e, c) for e, c in self.terms.items())))
-
-    def bar(self) -> "QElem":
-        """The bar involution v -> v^-1, which reverses products.
-
-        It fixes the Weyl monomials :w^a:, so it acts on the coefficients only.
-        """
-        res = QElem.__new__(QElem)
-        res.form = self.form
-        res.terms = {exps: c.bar() for exps, c in self.terms.items()}
-        return res
 
     def render(self) -> str:
         if not self.terms:

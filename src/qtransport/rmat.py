@@ -98,13 +98,6 @@ class CMatrix:
         res.rows, res.cols, res.entries = self.rows, self.cols, out
         return res
 
-    def bar(self) -> "CMatrix":
-        """Entry-wise v -> v^-1."""
-        res = CMatrix.__new__(CMatrix)
-        res.rows, res.cols = self.rows, self.cols
-        res.entries = {key: val.bar() for key, val in self.entries.items()}
-        return res
-
     def transpose(self) -> "CMatrix":
         res = CMatrix.__new__(CMatrix)
         res.rows, res.cols = self.cols, self.rows

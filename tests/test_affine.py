@@ -41,16 +41,19 @@ def test_tseries_access_rules():
 
     def level(k):
         built.append(k)
+        if k < 0:
+            return QMatrix.zero(1, 1, net.form)
         return {0: b.M21, 1: b.M22}[k]
 
-    t = TSeries(net.form, 1, 1, level, zero_le=-1)
+    t = TSeries(net.form, 1, 1, level)
     assert built == []
     assert t.get(0) == b.M21
     assert t.get(1) == b.M22
     assert t.get(1) is t.get(1)
     assert t.get(-1).is_zero()
     assert t.get(-5).is_zero()
-    assert built == [0, 1]  # each level built once, zero levels never
+    assert t.get(-5) is t.get(-5)
+    assert built == [0, 1, -1, -5]  # each level built once
     with pytest.raises(ValueError):
         TSeries(net.form, 2, 1, level).get(0)  # wrong shape
 

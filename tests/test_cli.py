@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shlex
 
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from qtransport.network import (
 from qtransport.qalg import SkewForm
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(argv, capsys):
@@ -63,6 +65,7 @@ BAD_SIZES = {
     "frp-p-zero": ["check", "frp", "--p", "0"],
     "rmatrix-k-zero": ["check", "rmatrix", "--k", "0"],
     "rmatrix-k-negative": ["check", "rmatrix", "--k", "-2"],
+    "hat-r-zero": ["check", "rtt", "--builder", "hat", "--r", "0"],
     "affine-kmax-negative": [
         "check", "affine", "--builder", "chain", "--n", "1,1",
         "--kmax", "-1", "--pmax", "2",
@@ -94,6 +97,12 @@ def test_bad_size_exits_2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+def test_triangle_size_parses_like_other_flags(capsys):
+    assert cli.main(["check", "rtt", "--builder", "triangle", "--n", "2,2"]) == 2
+    err = "error: expected 1 comma-separated integers, got '2,2'\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def test_smallest_sizes_still_run(capsys):
@@ -438,3 +447,20 @@ def test_loader_refuses_mutated_documents_with_value_error(data):
         network_from_dict(doc).ensure_exponents()
     except ValueError:
         pass
+
+
+def _readme_commands():
+    """The argv of each `qtransport` line in README's Command-line code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("qtransport ")
+    ]
+
+
+def test_readme_command_line_examples_exit_0(capsys):
+    commands = _readme_commands()
+    failed = [argv for argv in commands if cli.main(argv) != 0]
+    assert commands and not failed

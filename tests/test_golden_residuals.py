@@ -3,9 +3,11 @@
 Two builder networks are saved without their drawing and with one edge
 exponent raised by one, so every relation they are checked against fails;
 the perturbed bridged chain goes through every checker that reads a level
-series, at the depths the CLI sizes for it.  The other cases run named builders as they are: the level and reflection
-exports of a bridged chain, the f^r_p table and the identity suite on the
-composite example.  The stdout of each command (labels, first nonzero
+series, through every block checker, and through the identity suite as
+text, as JSON and without a split.  The other cases run named builders as
+they are: the level and reflection exports of a bridged chain, the f^r_p
+table, and the identity suite on triangle(2), which skips the loop family,
+and on the composite example.  The stdout of each command (labels, first nonzero
 indices, residual values, matrix entries) and its exit code are pinned byte
 for byte.
 """
@@ -78,6 +80,33 @@ CASES = [
         ["check", "all", "--split", "2,1,2", "--order", "3", "--kmax", "1",
          "--pmax", "3"],
         1,
+    ),
+    *[
+        (
+            f"chain22_bridge_check_{kind}.txt",
+            lambda: build_chain(2, 2, bridge=True),
+            ["check", kind, "--split", "2,1,2"],
+            1,
+        )
+        for kind in ("rtt", "blocks", "affine", "groupoid", "appendix")
+    ],
+    (
+        "chain22_bridge_check_all_json.txt",
+        lambda: build_chain(2, 2, bridge=True),
+        ["check", "all", "--split", "2,1,2", "--json"],
+        1,
+    ),
+    (
+        "chain22_bridge_check_all_no_split.txt",
+        lambda: build_chain(2, 2, bridge=True),
+        ["check", "all"],
+        1,
+    ),
+    (
+        "triangle2_check_all.txt",
+        None,
+        ["check", "all", "--builder", "triangle", "--n", "2"],
+        0,
     ),
     ("check_frp.txt", None, ["check", "frp", "--r", "8", "--p", "8"], 0),
     (

@@ -65,7 +65,12 @@ def _scrambled_series(form_size=3, shape=(2, 2), top=5, seed=7):
                 row.append(weyl(form, exps, QScalar.v_power(rng.randrange(-2, 3))))
             rows.append(row)
         levels[n] = QMatrix.from_rows(form, rows)
-    return TSeries(form, shape[0], shape[1], levels.__getitem__, zero_le=-1)
+    zero = QMatrix.zero(shape[0], shape[1], form)
+
+    def level(n):
+        return levels[n] if n >= 0 else zero
+
+    return TSeries(form, shape[0], shape[1], level)
 
 
 def _with_perturbed_level(t, k):
@@ -74,7 +79,7 @@ def _with_perturbed_level(t, k):
     def level(n):
         return _perturbed(t.get(n)) if n == k else t.get(n)
 
-    return TSeries(t.form, t.rows, t.cols, level, zero_le=t.zero_le)
+    return TSeries(t.form, t.rows, t.cols, level)
 
 
 def test_report_shape_and_json():
