@@ -21,7 +21,7 @@ from math import comb, inf
 from operator import add
 
 from .qalg import QElem, QScalar, SkewForm, weyl
-from .ncmat import QMatrix, invert_restricted, matmul
+from .ncmat import NotInvertibleInSupportedClass, QMatrix, invert_restricted, matmul
 from . import geometry
 
 
@@ -379,8 +379,12 @@ class BlockTransport:
 
     @functools.cached_property
     def M12_inverse(self):
-        """M12^-1; NotInvertibleInSupportedClass if it is out of reach."""
-        return invert_restricted(self.M12)
+        """M12^-1; NotInvertibleInSupportedClass, naming M12, if it is out of reach."""
+        try:
+            return invert_restricted(self.M12)
+        except NotInvertibleInSupportedClass as exc:
+            msg = f"M12 is not invertible here ({exc})"
+            raise NotInvertibleInSupportedClass(msg) from exc
 
     @functools.cached_property
     def _tails(self):

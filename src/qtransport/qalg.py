@@ -297,6 +297,14 @@ def qmul(x: QElem, y: QElem) -> QElem:
                 for k2, c2 in cb:
                     k = k1 + k2 - shift
                     acc[k] = acc.get(k, 0) + c1 * c2
+    res = QElem.__new__(QElem)
+    res.form = form
+    res.terms = scalar_terms(sums)
+    return res
+
+
+def scalar_terms(sums):
+    """QElem terms from flat sums {exps: {v-exponent: int}}, zeros dropped."""
     out = {}
     for key, acc in sums.items():
         terms = {k: c for k, c in acc.items() if c}
@@ -304,10 +312,7 @@ def qmul(x: QElem, y: QElem) -> QElem:
             c = QScalar.__new__(QScalar)
             c.terms = terms
             out[key] = c
-    res = QElem.__new__(QElem)
-    res.form = form
-    res.terms = out
-    return res
+    return out
 
 
 def invert_monomial(x: QElem) -> QElem:

@@ -140,8 +140,9 @@ def build_R(k: int, inverse_q: bool = False) -> CMatrix:
 
     With inverse_q=True every q is replaced by q^-1, which yields R^-1.
     """
-    q = QScalar.q_power(-1 if inverse_q else 1)
-    qq = q - QScalar.q_power(1 if inverse_q else -1)
+    sign = -1 if inverse_q else 1
+    q = QScalar.q_power(sign)
+    qq = QScalar({2 * sign: 1, -2 * sign: -1})  # q - q^-1
     one = QScalar.one()
     entries = {}
     for i in range(k):

@@ -26,7 +26,7 @@ from .ncmat import (
     sheet_product,
     transpose_q,
 )
-from .qalg import QScalar
+from .qalg import QElem, QScalar, scalar_terms
 from .rmat import (
     CMatrix,
     build_P_rect,
@@ -144,16 +144,61 @@ def _product(core):
     return matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols), "left"))
 
 
-def _fold(total, run):
-    """Add one run [constant, side, coefficient, summed products] to total."""
-    if run is None:
-        return total
-    c, side, coeff, acc = run
-    if c is not None:
-        acc = classical_act(c, acc, side)
-    if coeff != 1:
-        acc = -acc if coeff == -1 else acc.scale(coeff)
-    return acc if total is None else total + acc
+def _scaled(coeff, s):
+    """coeff * s as flat (v-power, int) pairs; coeff is 1, -1 or a QScalar."""
+    if not isinstance(coeff, QScalar):
+        return [(k, coeff * c) for k, c in s.terms.items()]
+    out = {}
+    for k1, c1 in coeff.terms.items():
+        for k2, c2 in s.terms.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return [(k, c) for k, c in out.items() if c]
+
+
+def _accumulate(acc, coeff, c, side, value):
+    """Add coeff (C value), coeff (value C) or coeff value into acc.
+
+    acc maps (row, col) to flat sums {exps: {v-power: int}}.  Each nonzero
+    C[r, k] routes row k of value to row r (left) or column r to column k
+    (right); the constants have at most two nonzeros per row and column.
+    """
+    data = value.data
+    if c is None:
+        f = _scaled(coeff, QScalar.one())
+        hits = (
+            ((i, j), x, f)
+            for i, row in enumerate(data)
+            for j, x in enumerate(row)
+            if x.terms
+        )
+    elif side == "left":
+        hits = (
+            ((r, j), x, f)
+            for (r, k), s in c.entries.items()
+            for f in (_scaled(coeff, s),)
+            for j, x in enumerate(data[k])
+            if x.terms
+        )
+    else:
+        hits = (
+            ((i, k), row[r], f)
+            for (r, k), s in c.entries.items()
+            for f in (_scaled(coeff, s),)
+            for i, row in enumerate(data)
+            if row[r].terms
+        )
+    for pos, x, f in hits:
+        cell = acc.get(pos)
+        if cell is None:
+            cell = acc[pos] = {}
+        for exps, cx in x.terms.items():
+            sums = cell.get(exps)
+            if sums is None:
+                sums = cell[exps] = {}
+            for k1, c1 in cx.terms.items():
+                for k2, c2 in f:
+                    k = k1 + k2
+                    sums[k] = sums.get(k, 0) + c1 * c2
 
 
 def evaluate(*relations):
@@ -165,17 +210,19 @@ def evaluate(*relations):
     other or around one constant, with at most one more constant outside;
     constants are named as in const and sized from the matrices beside them.
 
-    Terms are folded in as they are built.  Adjacent terms with the same
-    outer constant and side, and coefficients equal up to sign, are summed
-    before the constant acts.  A product that terms of one call share is
-    built once and dropped after its last use.
+    Each term adds coefficient times constant entry times product entry
+    into one flat map per relation, straight from the product matrix; a
+    residual entry becomes a QElem only when it is nonzero.  A product that
+    terms of one call share, across relations too, is built once and
+    dropped after its last use, so a checker passes its whole window here
+    in one call.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
     kept = {}
     out = []
     for rel in parts:
-        total = run = None
+        acc = {}
         for coeff, name, side, core in rel:
             key = _key(core)
             value = kept.pop(key) if key in kept else _product(core)
@@ -183,12 +230,16 @@ def evaluate(*relations):
             if uses[key]:
                 kept[key] = value
             c = name and _constant_at(name, core, side)
-            if run and run[0] is c and run[1] == side and coeff in (run[2], -run[2]):
-                run[3] = run[3] + value if coeff == run[2] else run[3] - value
-            else:
-                total = _fold(total, run)
-                run = [c, side, coeff, value]
-        out.append(_fold(total, run))
+            _accumulate(acc, coeff, c, side, value)
+        rows = c.rows if side == "left" else value.rows
+        cols = c.cols if side == "right" else value.cols
+        res = QMatrix.zero(rows, cols, value.form)
+        for (i, j), sums in acc.items():
+            terms = scalar_terms(sums)
+            if terms:
+                res.data[i][j] = x = QElem.__new__(QElem)
+                x.form, x.terms = value.form, terms
+        out.append(res)
     return out
 
 
@@ -258,6 +309,14 @@ def check_blocks(b):
     return _finish("blocks", {"n1": b.n1, "m": b.m, "n2": b.n2}, _table(rows), t0)
 
 
+def _affine_terms(tser, k, p):
+    """Terms of the summed level-(k,p) exchange relation of a level family."""
+    t = tser.get
+    terms = [(1, ("R", (1, t(k)), (2, t(p))))]
+    terms += [(QQ, ("P", (1, t(k + m)), (2, t(p - m)))) for m in range(1, p + 1)]
+    return _exchange(terms)
+
+
 def affine_level_residual(tser, k, p):
     """Summed level-(k,p) exchange residual of a one-sided level family.
 
@@ -265,18 +324,21 @@ def affine_level_residual(tser, k, p):
     minus the same with the sheets read in the other order and the constant
     matrices acting on the column side instead.
     """
-    t = tser.get
-    terms = [(1, ("R", (1, t(k)), (2, t(p))))]
-    terms += [(QQ, ("P", (1, t(k + m)), (2, t(p - m)))) for m in range(1, p + 1)]
-    return evaluate(_exchange(terms))[0]
+    return evaluate(_affine_terms(tser, k, p))[0]
 
 
 def check_affine(tser, kmax, pmax):
     """Summed level relations over 0 <= k <= kmax, 0 <= p <= pmax."""
     t0 = time.perf_counter()
     window = product(range(kmax + 1), range(pmax + 1))
-    items = [(f"S({k},{p})", affine_level_residual(tser, k, p)) for k, p in window]
-    return _finish("affine", {"kmax": kmax, "pmax": pmax}, items, t0)
+    rows = [(f"S({k},{p})", _affine_terms(tser, k, p)) for k, p in window]
+    return _finish("affine", {"kmax": kmax, "pmax": pmax}, _table(rows), t0)
+
+
+def _loop_terms(x, y, a, b):
+    """Terms of the spectral component (a, b) of two families' exchange."""
+    x0, x1, y0, y1 = x.get(a), x.get(a + 1), y.get(b), y.get(b + 1)
+    return _exchange([(1, ("R*", (1, x1), (2, y0))), (-1, ("R", (1, x0), (2, y1)))])
 
 
 def loop_component_residual(x, y, a, b):
@@ -285,19 +347,15 @@ def loop_component_residual(x, y, a, b):
     R* (1)X_{a+1} (2)Y_b - R (1)X_a (2)Y_{b+1}
     minus the sheet-reversed products with the constants on the column side.
     """
-    x0, x1, y0, y1 = x.get(a), x.get(a + 1), y.get(b), y.get(b + 1)
-    terms = [(1, ("R*", (1, x1), (2, y0))), (-1, ("R", (1, x0), (2, y1)))]
-    return evaluate(_exchange(terms))[0]
+    return evaluate(_loop_terms(x, y, a, b))[0]
 
 
 def check_loop(tser, lo, hi):
     """Componentwise exchange relations of a two-sided level family."""
     t0 = time.perf_counter()
     window = product(range(lo, hi + 1), repeat=2)
-    items = [
-        (f"C({a},{b})", loop_component_residual(tser, tser, a, b)) for a, b in window
-    ]
-    return _finish("loop", {"lo": lo, "hi": hi}, items, t0)
+    rows = [(f"C({a},{b})", _loop_terms(tser, tser, a, b)) for a, b in window]
+    return _finish("loop", {"lo": lo, "hi": hi}, _table(rows), t0)
 
 
 def check_subalgebra(tser):
@@ -358,23 +416,28 @@ def check_reflection_constant(a0):
     return _finish("reflection", {"size": a0.rows}, items, t0)
 
 
-def reflection_affine_residual(aser, alpha, beta):
-    """Bidegree (alpha, beta) component of the spectral reflection relation."""
+def _reflection_affine_terms(aser, alpha, beta):
+    """Terms of the bidegree (alpha, beta) spectral reflection component."""
     a = aser.get
-    return evaluate(_exchange([
+    return _exchange([
         (1, ("R*", (1, a(alpha)), "R*^t1", (2, a(beta)))),
         (-1, ("R*", (1, a(alpha + 1)), "R^t1", (2, a(beta + 1)))),
         (-1, ("R", (1, a(alpha - 1)), "R*^t1", (2, a(beta + 1)))),
         (1, ("R", (1, a(alpha)), "R^t1", (2, a(beta + 2)))),
-    ]))[0]
+    ])
+
+
+def reflection_affine_residual(aser, alpha, beta):
+    """Bidegree (alpha, beta) component of the spectral reflection relation."""
+    return evaluate(_reflection_affine_terms(aser, alpha, beta))[0]
 
 
 def check_reflection_affine(aser, kmax):
     """Spectral reflection relation over a window of bidegrees."""
     t0 = time.perf_counter()
     window = product(range(0, kmax + 1), range(-1, kmax))
-    items = [(f"({a},{b})", reflection_affine_residual(aser, a, b)) for a, b in window]
-    return _finish("reflection-affine", {"kmax": kmax}, items, t0)
+    rows = [(f"({a},{b})", _reflection_affine_terms(aser, a, b)) for a, b in window]
+    return _finish("reflection-affine", {"kmax": kmax}, _table(rows), t0)
 
 
 def check_disc_reflection(m):

@@ -158,6 +158,29 @@ def test_check_all_on_triangle_skips_loop_family(n, capsys):
     assert "PASS blocks" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "loop"],
+        ["check", "subalgebra"],
+        ["check", "reflection"],
+        ["check", "reflection-affine"],
+        ["check", "groupoid"],
+        ["check", "appendix"],
+        ["export", "reflection"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_uninvertible_m12_exits_2_naming_m12(argv, capsys):
+    # M12 of triangle(2) under the default split (1, 1, 3) is the 1x1 zero
+    # matrix, so no negative level exists
+    code = cli.main(argv + ["--builder", "triangle", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: M12 is not invertible here (not a single monomial)\n"
+
+
 def test_unknown_builder_exits_2(capsys):
     assert cli.main(["export", "transport", "--builder", "nosuch"]) == 2
 
