@@ -30,6 +30,15 @@ Conventions, fixed once and used everywhere:
   segment crossings, a source stub adds A(source), and a sink stub subtracts
   A(sink).  Summing these along any path reproduces the loop winding above.
 
+* All of these are sums over one crossing table: the signed crossing vector
+  of every scaffold segment (network edges, spokes, and the square ring,
+  which has O as one of its vertices), computed once; a segment walked
+  backwards has the negated vector.  A marker lies in a face iff the vectors
+  of the face's boundary sum to an odd count at it, the same parity a
+  point-in-polygon test counts.  A(b) is the running sum along the ring from
+  O clockwise to b's projection, plus b's spoke; cutting a straight side at
+  ring vertices leaves its half-open counts unchanged.
+
 * The exchange matrix E (twice the skew form on faces) is accumulated edge by
   edge: an edge adds w to E[left face, right face], where w counts +1 for
   each endpoint that is a split vertex the edge leaves or a merge vertex it
@@ -87,24 +96,6 @@ def _segment_ray_crossing(p1, p2, marker):
         return 0
     y_at = y1 + (y2 - y1) * (xf - x1) / (x2 - x1)
     return sign if y_at < yf else 0
-
-
-def _polyline_crossings(points, markers):
-    vec = [0] * len(markers)
-    for p1, p2 in zip(points, points[1:]):
-        for i, m in enumerate(markers):
-            vec[i] += _segment_ray_crossing(p1, p2, m)
-    return vec
-
-
-def _point_in_polygon(pt, poly):
-    """Crossing-parity test with the same half-open downward ray."""
-    inside = False
-    n = len(poly)
-    for k in range(n):
-        if _segment_ray_crossing(poly[k], poly[(k + 1) % n], pt) != 0:
-            inside = not inside
-    return inside
 
 
 def _orient(a, b, c):
@@ -170,7 +161,8 @@ class Disc:
     """Scaffolding around a network drawn in a disc.
 
     Builds the outer square, boundary projections, the reference point O and
-    arc potentials, and (on demand) the face structure of the plane graph.
+    the crossing table of the scaffold graph, from which faces, arc
+    potentials and edge exponents are read.
     """
 
     def __init__(self, vertices, edges, sources, sinks, coords, markers):
@@ -215,7 +207,7 @@ class Disc:
         t_first_sink = self.tval[self.sinks[-1]]
         gap = (t_first_sink - t_last_source) % (8 * self.R)
         self.t_origin = (t_last_source + gap / 2) % (8 * self.R)
-        self._potentials = {}
+        self._build_scaffold()
 
     # -- square perimeter ---------------------------------------------------
 
@@ -250,18 +242,6 @@ class Disc:
             rel = (r, r - (t - 7 * r))
         return (self.center[0] + rel[0], self.center[1] + rel[1])
 
-    def _corners_between(self, t1, t2):
-        """Square corners on the clockwise walk from t1 to t2, in order."""
-        r = self.R
-        width = (t2 - t1) % (8 * r)
-        out = []
-        for tc in (r, 3 * r, 5 * r, 7 * r):
-            d = (tc - t1) % (8 * r)
-            if 0 < d < width:
-                out.append((d, self._point_at_t(tc)))
-        out.sort(key=lambda pair: pair[0])
-        return [p for _, p in out]
-
     def _check_boundary_order(self):
         order = sorted(self.boundary, key=lambda b: self.tval[b])
         expected = self.sources + list(reversed(self.sinks))
@@ -275,76 +255,69 @@ class Disc:
                 "(sources clockwise, then sinks reversed)"
             )
 
-    # -- winding vectors ----------------------------------------------------
+    # -- the scaffold graph and its crossing table --------------------------
 
-    def crossings(self, points):
-        return _polyline_crossings(points, self.markers)
+    def _build_scaffold(self):
+        """Plane graph of edges, spokes and the square ring, and its crossings.
 
-    def potential(self, b):
-        """Winding vector A(b) of the clockwise arc from O to boundary b."""
-        if b not in self._potentials:
-            t_b = self.tval[b]
-            pts = (
-                [self._point_at_t(self.t_origin)]
-                + self._corners_between(self.t_origin, t_b)
-                + [self.proj[b], self.pos[b]]
-            )
-            self._potentials[b] = self.crossings(pts)
-        return self._potentials[b]
-
-    def edge_exponents(self):
-        """Integer exponent vector for every edge, in input order."""
-        out = []
-        for frm, to in self.edges:
-            vec = self.crossings([self.pos[frm], self.pos[to]])
-            if frm in self.sources:
-                a = self.potential(frm)
-                vec = [x + y for x, y in zip(vec, a)]
-            if to in self.sinks:
-                a = self.potential(to)
-                vec = [x - y for x, y in zip(vec, a)]
-            out.append(tuple(vec))
-        return out
-
-    # -- faces --------------------------------------------------------------
-
-    def _scaffold_graph(self):
-        pos = dict(self.pos)
-        adj = {v: set() for v in self.vertices}
+        The ring joins the boundary projections, the four corners and O in
+        clockwise order; its vertices are ("sq", point) and join self.pos.
+        self.adj holds the neighbours of every vertex.  self.crossing maps
+        each dart (u, v) to the signed crossings of segment u->v with the
+        markers' rays, computed once per segment.  self.arc maps each
+        boundary vertex b to A(b).
+        """
+        pos = self.pos
+        adj = self.adj = {v: set() for v in self.vertices}
+        crossing = self.crossing = {}
 
         def add(u, v):
             if v in adj[u]:
                 raise ValueError(f"parallel edges between {u!r} and {v!r}")
             adj[u].add(v)
             adj[v].add(u)
+            vec = [_segment_ray_crossing(pos[u], pos[v], m) for m in self.markers]
+            crossing[(u, v)] = vec
+            crossing[(v, u)] = [-x for x in vec]
 
         for frm, to in self.edges:
             add(frm, to)
         square = {}
         for b in self.boundary:
             square.setdefault(self.proj[b], []).append(b)
-        for c in (
-            self._point_at_t(self.R),
-            self._point_at_t(3 * self.R),
-            self._point_at_t(5 * self.R),
-            self._point_at_t(7 * self.R),
-        ):
-            square.setdefault(c, [])
-        sq_ids = {}
-        for p, members in square.items():
-            vid = ("sq", p)
-            sq_ids[p] = vid
-            pos[vid] = p
-            adj[vid] = set()
+        r = self.R
+        for t in (r, 3 * r, 5 * r, 7 * r, self.t_origin):
+            square.setdefault(self._point_at_t(t), [])
+        for p in square:
+            pos[("sq", p)] = p
+            adj[("sq", p)] = set()
         for p, members in square.items():
             for b in members:
-                add(b, sq_ids[p])
-        ring = sorted(square, key=lambda p: self._perimeter_t(
+                add(b, ("sq", p))
+        ring = sorted(square, key=lambda p: (self._perimeter_t(
             (p[0] - self.center[0], p[1] - self.center[1])
-        ))
-        for i, p in enumerate(ring):
-            add(sq_ids[p], sq_ids[ring[(i + 1) % len(ring)]])
-        return pos, adj
+        ) - self.t_origin) % (8 * r))  # clockwise from O
+        a = [0] * len(self.markers)
+        self.arc = {}
+        for p, p_next in zip(ring, ring[1:] + ring[:1]):
+            add(("sq", p), ("sq", p_next))
+            for b in square[p]:
+                self.arc[b] = [x + y for x, y in zip(a, crossing[(("sq", p), b)])]
+            a = [x + y for x, y in zip(a, crossing[(("sq", p), ("sq", p_next))])]
+
+    def edge_exponents(self):
+        """Integer exponent vector for every edge, in input order."""
+        out = []
+        for frm, to in self.edges:
+            vec = self.crossing[(frm, to)]
+            if frm in self.sources:
+                vec = [x + y for x, y in zip(vec, self.arc[frm])]
+            if to in self.sinks:
+                vec = [x - y for x, y in zip(vec, self.arc[to])]
+            out.append(tuple(vec))
+        return out
+
+    # -- faces --------------------------------------------------------------
 
     def faces(self):
         """Bounded faces and the marker each contains.
@@ -352,7 +325,7 @@ class Disc:
         Returns (left-face index per edge, right-face index per edge) where
         faces are numbered by their marker's position in the marker list.
         """
-        pos, adj = self._scaffold_graph()
+        pos, adj = self.pos, self.adj
         rotation = {}
         rot_index = {}
         for v, nbrs in adj.items():
@@ -401,9 +374,8 @@ class Disc:
                     raise ValueError("drawing is not a planar embedding")
                 outer = oid
                 continue
-            hits = [
-                i for i, m in enumerate(self.markers) if _point_in_polygon(m, poly)
-            ]
+            winding = [sum(col) for col in zip(*(self.crossing[d] for d in orbit))]
+            hits = [i for i, w in enumerate(winding) if w % 2]
             if len(hits) != 1:
                 raise ValueError(
                     f"face must contain exactly one marker, found {len(hits)}"

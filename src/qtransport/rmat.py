@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from .qalg import QScalar
 
+# q - q^-1, the coefficient of every permutation correction term
+QQ = QScalar({2: 1, -2: -1})
+
 
 class CMatrix:
     """A sparse matrix over the commutative coefficient ring Z[v, v^-1]."""
@@ -117,10 +120,6 @@ def _tensor_dim(m: CMatrix) -> int:
     return k
 
 
-def transpose(m: CMatrix) -> CMatrix:
-    return m.transpose()
-
-
 def partial_transpose_t1(m: CMatrix) -> CMatrix:
     """Transpose the first tensor leg: e_ij (x) e_kl -> e_ji (x) e_kl."""
     k = _tensor_dim(m)
@@ -142,7 +141,7 @@ def build_R(k: int, inverse_q: bool = False) -> CMatrix:
     """
     sign = -1 if inverse_q else 1
     q = QScalar.q_power(sign)
-    qq = QScalar({2 * sign: 1, -2 * sign: -1})  # q - q^-1
+    qq = QScalar({sign * e: c for e, c in QQ.terms.items()})  # QQ at q^sign
     one = QScalar.one()
     entries = {}
     for i in range(k):

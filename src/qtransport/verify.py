@@ -28,16 +28,13 @@ from .ncmat import (
 )
 from .qalg import QElem, QScalar, scalar_terms
 from .rmat import (
+    QQ,
     CMatrix,
     build_P_rect,
     build_R,
     partial_transpose_t1,
-    transpose,
     yang_baxter_residual,
 )
-
-# q - q^-1, the coefficient of every permutation correction term
-QQ = QScalar.q_power(1) - QScalar.q_power(-1)
 
 
 @dataclass
@@ -105,7 +102,7 @@ def const(name, *dims):
     if name.endswith("^t1"):
         return partial_transpose_t1(const(name[:-3], *dims))
     if name == "R*":
-        return transpose(const("R^-1", *dims))
+        return const("R^-1", *dims).transpose()
     return build_R(*dims, inverse_q={"R": False, "R^-1": True}[name])
 
 
@@ -263,7 +260,7 @@ def check_rmatrix(k):
     t0 = time.perf_counter()
     r = const("R", k)
     ri = const("R^-1", k)
-    rt = transpose(r)
+    rt = r.transpose()
     rit = const("R*", k)
     p = const("P", k, k)
     ident = CMatrix.identity(k * k)

@@ -1,0 +1,189 @@
+"""The corner-walk derivation of a drawing's faces and exponents, as a test oracle.
+
+geometry.Disc reads faces, boundary potentials and edge exponents from one
+table of segment crossings.  The straightforward derivation here asks each
+question on its own: a crossing-parity point-in-polygon test for every pair
+of face and marker, on a scaffold whose ring has no vertex at O, and a
+polyline from O through the square's corners for every boundary potential.
+Only the construction checks of geometry.Disc and its exchange-matrix rule
+are shared.
+"""
+
+from functools import cmp_to_key
+
+from qtransport import geometry
+from qtransport.geometry import _dir_cmp, _segment_ray_crossing
+
+
+def polyline_crossings(points, markers):
+    """Signed crossings of an open polyline with every marker's downward ray."""
+    vec = [0] * len(markers)
+    for p1, p2 in zip(points, points[1:]):
+        for i, m in enumerate(markers):
+            vec[i] += _segment_ray_crossing(p1, p2, m)
+    return vec
+
+
+def point_in_polygon(pt, poly):
+    """Crossing-parity test with the same half-open downward ray."""
+    inside = False
+    n = len(poly)
+    for k in range(n):
+        if _segment_ray_crossing(poly[k], poly[(k + 1) % n], pt) != 0:
+            inside = not inside
+    return inside
+
+
+def corners_between(disc, t1, t2):
+    """Square corners on the clockwise walk from t1 to t2, in order."""
+    r = disc.R
+    width = (t2 - t1) % (8 * r)
+    out = []
+    for tc in (r, 3 * r, 5 * r, 7 * r):
+        d = (tc - t1) % (8 * r)
+        if 0 < d < width:
+            out.append((d, disc._point_at_t(tc)))
+    out.sort(key=lambda pair: pair[0])
+    return [p for _, p in out]
+
+
+class CornerWalkDisc(geometry.Disc):
+    """geometry.Disc with faces and exponents derived one question at a time."""
+
+    def _build_scaffold(self):
+        pass  # faces() builds its own graph, and nothing reads a crossing table
+
+    def potential(self, b):
+        """Winding vector A(b) of the clockwise arc from O to boundary b."""
+        pts = (
+            [self._point_at_t(self.t_origin)]
+            + corners_between(self, self.t_origin, self.tval[b])
+            + [self.proj[b], self.pos[b]]
+        )
+        return polyline_crossings(pts, self.markers)
+
+    def edge_exponents(self):
+        out = []
+        for frm, to in self.edges:
+            vec = polyline_crossings([self.pos[frm], self.pos[to]], self.markers)
+            if frm in self.sources:
+                vec = [x + y for x, y in zip(vec, self.potential(frm))]
+            if to in self.sinks:
+                vec = [x - y for x, y in zip(vec, self.potential(to))]
+            out.append(tuple(vec))
+        return out
+
+    def _scaffold_graph(self):
+        pos = dict(self.pos)
+        adj = {v: set() for v in self.vertices}
+
+        def add(u, v):
+            if v in adj[u]:
+                raise ValueError(f"parallel edges between {u!r} and {v!r}")
+            adj[u].add(v)
+            adj[v].add(u)
+
+        for frm, to in self.edges:
+            add(frm, to)
+        square = {}
+        for b in self.boundary:
+            square.setdefault(self.proj[b], []).append(b)
+        for c in (
+            self._point_at_t(self.R),
+            self._point_at_t(3 * self.R),
+            self._point_at_t(5 * self.R),
+            self._point_at_t(7 * self.R),
+        ):
+            square.setdefault(c, [])
+        sq_ids = {}
+        for p, members in square.items():
+            vid = ("sq", p)
+            sq_ids[p] = vid
+            pos[vid] = p
+            adj[vid] = set()
+        for p, members in square.items():
+            for b in members:
+                add(b, sq_ids[p])
+        ring = sorted(square, key=lambda p: self._perimeter_t(
+            (p[0] - self.center[0], p[1] - self.center[1])
+        ))
+        for i, p in enumerate(ring):
+            add(sq_ids[p], sq_ids[ring[(i + 1) % len(ring)]])
+        return pos, adj
+
+    def faces(self):
+        pos, adj = self._scaffold_graph()
+        rotation = {}
+        rot_index = {}
+        for v, nbrs in adj.items():
+            ordered = sorted(
+                nbrs,
+                key=cmp_to_key(
+                    lambda a, b: _dir_cmp(
+                        (pos[a][0] - pos[v][0], pos[a][1] - pos[v][1]),
+                        (pos[b][0] - pos[v][0], pos[b][1] - pos[v][1]),
+                    )
+                ),
+            )
+            rotation[v] = ordered
+            rot_index[v] = {u: i for i, u in enumerate(ordered)}
+
+        orbit_of = {}
+        orbits = []
+        for v, nbrs in adj.items():
+            for u in nbrs:
+                dart = (v, u)
+                if dart in orbit_of:
+                    continue
+                orbit = []
+                d = dart
+                while d not in orbit_of:
+                    orbit_of[d] = len(orbits)
+                    orbit.append(d)
+                    a, b = d
+                    nb = rotation[b]
+                    d = (b, nb[(rot_index[b][a] - 1) % len(nb)])
+                if d != dart:
+                    raise ValueError("face walk failed to close")
+                orbits.append(orbit)
+
+        face_marker = {}
+        outer = None
+        for oid, orbit in enumerate(orbits):
+            poly = [pos[u] for u, _ in orbit]
+            area2 = sum(
+                poly[k][0] * poly[(k + 1) % len(poly)][1]
+                - poly[(k + 1) % len(poly)][0] * poly[k][1]
+                for k in range(len(poly))
+            )
+            if area2 < 0:
+                if outer is not None:
+                    raise ValueError("drawing is not a planar embedding")
+                outer = oid
+                continue
+            hits = [
+                i for i, m in enumerate(self.markers) if point_in_polygon(m, poly)
+            ]
+            if len(hits) != 1:
+                raise ValueError(
+                    f"face must contain exactly one marker, found {len(hits)}"
+                )
+            face_marker[oid] = hits[0]
+        if outer is None or len(face_marker) != len(self.markers):
+            raise ValueError("faces do not match the marker list")
+
+        lefts, rights = [], []
+        for frm, to in self.edges:
+            lo = orbit_of[(frm, to)]
+            ro = orbit_of[(to, frm)]
+            if lo == outer or ro == outer:
+                raise ValueError("network edge touches the outer face")
+            lefts.append(face_marker[lo])
+            rights.append(face_marker[ro])
+        return lefts, rights
+
+
+def derive_network_data(vertices, edges, sources, sinks, coords, markers):
+    """(E, exponents) of a drawing, as geometry.derive_network_data returns them."""
+    disc = CornerWalkDisc(vertices, edges, sources, sinks, coords, markers)
+    return disc.exchange_matrix(), disc.edge_exponents()

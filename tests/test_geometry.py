@@ -1,0 +1,241 @@
+"""The crossing-table derivation of a drawing against the corner-walk oracle.
+
+geometry.derive_network_data reads faces, boundary potentials and edge
+exponents from one table of segment crossings.  Every drawing below must give
+the oracle's (E, exponents), or the oracle's ValueError text: triangles,
+chains, bridge words, their shuffled reloads, and seeded perturbations of
+each that move markers and vertices or put a marker on a vertex's x.
+
+Bridge words are the networks of the Lusztig factorisations of totally
+nonnegative matrices (Fomin-Zelevinsky, math/9802056): n strands that flow
+west, joined by bridges between adjacent strands.  They are also a
+theorem-level property test: the RTT and block relations must hold on every
+word, and fail once one entry is perturbed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import geometry_oracle
+from qtransport import geometry, verify
+from qtransport.ncmat import QMatrix
+from qtransport.network import (
+    _network_from_drawing,
+    block_split,
+    build_chain,
+    build_triangle,
+    network_from_dict,
+    network_to_dict,
+    transport_matrix,
+)
+from qtransport.qalg import QElem
+
+
+def bridge_word(n, word):
+    """n west-running strands joined by a word of bridges, one marker per region.
+
+    Strand i (0 at the top) runs at y = -i from source s{i} in the east to
+    sink t{i} in the west.  Letter c of the word, (k, "down") or (k, "up"),
+    bridges gap k between strands k and k + 1 in the column west of x = -2c:
+    it leaves a split at x = -2c and enters a merge at x = -2c - 1, "down"
+    from the upper strand to the lower, "up" the other way.  Each gap holds
+    one marker east of its first bridge and one west of each bridge; one
+    marker sits above the top strand and one below the bottom strand.
+    """
+    half = Fraction(1, 2)
+    coords = {}
+    strands = [[] for _ in range(n)]  # vertices of each strand, east to west
+    edges = []
+    gap_columns = [[] for _ in range(n - 1)]
+    for c, (k, way) in enumerate(word):
+        frm, to = (k, k + 1) if way == "down" else (k + 1, k)
+        coords[f"x{c}"] = (-2 * c, -frm)
+        coords[f"y{c}"] = (-2 * c - 1, -to)
+        strands[frm].append(f"x{c}")
+        strands[to].append(f"y{c}")
+        edges.append((f"x{c}", f"y{c}"))
+        gap_columns[k].append(c)
+    sources = [f"s{i}" for i in range(n)]
+    sinks = [f"t{i}" for i in range(n)]
+    for i in range(n):
+        coords[sources[i]] = (2, -i)
+        coords[sinks[i]] = (-2 * len(word) - 1, -i)
+        strand = [sources[i]] + strands[i] + [sinks[i]]
+        edges += list(zip(strand, strand[1:]))
+    markers = [(1, half), (1, half - n)]
+    for k, columns in enumerate(gap_columns):
+        markers += [(1, -k - half)] + [(-2 * c - 3 * half, -k - half) for c in columns]
+    return _network_from_drawing(
+        list(coords), edges, sources, sinks, coords, markers,
+        [f"f{i}" for i in range(len(markers))],
+    )
+
+
+def _seeded_words(count, seed=2024):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        letters = range(rng.randint(0, 8))
+        out.append((n, [(rng.randrange(n - 1), rng.choice(("up", "down"))) for _ in letters]))
+    return out
+
+
+DRAWN = {f"triangle{n}": (lambda n=n: build_triangle(n)) for n in range(1, 7)}
+DRAWN.update({
+    f"chain{n1}{n2}{'b' if bridge else ''}": (
+        lambda n1=n1, n2=n2, bridge=bridge: build_chain(n1, n2, bridge)
+    )
+    for n1 in range(1, 4)
+    for n2 in range(1, 4)
+    for bridge in (False, True)
+})
+DRAWN.update({
+    f"word{i}": (lambda n=n, word=word: bridge_word(n, word))
+    for i, (n, word) in enumerate(_seeded_words(12))
+})
+
+
+def _drawing(net):
+    """The arguments derive_network_data takes for a drawn network."""
+    return (
+        net.vertices,
+        [(e.frm, e.to) for e in net.edges],
+        net.sources,
+        net.sinks,
+        net.geometry.coords,
+        net.geometry.face_markers,
+    )
+
+
+def _shuffled_reload(net, seed=11):
+    """The network reloaded with its vertex and edge lists shuffled, exponent-free."""
+    rng = random.Random(seed)
+    doc = network_to_dict(net)
+    rng.shuffle(doc["vertices"])
+    rng.shuffle(doc["edges"])
+    for edge in doc["edges"]:
+        edge["exponent"] = None
+    return network_from_dict(doc)
+
+
+def _perturbed(drawing, rng):
+    """The drawing with one marker or vertex moved, or a marker put on a vertex's x.
+
+    The x values come from every scaffold vertex, the square ring and its
+    point O included, where the half-open crossing rule decides.
+    """
+    vertices, edges, sources, sinks, coords, markers = drawing
+    coords, markers = dict(coords), list(markers)
+
+    def nudge(p):
+        return (p[0] + Fraction(rng.randint(-6, 6), 4), p[1] + Fraction(rng.randint(-6, 6), 4))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        i = rng.randrange(len(markers))
+        markers[i] = nudge(markers[i])
+    elif kind == 1:
+        v = rng.choice(vertices)
+        coords[v] = nudge(coords[v])
+    else:
+        i = rng.randrange(len(markers))
+        xs = sorted({p[0] for p in geometry.Disc(*drawing).pos.values()})
+        markers[i] = (rng.choice(xs), markers[i][1])
+    return vertices, edges, sources, sinks, coords, markers
+
+
+def _outcome(derive, drawing):
+    try:
+        e_mat, exps = derive(*drawing)
+    except ValueError as exc:
+        return str(exc)
+    return [list(row) for row in e_mat], [tuple(vec) for vec in exps]
+
+
+def _assert_matches_oracle(drawing):
+    got = _outcome(geometry.derive_network_data, drawing)
+    assert got == _outcome(geometry_oracle.derive_network_data, drawing)
+    return got
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["built", "shuffled"])
+@pytest.mark.parametrize("name", list(DRAWN))
+def test_derivation_matches_corner_walk_oracle(name, shuffle):
+    built = DRAWN[name]()
+    net = _shuffled_reload(built) if shuffle else built
+    e_mat, exps = _assert_matches_oracle(_drawing(net))
+    assert tuple(map(tuple, e_mat)) == built.form.E
+    built_exps = {(e.frm, e.to): tuple(e.exponent) for e in built.edges}
+    assert exps == [built_exps[(e.frm, e.to)] for e in net.edges]
+
+
+@pytest.mark.parametrize("name", list(DRAWN))
+def test_perturbed_drawings_match_corner_walk_oracle(name):
+    drawing = _drawing(DRAWN[name]())
+    rng = random.Random(name)
+    for _ in range(4):
+        _assert_matches_oracle(_perturbed(drawing, rng))
+
+
+def test_perturbed_corpus_has_valid_and_rejected_drawings():
+    kinds = set()
+    for name in ("triangle3", "chain22b", "word0"):
+        drawing = _drawing(DRAWN[name]())
+        rng = random.Random(name)
+        for _ in range(4):
+            kinds.add(isinstance(_outcome(geometry.derive_network_data,
+                                          _perturbed(drawing, rng)), str))
+    assert kinds == {False, True}
+
+
+def test_derivation_computes_each_segment_crossing_once(monkeypatch):
+    # triangle(3): 18 edges, 9 spokes and a ring of 9 projections, 4
+    # corners and O give 41 segments, each tested against 10 markers once.
+    drawing = _drawing(build_triangle(3))
+    calls = []
+    crossing = geometry._segment_ray_crossing
+
+    def counted(*args):
+        calls.append(args)
+        return crossing(*args)
+
+    monkeypatch.setattr(geometry, "_segment_ray_crossing", counted)
+    geometry.derive_network_data(*drawing)
+    assert len(calls) == 41 * 10
+
+
+def _bumped(m, i, j):
+    data = [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    data[i][j] = data[i][j] + QElem.one(m.form)
+    return QMatrix.from_rows(m.form, data)
+
+
+def _shares_a_line(m, i, j):
+    """Whether (i, j) shares its row or column with another nonzero entry."""
+    line = [(i, c) for c in range(m.cols)] + [(r, j) for r in range(m.rows)]
+    return any((r, c) != (i, j) and not m.entry(r, c).is_zero() for r, c in line)
+
+
+@st.composite
+def words(draw):
+    n = draw(st.integers(2, 4))
+    letter = st.tuples(st.integers(0, n - 2), st.sampled_from(("up", "down")))
+    return n, draw(st.lists(letter, max_size=8))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(words(), st.data())
+def test_bridge_words_satisfy_rtt_and_square_block_relations(word, data):
+    n, letters = word
+    m = transport_matrix(bridge_word(n, letters))
+    assert verify.check_rtt(m).passed
+    for msize in range(1, n):
+        assert verify.check_blocks(block_split(m, n - msize, msize, n - msize)).passed
+    shared = [(i, j) for i in range(n) for j in range(n) if _shares_a_line(m, i, j)]
+    i, j = data.draw(st.sampled_from(shared))
+    assert not verify.check_rtt(_bumped(m, i, j)).passed

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from geometry_oracle import corners_between, polyline_crossings
 from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import QMatrix, invert_restricted, matmul
 from qtransport import geometry
@@ -281,9 +282,9 @@ def path_winding_vector(net, path_vertices):
     pts = [disc.pos[v] for v in path_vertices]
     # the return arc: out to the square, clockwise along it, in to the source
     pts += [disc.proj[last]]
-    pts += disc._corners_between(disc.tval[last], disc.tval[first])
+    pts += corners_between(disc, disc.tval[last], disc.tval[first])
     pts += [disc.proj[first], disc.pos[first]]
-    return tuple(disc.crossings(pts))
+    return tuple(polyline_crossings(pts, disc.markers))
 
 
 def transport_entry(net, a, c):

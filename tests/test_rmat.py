@@ -15,7 +15,6 @@ from qtransport.rmat import (
     build_P_rect,
     build_R,
     partial_transpose_t1,
-    transpose,
     yang_baxter_residual,
 )
 from qtransport.verify import check_rmatrix, const
@@ -91,7 +90,7 @@ def test_pr_equals_rt_p():
     for k in (2, 3):
         r = build_R(k)
         p = build_P_rect(k, k)
-        assert p * r == transpose(r) * p
+        assert p * r == r.transpose() * p
 
 
 def test_rrp_identity():
@@ -99,7 +98,7 @@ def test_rrp_identity():
     for k in (2, 3):
         r = build_R(k)
         p = build_P_rect(k, k)
-        lhs = r * transpose(r)
+        lhs = r * r.transpose()
         rhs = (r * p).scale(QQ) + CMatrix.identity(k * k)
         assert lhs == rhs
         assert check_rmatrix(k).passed
@@ -111,8 +110,8 @@ def test_r_minus_rinvt_is_qq_p():
         r = build_R(k)
         ri = build_R(k, inverse_q=True)
         p = build_P_rect(k, k).scale(QQ)
-        assert transpose(r) - ri == p
-        assert r - transpose(ri) == p
+        assert r.transpose() - ri == p
+        assert r - ri.transpose() == p
 
 
 def test_yang_baxter():
@@ -138,7 +137,7 @@ def test_partial_transposes_frozen():
         (3, 3): Q,
         (0, 3): QQ,
     }
-    t2 = partial_transpose_t1(transpose(r))  # the second-leg transpose
+    t2 = partial_transpose_t1(r.transpose())  # the second-leg transpose
     # e_21 (x) e_12 becomes e_21 (x) e_21: row (1,1), col (0,0)
     assert t2.entries == {
         (0, 0): Q,
@@ -169,19 +168,19 @@ def test_spectral_inverse_identity():
     for k in (2, 3):
         r = build_R(k)
         ri = build_R(k, inverse_q=True)
-        rit = transpose(ri)
+        rit = ri.transpose()
         ident = CMatrix.identity(k * k)
         assert r * ri == ident
-        assert rit * transpose(r) == ident
+        assert rit * r.transpose() == ident
         coeff = QScalar.q_power(2) + QScalar.q_power(-2)
-        assert r * transpose(r) + rit * ri == ident.scale(coeff)
+        assert r * r.transpose() + rit * ri == ident.scale(coeff)
 
 
 def test_t1_transposes_commute_with_R():
     # R^t1 and (R^-T)^t1 commute with both R and R^-T.
     for k in (2, 3):
         r = build_R(k)
-        rit = transpose(build_R(k, inverse_q=True))
+        rit = build_R(k, inverse_q=True).transpose()
         for a in (partial_transpose_t1(r), partial_transpose_t1(rit)):
             for b in (r, rit):
                 assert a * b == b * a
@@ -192,7 +191,7 @@ def test_affine_R_pair_frozen():
     assert const("R*", 1).entries == {(0, 0): QI}
     assert const("R", 1).entries == {(0, 0): Q}
     assert const("R", 3) == build_R(3)
-    assert const("R*", 3) == transpose(build_R(3, inverse_q=True))
+    assert const("R*", 3) == build_R(3, inverse_q=True).transpose()
 
 
 def test_R_block_structure_under_split():
