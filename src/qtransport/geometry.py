@@ -73,7 +73,9 @@ def _dir_cmp(a, b):
         return 1
     if a[0] * b[0] + a[1] * b[1] > 0:
         return 0
-    # opposite directions land in different halves, so this is unreachable
+    # Opposite nonzero directions land in different halves, so only a zero
+    # direction gets here: an edge whose ends are drawn at one point, which
+    # Network refuses when it is loaded.
     raise ValueError("cannot order opposite directions")
 
 
@@ -283,7 +285,7 @@ class Disc:
         for frm, to in self.edges:
             add(frm, to)
         square = {}
-        for b in self.boundary:
+        for b in self.sources + self.sinks:
             square.setdefault(self.proj[b], []).append(b)
         r = self.R
         for t in (r, 3 * r, 5 * r, 7 * r, self.t_origin):
@@ -341,10 +343,13 @@ class Disc:
             rotation[v] = ordered
             rot_index[v] = {u: i for i, u in enumerate(ordered)}
 
+        # Darts are walked in list order, never set order, so which face is
+        # found first (and named in an error) does not depend on string
+        # hashing.
         orbit_of = {}
         orbits = []
-        for v, nbrs in adj.items():
-            for u in nbrs:
+        for v, ordered in rotation.items():
+            for u in ordered:
                 dart = (v, u)
                 if dart in orbit_of:
                     continue

@@ -8,7 +8,15 @@ matching the classical matrices in rmat.
 
 from __future__ import annotations
 
-from .qalg import NotAUnit, QElem, SkewForm, invert_monomial, qmul
+from .qalg import (
+    NotAUnit,
+    QElem,
+    SkewForm,
+    add_product,
+    from_sums,
+    invert_monomial,
+    qmul,
+)
 from .rmat import CMatrix
 
 
@@ -118,27 +126,35 @@ class QMatrix:
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """(a b)[i, j] = sum_k a[i, k] b[k, j], factors kept in this order."""
+    """(a b)[i, j] = sum_k a[i, k] b[k, j], factors kept in this order.
+
+    Only pairs of nonzero entries a[i, k], b[k, j] are visited.  Each output
+    cell sums its term products as flat {exps: {v-power: int}} maps and
+    becomes one QElem at the end.
+    """
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
     if a.form != b.form:
         raise ValueError("matrices live on different quantum tori")
-    z = QElem.zero(a.form)
+    form = a.form
+    z = QElem.zero(form)
+    b_rows = [[(j, y) for j, y in enumerate(row) if y.terms] for row in b.data]
     data = []
-    for i in range(a.rows):
-        arow = a.data[i]
-        out_row = []
-        for j in range(b.cols):
-            acc = z
-            for k in range(a.cols):
-                x = arow[k]
-                y = b.data[k][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = acc + qmul(x, y)
-            out_row.append(acc)
+    for arow in a.data:
+        cells = {}
+        for k, x in enumerate(arow):
+            if not x.terms:
+                continue
+            for j, y in b_rows[k]:
+                sums = cells.get(j)
+                if sums is None:
+                    sums = cells[j] = {}
+                add_product(sums, x, y)
+        out_row = [z] * b.cols
+        for j, sums in cells.items():
+            out_row[j] = from_sums(form, sums)
         data.append(out_row)
-    return QMatrix(a.rows, b.cols, a.form, data)
+    return QMatrix(a.rows, b.cols, form, data)
 
 
 def transpose_q(m: QMatrix) -> QMatrix:
@@ -151,19 +167,15 @@ def transpose_q(m: QMatrix) -> QMatrix:
     )
 
 
-def sheet_product(a: QMatrix, b: QMatrix, order) -> QMatrix:
-    """Tensor-leg product on the composite index space.
+def sheet_product(a: QMatrix, b: QMatrix) -> QMatrix:
+    """(1)a (2)b on the composite index space: entry ((i,k),(j,l)) = a[i,j] b[k,l].
 
-    order 12: entry ((i,k),(j,l)) = a[i,j] b[k,l]   (sheet-1 factors first);
-    order 21: entry ((i,k),(j,l)) = b[k,l] a[i,j]   (sheet-2 factors first).
     Rows are composite over (a-rows, b-rows), columns over (a-cols, b-cols),
-    sheet-1-major.
+    sheet-1-major.  The word with a on sheet 2 first, (2)a (1)b, holds the
+    same products at swapped indices: swap_sheets reads it off this one.
     """
     if a.form != b.form:
         raise ValueError("matrices live on different quantum tori")
-    order = int(order)
-    if order not in (12, 21):
-        raise ValueError("order must be 12 or 21")
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     z = QElem.zero(a.form)
@@ -178,10 +190,24 @@ def sheet_product(a: QMatrix, b: QMatrix, order) -> QMatrix:
                     y = b.data[k][l]
                     if y.is_zero():
                         continue
-                    data[i * b.rows + k][j * b.cols + l] = (
-                        qmul(x, y) if order == 12 else qmul(y, x)
-                    )
+                    data[i * b.rows + k][j * b.cols + l] = qmul(x, y)
     return QMatrix(rows, cols, a.form, data)
+
+
+def swap_sheets(m: QMatrix, rows1: int, cols1: int) -> QMatrix:
+    """m with its two tensor legs exchanged, by re-indexing alone.
+
+    The first leg of m has rows1 rows and cols1 columns; entry ((k,i),(l,j))
+    of m lands at ((i,k),(j,l)).  So swap_sheets(sheet_product(a, b),
+    a.rows, a.cols) is (2)a (1)b, the product with the factors of a first.
+    """
+    rows2, cols2 = m.rows // rows1, m.cols // cols1
+    order = [l * cols2 + j for j in range(cols2) for l in range(cols1)]
+    data = [
+        [row[c] for c in order]
+        for row in (m.data[k * rows2 + i] for i in range(rows2) for k in range(rows1))
+    ]
+    return QMatrix(m.rows, m.cols, m.form, data)
 
 
 def lift1(a: QMatrix, d2: int) -> QMatrix:

@@ -100,6 +100,12 @@ class Network:
             missing = vset - set(self.geometry.coords)
             if missing:
                 raise ValueError(f"drawing lacks coordinates for {sorted(missing)}")
+            coords = self.geometry.coords
+            for e in self.edges:
+                if tuple(coords[e.frm]) == tuple(coords[e.to]):
+                    raise ValueError(
+                        f"edge {e.frm!r}->{e.to!r} has both ends drawn at one point"
+                    )
             if len(self.geometry.face_markers) != form.n:
                 raise ValueError("one face marker per generator required")
         self._acyclic = None

@@ -274,16 +274,22 @@ def weyl(form: SkewForm, exponents, coeff: QScalar | None = None) -> QElem:
 
 
 def qmul(x: QElem, y: QElem) -> QElem:
-    """Product in the torus: :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:.
-
-    The row a^T E is looked up once per left term.  Coefficient products are
-    summed as plain {v-exponent: int} maps, one per result monomial, and
-    become QScalars at the end.
-    """
+    """Product in the torus: :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:."""
     form = _same_form(x, y)
-    rows = form.rows
-    right = [(eb, cb.terms.items()) for eb, cb in y.terms.items()]
     sums = {}
+    add_product(sums, x, y)
+    return from_sums(form, sums)
+
+
+def add_product(sums, x: QElem, y: QElem) -> None:
+    """Add the terms of x y into flat sums {exps: {v-power: int}}.
+
+    The row a^T E is looked up once per left term, and each coefficient
+    product lands in the plain map of its result monomial, so a sum of many
+    products builds no QScalar or QElem until from_sums.
+    """
+    rows = _same_form(x, y).rows
+    right = [(eb, cb.terms.items()) for eb, cb in y.terms.items()]
     for ea, ca in x.terms.items():
         row = rows[ea]
         left = ca.terms.items()
@@ -297,14 +303,10 @@ def qmul(x: QElem, y: QElem) -> QElem:
                 for k2, c2 in cb:
                     k = k1 + k2 - shift
                     acc[k] = acc.get(k, 0) + c1 * c2
-    res = QElem.__new__(QElem)
-    res.form = form
-    res.terms = scalar_terms(sums)
-    return res
 
 
-def scalar_terms(sums):
-    """QElem terms from flat sums {exps: {v-exponent: int}}, zeros dropped."""
+def from_sums(form: SkewForm, sums) -> QElem:
+    """The QElem of flat sums {exps: {v-power: int}}, zeros dropped."""
     out = {}
     for key, acc in sums.items():
         terms = {k: c for k, c in acc.items() if c}
@@ -312,7 +314,10 @@ def scalar_terms(sums):
             c = QScalar.__new__(QScalar)
             c.terms = terms
             out[key] = c
-    return out
+    res = QElem.__new__(QElem)
+    res.form = form
+    res.terms = out
+    return res
 
 
 def invert_monomial(x: QElem) -> QElem:

@@ -24,9 +24,10 @@ from .ncmat import (
     lift2,
     matmul,
     sheet_product,
+    swap_sheets,
     transpose_q,
 )
-from .qalg import QElem, QScalar, scalar_terms
+from .qalg import QScalar, from_sums
 from .rmat import (
     QQ,
     CMatrix,
@@ -127,18 +128,33 @@ def _split(word):
 
 
 def _key(core):
-    """Identifies a product by its constant names and matrix objects."""
+    """Identifies the product a word reads.
+
+    Two adjacent factors are keyed by their matrices in word order, whatever
+    the sheets, so (1)X (2)Y and (2)X (1)Y share one product; a word with a
+    middle constant by its sheets, constant name and matrices.
+    """
+    if len(core) == 2:
+        return tuple(id(m) for _, m in core)
     return tuple(f if isinstance(f, str) else (f[0], id(f[1])) for f in core)
 
 
 def _product(core):
-    """(s)X (t)Y as a sheet product, or (s)X C (t)Y through the lifts."""
+    """The product _key names: (1)X (2)Y, or (s)X C (t)Y through the lifts."""
     (s, x), (_, y) = core[0], core[-1]
     if len(core) == 2:
-        return sheet_product(x, y, 12) if s == 1 else sheet_product(y, x, 21)
+        return sheet_product(x, y)
     c = _constant_at(core[1], core, "mid")
     lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
     return matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols), "left"))
+
+
+def _read(core, value):
+    """The word's own product: a two-factor word on sheet 2 first swaps legs."""
+    s, x = core[0]
+    if len(core) == 2 and s == 2:
+        return swap_sheets(value, x.rows, x.cols)
+    return value
 
 
 def _scaled(coeff, s):
@@ -212,7 +228,10 @@ def evaluate(*relations):
     residual entry becomes a QElem only when it is nonzero.  A product that
     terms of one call share, across relations too, is built once and
     dropped after its last use, so a checker passes its whole window here
-    in one call.
+    in one call.  Two adjacent factors make one product per ordered pair of
+    matrices, whatever the sheets: (2)X (1)Y reads the entries of
+    (1)X (2)Y at swapped composite indices, so the reversed word of an
+    exchange relation costs no torus products.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
@@ -226,16 +245,16 @@ def evaluate(*relations):
             uses[key] -= 1
             if uses[key]:
                 kept[key] = value
+            value = _read(core, value)
             c = name and _constant_at(name, core, side)
             _accumulate(acc, coeff, c, side, value)
         rows = c.rows if side == "left" else value.rows
         cols = c.cols if side == "right" else value.cols
         res = QMatrix.zero(rows, cols, value.form)
         for (i, j), sums in acc.items():
-            terms = scalar_terms(sums)
-            if terms:
-                res.data[i][j] = x = QElem.__new__(QElem)
-                x.form, x.terms = value.form, terms
+            x = from_sums(value.form, sums)
+            if x.terms:
+                res.data[i][j] = x
         out.append(res)
     return out
 

@@ -86,7 +86,7 @@ class CornerWalkDisc(geometry.Disc):
         for frm, to in self.edges:
             add(frm, to)
         square = {}
-        for b in self.boundary:
+        for b in self.sources + self.sinks:
             square.setdefault(self.proj[b], []).append(b)
         for c in (
             self._point_at_t(self.R),
@@ -128,10 +128,11 @@ class CornerWalkDisc(geometry.Disc):
             rotation[v] = ordered
             rot_index[v] = {u: i for i, u in enumerate(ordered)}
 
+        # the walk order of geometry.Disc, so both name the same first face
         orbit_of = {}
         orbits = []
-        for v, nbrs in adj.items():
-            for u in nbrs:
+        for v, ordered in rotation.items():
+            for u in ordered:
                 dart = (v, u)
                 if dart in orbit_of:
                     continue

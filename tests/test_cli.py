@@ -1,8 +1,11 @@
 """Command-line interface tests: exit codes, output shapes, determinism."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 from fractions import Fraction
 
@@ -25,7 +28,8 @@ from qtransport.network import (
 from qtransport.qalg import SkewForm
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _run(argv, capsys):
@@ -376,6 +380,22 @@ def _edit(*path, value=_DROP):
     return edit
 
 
+def _drawn_triangle2():
+    """The triangle(2) document with every exponent left to its drawing."""
+    doc = network_to_dict(build_triangle(2))
+    for edge in doc["edges"]:
+        edge["exponent"] = None
+    return doc
+
+
+def _coincident_edge_ends():
+    """The drawn triangle(2) with vertex g1_1 moved onto its neighbour b1_1."""
+    doc = _drawn_triangle2()
+    coords = doc["geometry"]["coords"]
+    coords["g1_1"] = coords["b1_1"]
+    return doc
+
+
 MALFORMED = {
     "float-exponent": _edit("edges", 3, "exponent", 0, value=0.5),
     "bool-exponent": _edit("edges", 3, "exponent", 0, value=True),
@@ -408,6 +428,8 @@ MALFORMED = {
         **doc,
         "edges": doc["edges"] + [{"from": "1'", "to": "2'", "exponent": [0] * 6}],
     },
+    # a zero-length edge has no direction to order around its ends
+    "coincident-edge-ends": lambda doc: _coincident_edge_ends(),
 }
 
 
@@ -421,6 +443,33 @@ def test_malformed_network_exits_2_with_one_line(edit, tmp_path, capsys):
     assert cli.main(["check", "rtt", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_coincident_edge_ends_name_both_vertices(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_coincident_edge_ends()))
+    assert cli.main(["check", "rtt", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: edge 'g1_1'->'b1_1' has both ends drawn at one point\n"
+
+
+def test_face_error_does_not_depend_on_hash_seed(tmp_path):
+    # Face marker 1 moved onto marker 0: one face holds two markers and one
+    # none, and the error names whichever the face walk meets first.
+    doc = _drawn_triangle2()
+    markers = doc["geometry"]["face_markers"]
+    markers[1] = markers[0]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    argv = [sys.executable, "-m", "qtransport.cli", "check", "rtt", "--input", path]
+    errs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: face must contain exactly one marker")
 
 
 FUZZ_SEEDS = [

@@ -4,16 +4,25 @@ The oracle below is the evaluator as it was before residuals were summed
 into flat maps: each product became a dense QMatrix, a run of adjacent terms
 with the same outer constant was summed first, the constant then acted
 through classical_act, and the runs were folded with QMatrix arithmetic,
-one evaluate call per relation.  Every checker's relation table, on every
-builder below, plain and perturbed, must give the same residual matrices
-entry for entry.
+one evaluate call per relation.  Its products come from its own copy of the
+earlier _product: a sheet product in either order, or a dense matmul of the
+lifts, both the dense kernels kept in test_ncmat.  Every checker's relation
+table, on every builder below, plain and perturbed, must give the same
+residual matrices entry for entry.
 """
 
 import pytest
+from test_ncmat import dense_matmul, ordered_sheet_product
 
 from qtransport import verify
 from qtransport.affine import levels_T, loop_generators, reflection_series
-from qtransport.ncmat import NotInvertibleInSupportedClass, QMatrix, classical_act
+from qtransport.ncmat import (
+    NotInvertibleInSupportedClass,
+    QMatrix,
+    classical_act,
+    lift1,
+    lift2,
+)
 from qtransport.network import (
     block_split,
     build_chain,
@@ -36,12 +45,24 @@ def _fold(total, run):
     return acc if total is None else total + acc
 
 
+def _product(core):
+    """(s)X (t)Y as a sheet product, or (s)X C (t)Y through the lifts."""
+    (s, x), (_, y) = core[0], core[-1]
+    if len(core) == 2:
+        if s == 1:
+            return ordered_sheet_product(x, y, 12)
+        return ordered_sheet_product(y, x, 21)
+    c = verify._constant_at(core[1], core, "mid")
+    lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
+    return dense_matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols), "left"))
+
+
 def _oracle_one(terms):
     """The residual QMatrix of one relation, folded run by run."""
     total = run = None
     for coeff, word in terms:
         name, side, core = verify._split(word)
-        value = verify._product(core)
+        value = _product(core)
         c = name and verify._constant_at(name, core, side)
         if run and run[0] is c and run[1] == side and coeff in (run[2], -run[2]):
             run[3] = run[3] + value if coeff == run[2] else run[3] - value

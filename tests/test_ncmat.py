@@ -1,12 +1,16 @@
 """Tests for matrices with noncommuting quantum-torus entries.
 
 Frozen products and inverses were computed by hand from the Weyl product rule
-before implementation; see the inline comments for the derivations.
+before implementation; see the inline comments for the derivations.  The
+dense matmul and the two-order sheet product that the sparse kernels replaced
+live on at the end of this file as oracles for a differential test.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import (
@@ -18,6 +22,7 @@ from qtransport.ncmat import (
     lift2,
     matmul,
     sheet_product,
+    swap_sheets,
     transpose_q,
 )
 from qtransport.rmat import CMatrix, build_P_rect
@@ -78,14 +83,14 @@ def test_sheet_product_frozen():
     w1, w2, w3 = w(FORM3, 1, 0, 0), w(FORM3, 0, 1, 0), w(FORM3, 0, 0, 1)
     a = QMatrix.from_rows(FORM3, [[w1, w2]])  # 1 x 2
     b = QMatrix.from_rows(FORM3, [[w3], [w1]])  # 2 x 1
-    s12 = sheet_product(a, b, 12)
+    s12 = sheet_product(a, b)
     # rows composite (a-row, b-row), cols composite (a-col, b-col)
     assert (s12.rows, s12.cols) == (2, 2)
     assert s12.entry(0, 0) == qmul(w1, w3)
     assert s12.entry(0, 1) == qmul(w2, w3)
     assert s12.entry(1, 0) == qmul(w1, w1)
     assert s12.entry(1, 1) == qmul(w2, w1)
-    s21 = sheet_product(a, b, 21)
+    s21 = swap_sheets(sheet_product(b, a), b.rows, b.cols)
     assert s21.entry(0, 0) == qmul(w3, w1)
     assert s21.entry(0, 1) == qmul(w3, w2)
     assert s21.entry(1, 0) == qmul(w1, w1)
@@ -97,8 +102,10 @@ def test_sheet_product_equals_lifted_matmul():
     for _ in range(10):
         a = _random_qmatrix(rng, FORM3, 2, 2)
         b = _random_qmatrix(rng, FORM3, 3, 2)
-        assert sheet_product(a, b, 12) == matmul(lift1(a, b.rows), lift2(b, a.cols))
-        assert sheet_product(a, b, 21) == matmul(lift2(b, a.rows), lift1(a, b.cols))
+        assert sheet_product(a, b) == matmul(lift1(a, b.rows), lift2(b, a.cols))
+        assert swap_sheets(sheet_product(b, a), b.rows, b.cols) == matmul(
+            lift2(b, a.rows), lift1(a, b.cols)
+        )
 
 
 def test_sheet_product_flip_commutative_case():
@@ -108,8 +115,8 @@ def test_sheet_product_flip_commutative_case():
     a = _random_qmatrix(rng, form, 2, 2)
     b = _random_qmatrix(rng, form, 2, 2)
     p = build_P_rect(2, 2)
-    flipped = classical_act(p, classical_act(p, sheet_product(a, b, 12), "right"), "left")
-    assert flipped == sheet_product(b, a, 12)
+    flipped = classical_act(p, classical_act(p, sheet_product(a, b), "right"), "left")
+    assert flipped == sheet_product(b, a)
 
 
 def test_classical_act_frozen():
@@ -237,6 +244,120 @@ def test_add_scale_neg():
     assert (m - m).is_zero()
     assert m.scale(QScalar.zero()).is_zero()
     assert (-m) + m == QMatrix.zero(2, 2, FORM3)
+
+
+@st.composite
+def _sparse_qmatrix(draw, form, rows, cols):
+    """A rows x cols matrix with some rows and columns all zero.
+
+    Entries are sums of up to three monomials whose coefficients have up to
+    three v-powers; a zero row or column, and a zero entry, are common.
+    """
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    coeffs = st.dictionaries(
+        st.integers(-3, 3), st.integers(-2, 2), min_size=1, max_size=3
+    )
+    monomials = st.tuples(
+        st.tuples(*[st.integers(-1, 1)] * form.n), coeffs
+    )
+    data = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            x = QElem.zero(form)
+            if i not in zero_rows and j not in zero_cols:
+                for exps, c in draw(st.lists(monomials, max_size=3)):
+                    x = x + weyl(form, exps, QScalar(c))
+            row.append(x)
+        data.append(row)
+    return QMatrix(rows, cols, form, data)
+
+
+@st.composite
+def _matrix_pair(draw, chained):
+    """Two matrices on one of two skew forms; chained pairs can be multiplied."""
+    form = draw(st.sampled_from([FORM2, FORM3]))
+    r, k, k2, c = (draw(st.integers(1, 4)) for _ in range(4))
+    a = draw(_sparse_qmatrix(form, r, k))
+    b = draw(_sparse_qmatrix(form, k if chained else k2, c))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_matrix_pair(chained=True))
+def test_matmul_matches_dense_oracle(pair):
+    a, b = pair
+    assert matmul(a, b) == dense_matmul(a, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_matrix_pair(chained=False))
+def test_sheet_products_match_two_order_oracle(pair):
+    a, b = pair
+    assert sheet_product(a, b) == ordered_sheet_product(a, b, 12)
+    swapped = swap_sheets(sheet_product(b, a), b.rows, b.cols)
+    assert swapped == ordered_sheet_product(a, b, 21)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the dense kernels as they were before the sparse ones
+# ---------------------------------------------------------------------------
+
+
+def dense_matmul(a, b):
+    """(a b)[i, j] = sum_k a[i, k] b[k, j], one QElem sum per k."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    if a.form != b.form:
+        raise ValueError("matrices live on different quantum tori")
+    z = QElem.zero(a.form)
+    data = []
+    for i in range(a.rows):
+        arow = a.data[i]
+        out_row = []
+        for j in range(b.cols):
+            acc = z
+            for k in range(a.cols):
+                x = arow[k]
+                y = b.data[k][j]
+                if x.is_zero() or y.is_zero():
+                    continue
+                acc = acc + qmul(x, y)
+            out_row.append(acc)
+        data.append(out_row)
+    return QMatrix(a.rows, b.cols, a.form, data)
+
+
+def ordered_sheet_product(a, b, order):
+    """Tensor-leg product on the composite index space.
+
+    order 12: entry ((i,k),(j,l)) = a[i,j] b[k,l]   (sheet-1 factors first);
+    order 21: entry ((i,k),(j,l)) = b[k,l] a[i,j]   (sheet-2 factors first).
+    """
+    if a.form != b.form:
+        raise ValueError("matrices live on different quantum tori")
+    order = int(order)
+    if order not in (12, 21):
+        raise ValueError("order must be 12 or 21")
+    rows = a.rows * b.rows
+    cols = a.cols * b.cols
+    z = QElem.zero(a.form)
+    data = [[z] * cols for _ in range(rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            x = a.data[i][j]
+            if x.is_zero():
+                continue
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    y = b.data[k][l]
+                    if y.is_zero():
+                        continue
+                    data[i * b.rows + k][j * b.cols + l] = (
+                        qmul(x, y) if order == 12 else qmul(y, x)
+                    )
+    return QMatrix(rows, cols, a.form, data)
 
 
 # ---------------------------------------------------------------------------
