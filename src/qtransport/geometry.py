@@ -1,7 +1,13 @@
 """Exact planar geometry for directed networks drawn in a disc.
 
-Everything here works over rational coordinates (fractions.Fraction), so all
-derived data -- face incidences, winding numbers, crossing counts -- is exact.
+A drawing comes in rational coordinates (fractions.Fraction), and the few
+constructions that divide -- the centre, the square and its projections, the
+perimeter coordinate t, the point O -- stay rational.  Every scaffold point
+and marker is then scaled by one common denominator onto an integer grid.
+A positive scale keeps every predicate used here (comparisons, orientations,
+the sign of an area), so the crossing table and the face walk run on Python
+ints without a division, and all derived data -- face incidences, winding
+numbers, crossing counts -- is exact.
 
 A network is drawn with its boundary vertices on the rim of a disc, sources
 listed clockwise and sinks counterclockwise.  For bookkeeping the disc is
@@ -48,6 +54,7 @@ Conventions, fixed once and used everywhere:
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 
 
 def _frac_point(p):
@@ -75,7 +82,7 @@ def _dir_cmp(a, b):
         return 0
     # Opposite nonzero directions land in different halves, so only a zero
     # direction gets here: an edge whose ends are drawn at one point, which
-    # Network refuses when it is loaded.
+    # check_edge_ends refuses in Disc and in Network first.
     raise ValueError("cannot order opposite directions")
 
 
@@ -84,20 +91,21 @@ def _segment_ray_crossing(p1, p2, marker):
 
     Returns +1 when the segment passes below the marker moving in -x, -1
     moving in +x, else 0.  Half-open in x: the endpoint with smaller x is
-    excluded on one side so chains of segments count each crossing once.
+    excluded on one side so chains of segments count each crossing once, and
+    a vertical segment never crosses.  "Below" compares the segment's height
+    at the marker's x with the marker's, multiplied through by x2 - x1, whose
+    sign is -sign; a marker on the segment's line is not below it.
     """
     (x1, y1), (x2, y2) = p1, p2
     xf, yf = marker
-    if x1 == x2:
-        return 0
     if x2 <= xf < x1:
         sign = 1
     elif x1 <= xf < x2:
         sign = -1
     else:
         return 0
-    y_at = y1 + (y2 - y1) * (xf - x1) / (x2 - x1)
-    return sign if y_at < yf else 0
+    side = (y1 - yf) * (x2 - x1) + (y2 - y1) * (xf - x1)
+    return sign if side * sign > 0 else 0
 
 
 def _orient(a, b, c):
@@ -159,6 +167,13 @@ def _passes_interleave(p1, p2):
     return 1 if tags[0] == tags[2] and tags[1] == tags[3] else 0
 
 
+def check_edge_ends(edges, coords):
+    """Refuse the first edge (from, to) whose two ends are drawn at one point."""
+    for frm, to in edges:
+        if tuple(coords[frm]) == tuple(coords[to]):
+            raise ValueError(f"edge {frm!r}->{to!r} has both ends drawn at one point")
+
+
 class Disc:
     """Scaffolding around a network drawn in a disc.
 
@@ -174,6 +189,7 @@ class Disc:
         self.sinks = list(sinks)
         self.pos = {v: _frac_point(coords[v]) for v in self.vertices}
         self.markers = [_frac_point(m) for m in markers]
+        check_edge_ends(self.edges, self.pos)
         boundary = set(self.sources) | set(self.sinks)
         if len(boundary) != len(self.sources) + len(self.sinks):
             raise ValueError("sources and sinks must be disjoint")
@@ -263,14 +279,42 @@ class Disc:
         """Plane graph of edges, spokes and the square ring, and its crossings.
 
         The ring joins the boundary projections, the four corners and O in
-        clockwise order; its vertices are ("sq", point) and join self.pos.
-        self.adj holds the neighbours of every vertex.  self.crossing maps
-        each dart (u, v) to the signed crossings of segment u->v with the
-        markers' rays, computed once per segment.  self.arc maps each
-        boundary vertex b to A(b).
+        clockwise order; its vertices are ("sq", k), k counting the ring
+        points in the order they are first met, and join self.pos.
+        self._grid holds every vertex's point on the integer grid.  self.adj
+        holds the neighbours of every vertex.  self.crossing maps each dart
+        (u, v) to the signed crossings of segment u->v with the markers'
+        rays, computed once per segment.  self.arc maps each boundary vertex
+        b to A(b).
         """
         pos = self.pos
-        adj = self.adj = {v: set() for v in self.vertices}
+        square = {}
+        for b in self.sources + self.sinks:
+            square.setdefault(self.proj[b], []).append(b)
+        r = self.R
+        for t in (r, 3 * r, 5 * r, 7 * r, self.t_origin):
+            square.setdefault(self._point_at_t(t), [])
+        ring_id = {}
+        for p in square:
+            ring_id[p] = ("sq", len(ring_id))
+            pos[ring_id[p]] = p
+        ring = sorted(square, key=lambda p: (self._perimeter_t(
+            (p[0] - self.center[0], p[1] - self.center[1])
+        ) - self.t_origin) % (8 * r))  # clockwise from O
+
+        points = (*pos.values(), *self.markers)
+        scale = lcm(*{c.denominator for p in points for c in p})
+
+        def on_grid(p):
+            x, y = p
+            return (
+                x.numerator * (scale // x.denominator),
+                y.numerator * (scale // y.denominator),
+            )
+
+        grid = self._grid = {v: on_grid(p) for v, p in pos.items()}
+        markers = [on_grid(m) for m in self.markers]
+        adj = self.adj = {v: set() for v in pos}
         crossing = self.crossing = {}
 
         def add(u, v):
@@ -278,34 +322,24 @@ class Disc:
                 raise ValueError(f"parallel edges between {u!r} and {v!r}")
             adj[u].add(v)
             adj[v].add(u)
-            vec = [_segment_ray_crossing(pos[u], pos[v], m) for m in self.markers]
+            gu, gv = grid[u], grid[v]
+            vec = [_segment_ray_crossing(gu, gv, m) for m in markers]
             crossing[(u, v)] = vec
             crossing[(v, u)] = [-x for x in vec]
 
         for frm, to in self.edges:
             add(frm, to)
-        square = {}
-        for b in self.sources + self.sinks:
-            square.setdefault(self.proj[b], []).append(b)
-        r = self.R
-        for t in (r, 3 * r, 5 * r, 7 * r, self.t_origin):
-            square.setdefault(self._point_at_t(t), [])
-        for p in square:
-            pos[("sq", p)] = p
-            adj[("sq", p)] = set()
         for p, members in square.items():
             for b in members:
-                add(b, ("sq", p))
-        ring = sorted(square, key=lambda p: (self._perimeter_t(
-            (p[0] - self.center[0], p[1] - self.center[1])
-        ) - self.t_origin) % (8 * r))  # clockwise from O
-        a = [0] * len(self.markers)
+                add(b, ring_id[p])
+        a = [0] * len(markers)
         self.arc = {}
         for p, p_next in zip(ring, ring[1:] + ring[:1]):
-            add(("sq", p), ("sq", p_next))
+            u = ring_id[p]
+            add(u, ring_id[p_next])
             for b in square[p]:
-                self.arc[b] = [x + y for x, y in zip(a, crossing[(("sq", p), b)])]
-            a = [x + y for x, y in zip(a, crossing[(("sq", p), ("sq", p_next))])]
+                self.arc[b] = [x + y for x, y in zip(a, crossing[(u, b)])]
+            a = [x + y for x, y in zip(a, crossing[(u, ring_id[p_next])])]
 
     def edge_exponents(self):
         """Integer exponent vector for every edge, in input order."""
@@ -327,7 +361,7 @@ class Disc:
         Returns (left-face index per edge, right-face index per edge) where
         faces are numbered by their marker's position in the marker list.
         """
-        pos, adj = self.pos, self.adj
+        grid, adj = self._grid, self.adj
         rotation = {}
         rot_index = {}
         for v, nbrs in adj.items():
@@ -335,8 +369,8 @@ class Disc:
                 nbrs,
                 key=cmp_to_key(
                     lambda a, b: _dir_cmp(
-                        (pos[a][0] - pos[v][0], pos[a][1] - pos[v][1]),
-                        (pos[b][0] - pos[v][0], pos[b][1] - pos[v][1]),
+                        (grid[a][0] - grid[v][0], grid[a][1] - grid[v][1]),
+                        (grid[b][0] - grid[v][0], grid[b][1] - grid[v][1]),
                     )
                 ),
             )
@@ -368,7 +402,7 @@ class Disc:
         face_marker = {}
         outer = None
         for oid, orbit in enumerate(orbits):
-            poly = [pos[u] for u, _ in orbit]
+            poly = [grid[u] for u, _ in orbit]
             area2 = sum(
                 poly[k][0] * poly[(k + 1) % len(poly)][1]
                 - poly[(k + 1) % len(poly)][0] * poly[k][1]

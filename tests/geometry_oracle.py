@@ -5,14 +5,37 @@ table of segment crossings.  The straightforward derivation here asks each
 question on its own: a crossing-parity point-in-polygon test for every pair
 of face and marker, on a scaffold whose ring has no vertex at O, and a
 polyline from O through the square's corners for every boundary potential.
+It works on the rational drawing, not on geometry.Disc's integer grid, and
+finds where a segment passes a marker by dividing, not by cross-multiplying.
 Only the construction checks of geometry.Disc and its exchange-matrix rule
 are shared.
 """
 
+from fractions import Fraction
 from functools import cmp_to_key
 
 from qtransport import geometry
-from qtransport.geometry import _dir_cmp, _segment_ray_crossing
+from qtransport.geometry import _dir_cmp
+
+
+def division_segment_ray_crossing(p1, p2, marker):
+    """geometry._segment_ray_crossing, reading the segment's height at the marker.
+
+    +1 when p1->p2 passes strictly below the marker moving in -x, -1 moving
+    in +x, else 0; half-open in x, and a vertical segment never crosses.
+    """
+    (x1, y1), (x2, y2) = p1, p2
+    xf, yf = marker
+    if x1 == x2:
+        return 0
+    if x2 <= xf < x1:
+        sign = 1
+    elif x1 <= xf < x2:
+        sign = -1
+    else:
+        return 0
+    y_at = y1 + Fraction(y2 - y1) * (xf - x1) / (x2 - x1)
+    return sign if y_at < yf else 0
 
 
 def polyline_crossings(points, markers):
@@ -20,7 +43,7 @@ def polyline_crossings(points, markers):
     vec = [0] * len(markers)
     for p1, p2 in zip(points, points[1:]):
         for i, m in enumerate(markers):
-            vec[i] += _segment_ray_crossing(p1, p2, m)
+            vec[i] += division_segment_ray_crossing(p1, p2, m)
     return vec
 
 
@@ -29,7 +52,7 @@ def point_in_polygon(pt, poly):
     inside = False
     n = len(poly)
     for k in range(n):
-        if _segment_ray_crossing(poly[k], poly[(k + 1) % n], pt) != 0:
+        if division_segment_ray_crossing(poly[k], poly[(k + 1) % n], pt) != 0:
             inside = not inside
     return inside
 

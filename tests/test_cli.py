@@ -254,6 +254,16 @@ def test_export_transport_matches_golden(tmp_path, capsys):
         assert out.read_text() == (GOLDEN / golden).read_text()
 
 
+def test_export_transport_json_of_a_drawn_file_matches_golden(capsys):
+    # triangle(4) with its vertex and edge lists shuffled (seed 4), every
+    # exponent null and rational coordinates: load, derivation from the
+    # drawing, path walk and rendering, pinned byte for byte
+    path = GOLDEN / "triangle4_shuffled.json"
+    code, out = _run(["export", "transport", "--json", "--input", str(path)], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "triangle4_shuffled_transport_json.txt").read_text()
+
+
 def test_export_is_deterministic(tmp_path, capsys):
     args = ["export", "levels", "--builder", "chain", "--n", "2,1", "--order", "2"]
     a = tmp_path / "a.txt"

@@ -13,6 +13,7 @@ theorem-level property test: the RTT and block relations must hold on every
 word, and fail once one entry is perturbed.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geometry_oracle
+from test_network import transport_entry
 from qtransport import geometry, verify
 from qtransport.ncmat import QMatrix
 from qtransport.network import (
@@ -207,6 +209,107 @@ def test_derivation_computes_each_segment_crossing_once(monkeypatch):
     monkeypatch.setattr(geometry, "_segment_ray_crossing", counted)
     geometry.derive_network_data(*drawing)
     assert len(calls) == 41 * 10
+
+
+def _crossing_kind(p1, p2, marker):
+    """Which edge case of the half-open crossing rule (p1, p2, marker) exercises."""
+    (x1, y1), (x2, y2) = p1, p2
+    xf, yf = marker
+    if x1 == x2:
+        return "vertical, marker x on it" if xf == x1 else "vertical"
+    way = "+x" if x2 > x1 else "-x"
+    if xf in (x1, x2):
+        return f"marker x at {'start' if xf == x1 else 'end'}, {way}"
+    on_line = (yf - y1) * (x2 - x1) == (y2 - y1) * (xf - x1)
+    if on_line and min(x1, x2) < xf < max(x1, x2):
+        return f"marker on the segment, {way}"
+    return "other"
+
+
+def test_integer_crossing_matches_division_oracle():
+    # Seeded small integer points, plus markers on each segment's line: the
+    # integer points between its ends and one step beyond either end.
+    rng = random.Random(5)
+    cases = []
+    for _ in range(600):
+        p1, p2, m = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+        cases.append((p1, p2, m))
+        cases.append((p1, (p1[0], p2[1]), (p1[0], m[1])))  # vertical, marker x on it
+        cases.append((p1, p2, (p1[0], m[1])))
+        cases.append((p1, p2, (p2[0], m[1])))
+        dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+        g = math.gcd(dx, dy)
+        if g:
+            for k in range(-1, g + 2):
+                cases.append((p1, p2, (p1[0] + k * dx // g, p1[1] + k * dy // g)))
+    kinds = set()
+    for p1, p2, m in cases:
+        want = geometry_oracle.division_segment_ray_crossing(p1, p2, m)
+        assert geometry._segment_ray_crossing(p1, p2, m) == want, (p1, p2, m)
+        kinds.add(_crossing_kind(p1, p2, m))
+    assert kinds == {
+        "vertical",
+        "vertical, marker x on it",
+        "marker x at start, +x",
+        "marker x at start, -x",
+        "marker x at end, +x",
+        "marker x at end, -x",
+        "marker on the segment, +x",
+        "marker on the segment, -x",
+        "other",
+    }
+
+
+def test_derivation_names_both_ends_of_a_collapsed_edge():
+    # triangle(2) with g1_1 moved onto b1_1, called as the builders call it
+    vertices, edges, sources, sinks, coords, markers = _drawing(build_triangle(2))
+    coords = dict(coords, g1_1=coords["b1_1"])
+    with pytest.raises(ValueError) as info:
+        geometry.derive_network_data(vertices, edges, sources, sinks, coords, markers)
+    assert str(info.value) == "edge 'g1_1'->'b1_1' has both ends drawn at one point"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_triangle(3), lambda: build_chain(2, 2, bridge=True)],
+    ids=["triangle3", "chain22b"],
+)
+def test_derivation_is_invariant_under_rational_scale_and_shift(build):
+    net = build()
+    scale = Fraction(1000003, 999983)
+    shift = (Fraction(-7368787, 1000033), Fraction(2750159, 999979))
+
+    def moved(p):
+        return [
+            [c.numerator, c.denominator]
+            for c in (scale * p[0] + shift[0], scale * p[1] + shift[1])
+        ]
+
+    doc = network_to_dict(net)
+    doc["geometry"] = {
+        "coords": {v: moved(p) for v, p in net.geometry.coords.items()},
+        "face_markers": [moved(m) for m in net.geometry.face_markers],
+    }
+    for edge in doc["edges"]:
+        edge["exponent"] = None
+    loaded = network_from_dict(doc)
+    e_mat, exps = geometry.derive_network_data(*_drawing(loaded))
+    assert tuple(map(tuple, e_mat)) == net.form.E
+    assert exps == [tuple(e.exponent) for e in net.edges]
+
+
+def test_transport_matches_per_entry_oracle_on_bridge_words():
+    for n, word in _seeded_words(12):
+        net = bridge_word(n, word)
+        m = transport_matrix(net)
+        for a in range(len(net.sources)):
+            for c in range(len(net.sinks)):
+                entry = m.entry(c, a)
+                assert entry == transport_entry(net, a, c)
+                for key, coeff in entry.terms.items():
+                    assert type(key) is tuple and len(key) == net.form.n
+                    assert all(type(x) is int for x in key)
+                    assert coeff.terms and all(coeff.terms.values())
 
 
 def _bumped(m, i, j):

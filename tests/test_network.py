@@ -571,6 +571,15 @@ def test_network_loader_validates(tmp_path):
         load_network(bad)
 
 
+@pytest.mark.parametrize("exponent", [(0.5, 0), (1.0, 0), (True, 0)])
+def test_network_refuses_exponents_that_are_not_ints(exponent):
+    # transport_matrix keys its entries by sums of exponents without
+    # re-validating them, so Network admits only int exponent vectors
+    form = SkewForm([[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="exponent must hold integers"):
+        Network(form, ["a", "c"], [Edge("a", "c", exponent)], ["a"], ["c"])
+
+
 # ---------------------------------------------------------------------------
 # composite assembly of three fragments
 # ---------------------------------------------------------------------------
