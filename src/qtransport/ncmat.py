@@ -129,8 +129,8 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """(a b)[i, j] = sum_k a[i, k] b[k, j], factors kept in this order.
 
     Only pairs of nonzero entries a[i, k], b[k, j] are visited.  Each output
-    cell sums its term products as flat {exps: {v-power: int}} maps and
-    becomes one QElem at the end.
+    cell sums its term products as one flat {code: int} map, with the
+    largest span of its products, and becomes one QElem at the end.
     """
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
@@ -142,6 +142,7 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     data = []
     for arow in a.data:
         cells = {}
+        spans = {}
         for k, x in enumerate(arow):
             if not x.terms:
                 continue
@@ -149,10 +150,10 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
                 sums = cells.get(j)
                 if sums is None:
                     sums = cells[j] = {}
-                add_product(sums, x, y)
+                spans[j] = max(spans.get(j, 0), add_product(sums, x, y))
         out_row = [z] * b.cols
         for j, sums in cells.items():
-            out_row[j] = from_sums(form, sums)
+            out_row[j] = from_sums(form, sums, spans[j])
         data.append(out_row)
     return QMatrix(a.rows, b.cols, form, data)
 

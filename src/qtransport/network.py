@@ -18,9 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
-from operator import add
 
-from .qalg import QElem, QScalar, SkewForm, from_sums, weyl
+from .qalg import QElem, QScalar, SkewForm, check_span, from_sums, weyl
 from .ncmat import NotInvertibleInSupportedClass, QMatrix, invert_restricted, matmul
 from . import geometry
 from .geometry import check_edge_ends
@@ -326,6 +325,14 @@ def transport_matrix(net):
             )
         bound, coords = net.max_cycle_uses, net.geometry.coords
 
+    # A path takes each edge at most bound times (once if acyclic), so no
+    # exponent of an entry exceeds span in size; refused before the walk.
+    form = net.form
+    span = sum(max(map(abs, e.exponent), default=0) for e in net.edges)
+    span *= 1 if bound == inf else bound
+    check_span(span, "transport exponents")
+    code = {id(e): form.encode(e.exponent) for e in net.edges}
+
     def sign(trail):
         if coords is None:
             return 1
@@ -336,37 +343,25 @@ def transport_matrix(net):
     uses = {id(e): 0 for e in net.edges}
     trail = []
 
-    def walk(v, vec, column):
+    def walk(v, t, column):
         trail.append(v)
         if v in row:
             cell = column[row[v]]
-            cell[vec] = cell.get(vec, 0) + sign(trail)
+            cell[t] = cell.get(t, 0) + sign(trail)
         else:
             for e in net.out_edges[v]:
                 if uses[id(e)] < bound:
                     uses[id(e)] += 1
-                    walk(e.to, tuple(map(add, vec, e.exponent)), column)
+                    walk(e.to, t + code[id(e)], column)
                     uses[id(e)] -= 1
         trail.pop()
 
     columns = []
     for src in net.sources:
         counts = [{} for _ in net.sinks]
-        walk(src, (0,) * net.form.n, counts)
-        # Every key is a sum of int exponent tuples of length form.n, so the
-        # entries take the trusted path that skips QElem's key validation.
-        # Keys are copied so that the walk's own tuples are freed with this
-        # source's counts and the next walk reuses their memory; kept as keys
-        # they raise the peak resident set (by 0.6 MB on triangle(11)).
-        columns.append(
-            [
-                from_sums(
-                    net.form, {tuple(list(vec)): {0: k} for vec, k in cell.items()}
-                )
-                for cell in counts
-            ]
-        )
-    return QMatrix.from_rows(net.form, zip(*columns))
+        walk(src, 0, counts)
+        columns.append([from_sums(form, cell, span) for cell in counts])
+    return QMatrix.from_rows(form, zip(*columns))
 
 
 @dataclass
@@ -719,7 +714,7 @@ def f_rp(r, p, mode="matrix"):
         raise ValueError("need r >= 1 and p >= 1")
     if mode == "matrix":
         level = hat_blocks(r).power(-p).entry(0, 0)
-        return level.terms[(0,)].terms[0] if level.terms else 0
+        return level.terms.get(0, 0)
     if mode == "recursion":
         memo = {}
 

@@ -10,14 +10,27 @@ monomial basis
 
 with the product rule  :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:  (a.E.b = a^T E b).
 
-The pairing is bilinear, so the product computes the row vector a^T E once per
-distinct left exponent vector a, memoised on the SkewForm; each phase is then
-one dot product with b.
+A QElem stores each term c v^k :w^a: under one int key, its code
+
+    code(a, k) = sum_i a_i 2^(16 i) + k 2^(16 N),
+
+signed 16-bit digits a_i with k above them, unbounded.  Codes add like
+exponents, so a term product is one sum, code(a, k) + code(b, l) -
+(a.E.b << 16 N), with a and the row a^T E memoised per form by the code of
+:w^a:.  Sums, scaling by v-powers and the inverse of a unit monomial
+(code -> -code) are int-keyed dict work; only monomials() and render decode.
+Exactness: the span of a QElem bounds every |a_i| of its terms and stays
+below LIMIT = 2^14; a product refuses x.span + y.span >= LIMIT with
+ValueError before it adds anything.  So a digit sum stays below 2^15 in size
+and never carries into the next digit.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+import struct
+from operator import mul
+
+LIMIT = 1 << 14  # every stored span is below this
 
 
 class NotAUnit(ValueError):
@@ -116,30 +129,26 @@ class QScalar:
 
 
 class _Rows(dict):
-    """The memo of one skew form: exponent tuple a -> the row vector a^T E.
+    """Monomial code of :w^a: -> (a, a^T E), computed on first lookup.
 
-    A missing row is computed on first lookup.  E is skew, so entry j of
-    a^T E is -(E a)_j, one dot product per generator.
+    E is skew, so entry j of a^T E is -(E a)_j, one dot product per generator.
     """
 
-    __slots__ = ("E",)
+    __slots__ = ("form",)
 
-    def __init__(self, E):
-        super().__init__()
-        self.E = E
-
-    def __missing__(self, a):
-        row = self[a] = tuple(-sum(map(mul, e, a)) for e in self.E)
-        return row
+    def __missing__(self, code):
+        a = self.form.decode(code)[0]
+        pair = self[code] = a, tuple(-sum(map(mul, e, a)) for e in self.form.E)
+        return pair
 
 
 class SkewForm:
     """The commutation data of the torus: an integer skew-symmetric matrix E = 2*eps.
 
-    rows memoises a^T E for every exponent tuple a looked up in it.
+    It also holds the codec of packed terms and the memo rows (see _Rows).
     """
 
-    __slots__ = ("E", "n", "rows")
+    __slots__ = ("E", "n", "shift", "offset", "fmt", "rows")
 
     def __init__(self, E):
         rows = [tuple(int(x) for x in row) for row in E]
@@ -152,11 +161,29 @@ class SkewForm:
                     raise ValueError("E must be skew-symmetric")
         self.E = tuple(rows)
         self.n = n
-        self.rows = _Rows(self.E)
+        self.shift = 16 * n  # bits below k in a code
+        # 2^15 in every digit: code + offset has the digits a_i + 2^15 >= 0.
+        self.offset = int.from_bytes(b"\x00\x80" * n, "little")
+        self.fmt = f"<{n}h"
+        self.rows = _Rows()
+        self.rows.form = self
+
+    def encode(self, exps, k=0) -> int:
+        """The code of v^k :w^exps:, for digits below 2^15 in size."""
+        u = int.from_bytes(struct.pack(self.fmt, *exps), "little")
+        return (u ^ self.offset) - self.offset + (k << self.shift)
+
+    def decode(self, code):
+        """(exponent tuple, k) of a code: the inverse of encode."""
+        c = code + self.offset
+        k = c >> self.shift
+        # XOR turns each digit a_i + 2^15 into a_i mod 2^16, a signed short.
+        low = (c - (k << self.shift)) ^ self.offset
+        return struct.unpack(self.fmt, low.to_bytes(2 * self.n, "little")), k
 
     def pairing(self, a, b) -> int:
         """a^T E b for integer exponent vectors a, b."""
-        return sum(map(mul, self.rows[tuple(a)], b))
+        return sum(map(mul, self.rows[self.encode(a)][1], b))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewForm) and self.E == other.E
@@ -174,26 +201,35 @@ def _same_form(a: "QElem", b: "QElem") -> SkewForm:
     return a.form
 
 
+def check_span(span, what="torus exponents"):
+    """Refuse a span that packed terms cannot hold exactly."""
+    if span >= LIMIT:
+        raise ValueError(
+            f"{what} may reach {span} in size; packed terms hold at most {LIMIT - 1}"
+        )
+
+
 class QElem:
     """An element of the quantum torus in the Weyl monomial basis.
 
-    terms maps an exponent vector (tuple of ints of length form.n) to its
-    QScalar coefficient; zero coefficients are never stored.
+    terms maps the code of each term c v^k :w^a: to its nonzero int c, and
+    span bounds every |a_i|.  The constructor validates {exponent tuple:
+    QScalar}, the view that monomials() gives back.
     """
 
-    __slots__ = ("form", "terms")
+    __slots__ = ("form", "terms", "span")
 
     def __init__(self, form: SkewForm, terms=None):
-        self.form = form
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                key = tuple(int(e) for e in exps)
-                if len(key) != form.n:
-                    raise ValueError("exponent vector has wrong length")
-                if not c.is_zero():
-                    clean[key] = c
-        self.terms = clean
+        clean, span = {}, 0
+        for exps, c in (terms or {}).items():
+            key = tuple(int(e) for e in exps)
+            if len(key) != form.n:
+                raise ValueError("exponent vector has wrong length")
+            span = max([span, *map(abs, key)])
+            check_span(span)
+            for k, x in c.terms.items():
+                clean[form.encode(key, k)] = x
+        self.form, self.terms, self.span = form, clean, span
 
     @classmethod
     def zero(cls, form: SkewForm) -> "QElem":
@@ -201,45 +237,37 @@ class QElem:
 
     @classmethod
     def one(cls, form: SkewForm) -> "QElem":
-        return cls(form, {(0,) * form.n: QScalar.one()})
+        return from_sums(form, {0: 1}, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def monomials(self):
+        """The decoded view {exponent tuple: QScalar}."""
+        out = {}
+        for code, c in self.terms.items():
+            exps, k = self.form.decode(code)
+            out.setdefault(exps, {})[k] = c
+        return {exps: QScalar(c) for exps, c in out.items()}
+
     def __add__(self, other: "QElem") -> "QElem":
         form = _same_form(self, other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        res = QElem.__new__(QElem)
-        res.form = form
-        res.terms = out
-        return res
+        get = out.get
+        for code, c in other.terms.items():
+            out[code] = get(code, 0) + c
+        return from_sums(form, out, max(self.span, other.span))
 
     def __neg__(self) -> "QElem":
-        res = QElem.__new__(QElem)
-        res.form = self.form
-        res.terms = {exps: -c for exps, c in self.terms.items()}
-        return res
+        return from_sums(self.form, {t: -c for t, c in self.terms.items()}, self.span)
 
     def __sub__(self, other: "QElem") -> "QElem":
         return self + (-other)
 
     def scale(self, c: QScalar) -> "QElem":
         out = {}
-        for exps, x in self.terms.items():
-            p = x * c
-            if not p.is_zero():
-                out[exps] = p
-        res = QElem.__new__(QElem)
-        res.form = self.form
-        res.terms = out
-        return res
+        add_scaled(out, self, c.terms.items())
+        return from_sums(self.form, out, self.span)
 
     def __mul__(self, other: "QElem") -> "QElem":
         return qmul(self, other)
@@ -252,17 +280,16 @@ class QElem:
         )
 
     def __hash__(self):
-        return hash((self.form, frozenset((e, c) for e, c in self.terms.items())))
+        return hash((self.form, frozenset(self.terms.items())))
 
     def render(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps].render()
-            body = ",".join(str(e) for e in exps)
-            parts.append(f"({coeff}) * w[{body}]")
-        return " + ".join(parts)
+        mons = self.monomials()
+        return " + ".join(
+            f"({mons[exps].render()}) * w[{','.join(map(str, exps))}]"
+            for exps in sorted(mons)
+        )
 
     def __repr__(self) -> str:
         return self.render()
@@ -275,48 +302,50 @@ def weyl(form: SkewForm, exponents, coeff: QScalar | None = None) -> QElem:
 
 def qmul(x: QElem, y: QElem) -> QElem:
     """Product in the torus: :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:."""
-    form = _same_form(x, y)
     sums = {}
-    add_product(sums, x, y)
-    return from_sums(form, sums)
+    return from_sums(x.form, sums, add_product(sums, x, y))
 
 
-def add_product(sums, x: QElem, y: QElem) -> None:
-    """Add the terms of x y into flat sums {exps: {v-power: int}}.
+def add_product(sums, x: QElem, y: QElem) -> int:
+    """Add the terms of x y into flat sums {code: int}; return the product's span.
 
-    The row a^T E is looked up once per left term, and each coefficient
-    product lands in the plain map of its result monomial, so a sum of many
-    products builds no QScalar or QElem until from_sums.
+    Each term's monomial code looks up a and a^T E once, so each term pair
+    is one dot product and one int key.  Raises ValueError, before adding
+    anything, when the span would reach LIMIT.
     """
-    rows = _same_form(x, y).rows
-    right = [(eb, cb.terms.items()) for eb, cb in y.terms.items()]
-    for ea, ca in x.terms.items():
-        row = rows[ea]
-        left = ca.terms.items()
-        for eb, cb in right:
-            shift = sum(map(mul, row, eb))
-            key = tuple(map(add, ea, eb))
-            acc = sums.get(key)
-            if acc is None:
-                acc = sums[key] = {}
-            for k1, c1 in left:
-                for k2, c2 in cb:
-                    k = k1 + k2 - shift
-                    acc[k] = acc.get(k, 0) + c1 * c2
+    form = _same_form(x, y)
+    span = x.span + y.span
+    check_span(span)
+    shift, off, rows = form.shift, form.offset, form.rows
+    right = [
+        (tb, cb, rows[tb - ((tb + off) >> shift << shift)][0])
+        for tb, cb in y.terms.items()
+    ]
+    get = sums.get
+    for ta, ca in x.terms.items():
+        row = rows[ta - ((ta + off) >> shift << shift)][1]
+        for tb, cb, eb in right:
+            key = ta + tb - (sum(map(mul, row, eb)) << shift)
+            sums[key] = get(key, 0) + ca * cb
+    return span
 
 
-def from_sums(form: SkewForm, sums) -> QElem:
-    """The QElem of flat sums {exps: {v-power: int}}, zeros dropped."""
-    out = {}
-    for key, acc in sums.items():
-        terms = {k: c for k, c in acc.items() if c}
-        if terms:
-            c = QScalar.__new__(QScalar)
-            c.terms = terms
-            out[key] = c
+def add_scaled(sums, x: QElem, coeff) -> None:
+    """Add x times a Laurent polynomial, given as (v-power, int) pairs, into sums."""
+    shift = x.form.shift
+    get = sums.get
+    for k, ck in coeff:
+        dk = k << shift
+        for code, cx in x.terms.items():
+            key = code + dk
+            sums[key] = get(key, 0) + cx * ck
+
+
+def from_sums(form: SkewForm, sums, span) -> QElem:
+    """The QElem of flat sums {code: int} within span; it owns sums if no zeros."""
     res = QElem.__new__(QElem)
-    res.form = form
-    res.terms = out
+    res.form, res.span = form, span
+    res.terms = sums if all(sums.values()) else {t: c for t, c in sums.items() if c}
     return res
 
 
@@ -324,14 +353,14 @@ def invert_monomial(x: QElem) -> QElem:
     """Invert a single Weyl monomial with unit coefficient +-v^k.
 
     Since a.E.a = 0, the inverse of c :w^a: is c^-1 :w^{-a}: with no extra
-    phase.  Anything that is not such a monomial raises NotAUnit.
+    phase, and its code is minus the code of c :w^a:.  Anything that is not
+    such a monomial raises NotAUnit.
     """
-    if len(x.terms) != 1:
+    if len({x.form.decode(code)[0] for code in x.terms}) != 1:
         raise NotAUnit("not a single monomial")
-    (exps, c), = x.terms.items()
-    if len(c.terms) != 1:
+    if len(x.terms) != 1:
         raise NotAUnit("coefficient is not a monomial in v")
-    (k, n), = c.terms.items()
+    (code, n), = x.terms.items()
     if n not in (1, -1):
         raise NotAUnit("coefficient is not a unit of Z[v, v^-1]")
-    return weyl(x.form, tuple(-e for e in exps), QScalar({-k: n}))
+    return from_sums(x.form, {-code: n}, x.span)

@@ -27,7 +27,7 @@ from .ncmat import (
     swap_sheets,
     transpose_q,
 )
-from .qalg import QScalar, from_sums
+from .qalg import QScalar, add_scaled, from_sums
 from .rmat import (
     QQ,
     CMatrix,
@@ -171,9 +171,10 @@ def _scaled(coeff, s):
 def _accumulate(acc, coeff, c, side, value):
     """Add coeff (C value), coeff (value C) or coeff value into acc.
 
-    acc maps (row, col) to flat sums {exps: {v-power: int}}.  Each nonzero
-    C[r, k] routes row k of value to row r (left) or column r to column k
-    (right); the constants have at most two nonzeros per row and column.
+    acc maps (row, col) to flat sums {code: int}.  Each nonzero C[r, k]
+    routes row k of value to row r (left) or column r to column k (right);
+    the constants have at most two nonzeros per row and column.  Returns
+    the largest span added.
     """
     data = value.data
     if c is None:
@@ -200,18 +201,14 @@ def _accumulate(acc, coeff, c, side, value):
             for i, row in enumerate(data)
             if row[r].terms
         )
+    span = 0
     for pos, x, f in hits:
+        span = max(span, x.span)
         cell = acc.get(pos)
         if cell is None:
             cell = acc[pos] = {}
-        for exps, cx in x.terms.items():
-            sums = cell.get(exps)
-            if sums is None:
-                sums = cell[exps] = {}
-            for k1, c1 in cx.terms.items():
-                for k2, c2 in f:
-                    k = k1 + k2
-                    sums[k] = sums.get(k, 0) + c1 * c2
+        add_scaled(cell, x, f)
+    return span
 
 
 def evaluate(*relations):
@@ -239,6 +236,7 @@ def evaluate(*relations):
     out = []
     for rel in parts:
         acc = {}
+        span = 0
         for coeff, name, side, core in rel:
             key = _key(core)
             value = kept.pop(key) if key in kept else _product(core)
@@ -247,12 +245,12 @@ def evaluate(*relations):
                 kept[key] = value
             value = _read(core, value)
             c = name and _constant_at(name, core, side)
-            _accumulate(acc, coeff, c, side, value)
+            span = max(span, _accumulate(acc, coeff, c, side, value))
         rows = c.rows if side == "left" else value.rows
         cols = c.cols if side == "right" else value.cols
         res = QMatrix.zero(rows, cols, value.form)
         for (i, j), sums in acc.items():
-            x = from_sums(value.form, sums)
+            x = from_sums(value.form, sums, span)
             if x.terms:
                 res.data[i][j] = x
         out.append(res)
@@ -333,16 +331,6 @@ def _affine_terms(tser, k, p):
     return _exchange(terms)
 
 
-def affine_level_residual(tser, k, p):
-    """Summed level-(k,p) exchange residual of a one-sided level family.
-
-    R (1)T_k (2)T_p + (q-q^-1) P sum_{m=1..p} (1)T_{k+m} (2)T_{p-m}
-    minus the same with the sheets read in the other order and the constant
-    matrices acting on the column side instead.
-    """
-    return evaluate(_affine_terms(tser, k, p))[0]
-
-
 def check_affine(tser, kmax, pmax):
     """Summed level relations over 0 <= k <= kmax, 0 <= p <= pmax."""
     t0 = time.perf_counter()
@@ -355,15 +343,6 @@ def _loop_terms(x, y, a, b):
     """Terms of the spectral component (a, b) of two families' exchange."""
     x0, x1, y0, y1 = x.get(a), x.get(a + 1), y.get(b), y.get(b + 1)
     return _exchange([(1, ("R*", (1, x1), (2, y0))), (-1, ("R", (1, x0), (2, y1)))])
-
-
-def loop_component_residual(x, y, a, b):
-    """One spectral component of the exchange relation of two families.
-
-    R* (1)X_{a+1} (2)Y_b - R (1)X_a (2)Y_{b+1}
-    minus the sheet-reversed products with the constants on the column side.
-    """
-    return evaluate(_loop_terms(x, y, a, b))[0]
 
 
 def check_loop(tser, lo, hi):
@@ -441,11 +420,6 @@ def _reflection_affine_terms(aser, alpha, beta):
         (-1, ("R", (1, a(alpha - 1)), "R*^t1", (2, a(beta + 1)))),
         (1, ("R", (1, a(alpha)), "R^t1", (2, a(beta + 2)))),
     ])
-
-
-def reflection_affine_residual(aser, alpha, beta):
-    """Bidegree (alpha, beta) component of the spectral reflection relation."""
-    return evaluate(_reflection_affine_terms(aser, alpha, beta))[0]
 
 
 def check_reflection_affine(aser, kmax):

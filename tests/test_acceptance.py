@@ -11,6 +11,12 @@ import time
 from dataclasses import replace
 from math import comb
 
+from test_verify import (
+    affine_level_residual,
+    loop_component_residual,
+    reflection_affine_residual,
+)
+
 from qtransport import verify
 from qtransport.affine import TSeries, levels_T, loop_generators, reflection_series
 from qtransport.ncmat import QMatrix, invert_restricted, matmul
@@ -136,10 +142,10 @@ def test_05_affine_levels_and_telescoping():
     for t in series:
         for k in range(4):
             for p in range(k + 1):
-                summed = verify.affine_level_residual(t, k, p)
+                summed = affine_level_residual(t, k, p)
                 acc = None
                 for j in range(p + 1):
-                    c = verify.loop_component_residual(t, t, k + j, p - 1 - j)
+                    c = loop_component_residual(t, t, k + j, p - 1 - j)
                     acc = c if acc is None else acc + c
                 assert summed == -acc
 
@@ -239,7 +245,7 @@ def test_10_affine_reflection_window_and_lowest_bidegree():
     assert rep.passed, rep.residuals
     a1 = a.get(1)
     assert not a1.is_zero()
-    assert verify.reflection_affine_residual(a, 1, -1) == (
+    assert reflection_affine_residual(a, 1, -1) == (
         verify.reflection_constant_residual(a1)
     )
     assert verify.check_reflection_constant(a1).passed

@@ -440,6 +440,8 @@ MALFORMED = {
     },
     # a zero-length edge has no direction to order around its ends
     "coincident-edge-ends": lambda doc: _coincident_edge_ends(),
+    # packed torus terms hold exponents below 2^14 in size
+    "exponent-past-packed-limit": _edit("edges", 3, "exponent", 0, value=16384),
 }
 
 
@@ -453,6 +455,26 @@ def test_malformed_network_exits_2_with_one_line(edit, tmp_path, capsys):
     assert cli.main(["check", "rtt", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exponent_past_packed_limit_exits_2_without_traceback(tmp_path):
+    doc = network_to_dict(build_triangle(2))
+    doc["geometry"] = None
+    doc["edges"][3]["exponent"][0] = 16384
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", "rtt"], ["export", "transport"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtransport.cli", *argv, "--input", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: transport exponents may reach ")
+        assert proc.stderr.endswith("packed terms hold at most 16383\n")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_coincident_edge_ends_name_both_vertices(tmp_path, capsys):

@@ -306,10 +306,13 @@ def test_transport_matches_per_entry_oracle_on_bridge_words():
             for c in range(len(net.sinks)):
                 entry = m.entry(c, a)
                 assert entry == transport_entry(net, a, c)
-                for key, coeff in entry.terms.items():
-                    assert type(key) is tuple and len(key) == net.form.n
-                    assert all(type(x) is int for x in key)
-                    assert coeff.terms and all(coeff.terms.values())
+                for code, coeff in entry.terms.items():
+                    exps, k = net.form.decode(code)
+                    assert k == 0
+                    assert type(exps) is tuple and len(exps) == net.form.n
+                    assert all(type(x) is int for x in exps)
+                    assert all(abs(x) <= entry.span for x in exps)
+                    assert type(coeff) is int and coeff
 
 
 def _bumped(m, i, j):

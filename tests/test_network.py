@@ -525,6 +525,21 @@ def test_cyclic_requires_geometry():
         transport_matrix(net).entry(0, 0)
 
 
+def test_cyclic_path_bound_at_the_packed_limit_is_refused_before_walking(
+    monkeypatch,
+):
+    # The edge spans of cyclic2x2 sum to 4, so 4096 uses per edge could
+    # reach exponent 16384, one past what a packed term holds.
+    def walked(points):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(geometry, "path_self_crossings", walked)
+    with pytest.raises(ValueError, match="may reach 16384 in size"):
+        transport_matrix(_cyclic2x2(4096))
+    with pytest.raises(AssertionError, match="the walk started"):
+        transport_matrix(_cyclic2x2(1))
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransport import qalg
+from qtransport.ncmat import QMatrix, matmul
 from qtransport.network import build_triangle, transport_matrix
 from qtransport.qalg import (
     NotAUnit,
@@ -46,8 +47,8 @@ def oracle_qmul(x, y):
     """:w^a: :w^b: = v^{-a.E.b} :w^{a+b}: term by term, in QScalar arithmetic."""
     form = x.form
     out = {}
-    for ea, ca in x.terms.items():
-        for eb, cb in y.terms.items():
+    for ea, ca in x.monomials().items():
+        for eb, cb in y.monomials().items():
             key = tuple(a + b for a, b in zip(ea, eb))
             c = (ca * cb) * QScalar.v_power(-oracle_pairing(form, ea, eb))
             s = out.get(key)
@@ -96,7 +97,7 @@ def bar(x):
     """
     if isinstance(x, QScalar):
         return QScalar({-k: c for k, c in x.terms.items()})
-    return QElem(x.form, {exps: bar(c) for exps, c in x.terms.items()})
+    return QElem(x.form, {exps: bar(c) for exps, c in x.monomials().items()})
 
 
 def test_scalar_bar_frozen():
@@ -155,7 +156,7 @@ FORM2 = SkewForm([[0, 2], [-2, 0]])  # eps_12 = 1
 
 def test_weyl_monomial_has_unit_coefficient():
     x = weyl(FORM2, (1, 0))
-    assert x.terms == {(1, 0): QScalar.one()}
+    assert x.monomials() == {(1, 0): QScalar.one()}
 
 
 def test_qmul_generators_frozen():
@@ -401,14 +402,14 @@ def test_row_memo_is_per_form(forms, data):
     unit = [tuple(int(k == m) for k in range(n)) for m in (i, j)]
     p1 = qmul(weyl(first, unit[0]), weyl(first, unit[1]))
     p2 = qmul(weyl(second, unit[0]), weyl(second, unit[1]))
-    assert p1.terms != p2.terms
+    assert p1.monomials() != p2.monomials()
 
 
 def test_rtt_memoises_each_transport_exponent_once(monkeypatch):
     # check_rtt multiplies transport entries only, and the product looks up
-    # a^T E once per left term instead of pairing term by term: the memo ends
-    # up holding exactly the distinct exponent vectors of the entries, each
-    # computed once, and pairing is never called.
+    # a^T E once per left monomial instead of pairing term by term: the memo
+    # ends up holding exactly the codes of the distinct exponent vectors of
+    # the entries, each computed once, and pairing is never called.
     computed = []
     missing = qalg._Rows.__missing__
 
@@ -424,11 +425,12 @@ def test_rtt_memoises_each_transport_exponent_once(monkeypatch):
     m = transport_matrix(build_triangle(3))
     assert check_rtt(m).passed
     form = m.form
-    distinct = {e for row in m.data for x in row for e in x.terms}
+    distinct = {form.encode(e) for row in m.data for x in row for e in x.monomials()}
     assert sorted(computed) == sorted(distinct)
     assert set(form.rows) == distinct
     units = [tuple(int(k == j) for k in range(form.n)) for j in range(form.n)]
-    for a, row in form.rows.items():
+    for code, (a, row) in form.rows.items():
+        assert form.decode(code) == (a, 0)
         assert row == tuple(oracle_pairing(form, a, u) for u in units)
 
 
@@ -478,3 +480,133 @@ def test_invert_monomial_random_roundtrip():
         xi = invert_monomial(x)
         assert qmul(x, xi) == QElem.one(form)
         assert qmul(xi, x) == QElem.one(form)
+
+
+# ---------------------------------------------------------------------------
+# packed terms: the codec, the span limit, and a tuple-keyed differential
+# ---------------------------------------------------------------------------
+
+TOP = qalg.LIMIT - 1  # the largest digit a stored span allows
+
+
+def _assert_span_holds(x):
+    """Every decoded digit lies within x.span, below the limit; no zero terms."""
+    assert x.span < qalg.LIMIT
+    for code, c in x.terms.items():
+        exps, _ = x.form.decode(code)
+        assert all(abs(a) <= x.span for a in exps)
+        assert type(c) is int and c
+
+
+@pytest.mark.parametrize("n", [1, 28, 78])
+def test_codes_round_trip_at_the_largest_digits(n):
+    form = SkewForm([[0] * n for _ in range(n)])
+    rng = random.Random(n)
+    vectors = [(TOP,) * n, (-TOP,) * n, (0,) * n]
+    digits = (TOP, -TOP, 1, -1, 0)
+    vectors += [tuple(rng.choice(digits) for _ in range(n)) for _ in range(4)]
+    for a in vectors:
+        for k in (0, 1, -1, 2**40, -(2**40)):
+            code = form.encode(a, k)
+            assert form.decode(code) == (a, k)
+            assert form.decode(-code) == (tuple(-x for x in a), -k)
+        for b in vectors:
+            # digit sums reach 2 * TOP < 2^15 and carry into no neighbour
+            total = tuple(x + y for x, y in zip(a, b))
+            assert form.decode(form.encode(a, 3) + form.encode(b, -5)) == (total, -2)
+
+
+def test_constructor_refuses_digits_at_the_limit():
+    assert weyl(FORM2, (TOP, -TOP)).span == TOP
+    for exps in ((qalg.LIMIT, 0), (0, -qalg.LIMIT)):
+        with pytest.raises(ValueError, match="may reach 16384 in size"):
+            weyl(FORM2, exps)
+
+
+def test_product_at_the_span_limit_matches_oracle_and_past_it_raises():
+    form = SkewForm([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+    half = qalg.LIMIT // 2
+    x = weyl(form, (half, -half, 3), QScalar({1: 2, -1: -1})) + weyl(form, (1, 0, -1))
+    y = weyl(form, (half - 1, 1 - half, 0), QScalar.v_power(2)) + weyl(form, (0, 2, 1))
+    assert (x.span, y.span) == (half, half - 1)
+    p = qmul(x, y)
+    assert p.span == TOP
+    assert (TOP, -TOP, 3) in p.monomials()
+    assert p == oracle_qmul(x, y)
+    assert qmul(y, x) == oracle_qmul(y, x)
+    _assert_span_holds(p)
+    # a sum keeps the larger span, so one more factor of 2 crosses the limit
+    wide = y + weyl(form, (0, 0, half))
+    assert wide.span == half
+    with pytest.raises(ValueError, match="may reach 16384 in size"):
+        qmul(x, wide)
+    with pytest.raises(ValueError, match="may reach 16384 in size"):
+        matmul(QMatrix.from_rows(form, [[x]]), QMatrix.from_rows(form, [[wide]]))
+
+
+def _tuple_add(x, y):
+    """x + y on {exps: QScalar} maps, zeros dropped."""
+    out = dict(x)
+    for exps, c in y.items():
+        s = out[exps] + c if exps in out else c
+        if s.is_zero():
+            out.pop(exps, None)
+        else:
+            out[exps] = s
+    return out
+
+
+def _wide_elem(rng, form):
+    """Up to four monomials, negative digits up to 4096, several v-powers each."""
+    x = QElem.zero(form)
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(
+            rng.choice((rng.randint(-3, 3), rng.randint(-4096, 4096)))
+            for _ in range(form.n)
+        )
+        powers = rng.sample(range(-4, 5), rng.randint(1, 3))
+        coeff = QScalar({k: rng.choice((-2, -1, 1, 3)) for k in powers})
+        x = x + weyl(form, exps, coeff)
+    return x
+
+
+def test_packed_arithmetic_matches_tuple_oracle():
+    rng = random.Random(20261018)
+    scalars = [
+        QScalar({1: 1, -1: 1}),
+        QScalar({2: 1, -2: -1}),
+        QScalar({0: -3}),
+        QScalar.zero(),
+        QScalar.v_power(-5),
+    ]
+    for trial in range(300):
+        form = random_form(rng, rng.randint(1, 5))
+        shared = _wide_elem(rng, form)
+        # x and y share the terms of shared with opposite signs, so x + y
+        # cancels them
+        x = shared + _wide_elem(rng, form)
+        y = _wide_elem(rng, form) - shared
+        mx, my = x.monomials(), y.monomials()
+        c = rng.choice(scalars + [random_scalar(rng)])
+        neg_y = {e: -s for e, s in my.items()}
+        cases = [
+            (qmul(x, y), oracle_qmul(x, y).monomials()),
+            (qmul(y, x), oracle_qmul(y, x).monomials()),
+            (x + y, _tuple_add(mx, my)),
+            (x - y, _tuple_add(mx, neg_y)),
+            (-y, neg_y),
+            (x.scale(c), {e: s * c for e, s in mx.items() if not (s * c).is_zero()}),
+        ]
+        for got, want in cases:
+            assert got.monomials() == want, f"trial {trial}"
+            assert got == QElem(form, want)
+            _assert_span_holds(got)
+        exps = next(iter(mx))
+        k, sign = rng.randint(-6, 6), rng.choice((1, -1))
+        u = weyl(form, exps, QScalar({k: sign}))
+        inv = invert_monomial(u)
+        assert inv.monomials() == {tuple(-a for a in exps): QScalar({-k: sign})}
+        assert qmul(u, inv) == QElem.one(form) == qmul(inv, u)
+        _assert_span_holds(inv)
+        with pytest.raises(NotAUnit, match="coefficient is not a monomial in v"):
+            invert_monomial(u + u.scale(QScalar.v_power(1)))
