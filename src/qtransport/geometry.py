@@ -174,6 +174,17 @@ def check_edge_ends(edges, coords):
             raise ValueError(f"edge {frm!r}->{to!r} has both ends drawn at one point")
 
 
+def check_boundary(sources, sinks):
+    """Refuse a vertex that is a source and a sink, or a boundary name listed twice."""
+    if set(sources) & set(sinks):
+        raise ValueError("sources and sinks must be disjoint")
+    seen = set()
+    for b in [*sources, *sinks]:
+        if b in seen:
+            raise ValueError(f"boundary vertex {b!r} is listed twice")
+        seen.add(b)
+
+
 class Disc:
     """Scaffolding around a network drawn in a disc.
 
@@ -190,10 +201,8 @@ class Disc:
         self.pos = {v: _frac_point(coords[v]) for v in self.vertices}
         self.markers = [_frac_point(m) for m in markers]
         check_edge_ends(self.edges, self.pos)
-        boundary = set(self.sources) | set(self.sinks)
-        if len(boundary) != len(self.sources) + len(self.sinks):
-            raise ValueError("sources and sinks must be disjoint")
-        self.boundary = boundary
+        check_boundary(self.sources, self.sinks)
+        self.boundary = set(self.sources) | set(self.sinks)
 
         xs = [p[0] for p in self.pos.values()]
         ys = [p[1] for p in self.pos.values()]

@@ -11,8 +11,10 @@ from __future__ import annotations
 from .qalg import (
     NotAUnit,
     QElem,
+    QScalar,
     SkewForm,
     add_product,
+    add_scaled,
     from_sums,
     invert_monomial,
     qmul,
@@ -120,6 +122,16 @@ class QMatrix:
         if any(len(r) != width for r in data):
             raise ValueError("block column widths differ")
         return cls(len(data), width, form, data)
+
+    @classmethod
+    def from_cells(cls, rows: int, cols: int, form: SkewForm, cells, span) -> "QMatrix":
+        """The matrix of flat cells {(row, col): {code: int}} within span."""
+        res = cls.zero(rows, cols, form)
+        for (i, j), sums in cells.items():
+            x = from_sums(form, sums, span)
+            if x.terms:
+                res.data[i][j] = x
+        return res
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
@@ -243,33 +255,68 @@ def lift2(b: QMatrix, d1: int) -> QMatrix:
     return QMatrix(rows, cols, b.form, data)
 
 
-def classical_act(c: CMatrix, m: QMatrix, side: str) -> QMatrix:
-    """Multiply by a matrix of commuting scalars on the given side."""
-    if side == "left":
-        if c.cols != m.rows:
-            raise ValueError("shape mismatch")
-        z = QElem.zero(m.form)
-        data = [[z] * m.cols for _ in range(c.rows)]
-        for (r, k), val in c.entries.items():
-            mrow = m.data[k]
-            row = data[r]
-            for j in range(m.cols):
-                x = mrow[j]
-                if not x.is_zero():
-                    row[j] = row[j] + x.scale(val)
-        return QMatrix(c.rows, m.cols, m.form, data)
-    if side == "right":
-        if m.cols != c.rows:
-            raise ValueError("shape mismatch")
-        z = QElem.zero(m.form)
-        data = [[z] * c.cols for _ in range(m.rows)]
-        for (k, cc), val in c.entries.items():
-            for i in range(m.rows):
-                x = m.data[i][k]
-                if not x.is_zero():
-                    data[i][cc] = data[i][cc] + x.scale(val)
-        return QMatrix(m.rows, c.cols, m.form, data)
-    raise ValueError("side must be 'left' or 'right'")
+def add_acted(cells, m: QMatrix, coeff, c: CMatrix | None, side) -> int:
+    """Add coeff (C m), coeff (m C) or, with c None, coeff m into cells.
+
+    cells maps (row, col) to flat sums {code: int}, as QMatrix.from_cells
+    reads them.  coeff is 1, -1 or a QScalar; its product with each entry of
+    C stays on (v-power, int) pairs.  Each nonzero C[r, k] routes row k of m
+    to row r (left) or column r of m to column k (right); the constants of
+    the relations have at most two nonzeros per row and column.  Returns the
+    largest span added.
+    """
+    data = m.data
+    f = tuple(coeff.terms.items()) if isinstance(coeff, QScalar) else ((0, coeff),)
+    if c is None:
+        hits = (
+            ((i, j), x, f)
+            for i, row in enumerate(data)
+            for j, x in enumerate(row)
+            if x.terms
+        )
+    elif side == "left":
+        hits = (
+            ((r, j), x, g)
+            for (r, k), s in c.entries.items()
+            for g in (_times(f, s),)
+            for j, x in enumerate(data[k])
+            if x.terms
+        )
+    else:
+        hits = (
+            ((i, k), row[r], g)
+            for (r, k), s in c.entries.items()
+            for g in (_times(f, s),)
+            for i, row in enumerate(data)
+            if row[r].terms
+        )
+    span = 0
+    for pos, x, g in hits:
+        if x.span > span:
+            span = x.span
+        cell = cells.get(pos)
+        if cell is None:
+            cell = cells[pos] = {}
+        add_scaled(cell, x, g)
+    return span
+
+
+def _times(f, s: QScalar):
+    """The product of (v-power, int) pairs f and s, as nonzero pairs."""
+    out = {}
+    for k1, c1 in f:
+        for k2, c2 in s.terms.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return [(k, c) for k, c in out.items() if c]
+
+
+def classical_act(c: CMatrix, m: QMatrix) -> QMatrix:
+    """C m for a matrix C of commuting scalars."""
+    if c.cols != m.rows:
+        raise ValueError("shape mismatch")
+    cells = {}
+    span = add_acted(cells, m, 1, c, "left")
+    return QMatrix.from_cells(c.rows, m.cols, m.form, cells, span)
 
 
 def invert_restricted(m: QMatrix) -> QMatrix:

@@ -22,7 +22,7 @@ from math import comb, inf
 from .qalg import QElem, QScalar, SkewForm, check_span, from_sums, weyl
 from .ncmat import NotInvertibleInSupportedClass, QMatrix, invert_restricted, matmul
 from . import geometry
-from .geometry import check_edge_ends
+from .geometry import check_boundary, check_edge_ends
 
 
 class CyclicWithoutGeometry(ValueError):
@@ -99,8 +99,7 @@ class Network:
         for b in self.sources + self.sinks:
             if b not in vset:
                 raise ValueError(f"unknown boundary vertex {b!r}")
-        if set(self.sources) & set(self.sinks):
-            raise ValueError("sources and sinks must be disjoint")
+        check_boundary(self.sources, self.sinks)
         if self.geometry is not None:
             missing = vset - set(self.geometry.coords)
             if missing:

@@ -19,6 +19,7 @@ from itertools import product
 
 from .ncmat import (
     QMatrix,
+    add_acted,
     classical_act,
     lift1,
     lift2,
@@ -27,7 +28,7 @@ from .ncmat import (
     swap_sheets,
     transpose_q,
 )
-from .qalg import QScalar, add_scaled, from_sums
+from .qalg import QScalar
 from .rmat import (
     QQ,
     CMatrix,
@@ -146,7 +147,7 @@ def _product(core):
         return sheet_product(x, y)
     c = _constant_at(core[1], core, "mid")
     lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
-    return matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols), "left"))
+    return matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols)))
 
 
 def _read(core, value):
@@ -157,58 +158,20 @@ def _read(core, value):
     return value
 
 
-def _scaled(coeff, s):
-    """coeff * s as flat (v-power, int) pairs; coeff is 1, -1 or a QScalar."""
-    if not isinstance(coeff, QScalar):
-        return [(k, coeff * c) for k, c in s.terms.items()]
-    out = {}
-    for k1, c1 in coeff.terms.items():
-        for k2, c2 in s.terms.items():
-            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-    return [(k, c) for k, c in out.items() if c]
+PAIR_BUDGET = 10**7  # term pairs one evaluate call may multiply
 
 
-def _accumulate(acc, coeff, c, side, value):
-    """Add coeff (C value), coeff (value C) or coeff value into acc.
+def _term_pairs(cores):
+    """Sum of |terms of X| |terms of Y| over the products (s)X ... (t)Y.
 
-    acc maps (row, col) to flat sums {code: int}.  Each nonzero C[r, k]
-    routes row k of value to row r (left) or column r to column k (right);
-    the constants have at most two nonzeros per row and column.  Returns
-    the largest span added.
+    cores maps each product's key to its factors; for a sheet product the
+    sum is the exact number of torus term pairs it multiplies.
     """
-    data = value.data
-    if c is None:
-        f = _scaled(coeff, QScalar.one())
-        hits = (
-            ((i, j), x, f)
-            for i, row in enumerate(data)
-            for j, x in enumerate(row)
-            if x.terms
-        )
-    elif side == "left":
-        hits = (
-            ((r, j), x, f)
-            for (r, k), s in c.entries.items()
-            for f in (_scaled(coeff, s),)
-            for j, x in enumerate(data[k])
-            if x.terms
-        )
-    else:
-        hits = (
-            ((i, k), row[r], f)
-            for (r, k), s in c.entries.items()
-            for f in (_scaled(coeff, s),)
-            for i, row in enumerate(data)
-            if row[r].terms
-        )
-    span = 0
-    for pos, x, f in hits:
-        span = max(span, x.span)
-        cell = acc.get(pos)
-        if cell is None:
-            cell = acc[pos] = {}
-        add_scaled(cell, x, f)
-    return span
+    return sum(_term_count(c[0][1]) * _term_count(c[-1][1]) for c in cores.values())
+
+
+def _term_count(m):
+    return sum(len(x.terms) for row in m.data for x in row)
 
 
 def evaluate(*relations):
@@ -228,10 +191,17 @@ def evaluate(*relations):
     in one call.  Two adjacent factors make one product per ordered pair of
     matrices, whatever the sheets: (2)X (1)Y reads the entries of
     (1)X (2)Y at swapped composite indices, so the reversed word of an
-    exchange relation costs no torus products.
+    exchange relation costs no torus products.  A call whose products pair
+    more than PAIR_BUDGET torus terms (_term_pairs) raises ValueError before
+    it builds any.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
+    pairs = _term_pairs({_key(core): core for rel in parts for *_, core in rel})
+    if pairs > PAIR_BUDGET:
+        raise ValueError(
+            f"these relations need {pairs} torus term pairs; the limit is {PAIR_BUDGET}"
+        )
     kept = {}
     out = []
     for rel in parts:
@@ -245,15 +215,10 @@ def evaluate(*relations):
                 kept[key] = value
             value = _read(core, value)
             c = name and _constant_at(name, core, side)
-            span = max(span, _accumulate(acc, coeff, c, side, value))
+            span = max(span, add_acted(acc, value, coeff, c, side))
         rows = c.rows if side == "left" else value.rows
         cols = c.cols if side == "right" else value.cols
-        res = QMatrix.zero(rows, cols, value.form)
-        for (i, j), sums in acc.items():
-            x = from_sums(value.form, sums, span)
-            if x.terms:
-                res.data[i][j] = x
-        out.append(res)
+        out.append(QMatrix.from_cells(rows, cols, value.form, acc, span))
     return out
 
 
@@ -443,14 +408,9 @@ def check_disc_reflection(m):
     m1 = m.submatrix(0, half, 0, m.cols)
     m2 = m.submatrix(half, m.rows, 0, m.cols)
     a = matmul(transpose_q(m1), m2)
-    zero = QMatrix.zero(1, 1, a.form).entry(0, 0)
-    lower = QMatrix.from_rows(
-        a.form,
-        [
-            [a.entry(i, j) if i > j else zero for j in range(a.cols)]
-            for i in range(a.rows)
-        ],
-    )
+    lower = QMatrix.zero(a.rows, a.cols, a.form)
+    for i, row in enumerate(a.data):
+        lower.data[i][:i] = row[:i]
     items = [
         ("triangular", lower),
         ("reflection", reflection_constant_residual(a)),

@@ -1,0 +1,145 @@
+"""Hand-made mutants of the fast paths, and the runner that must kill them.
+
+Each mutant names a file under src/qtransport, an exact snippet that occurs
+once in src/, its replacement, and the test files expected to catch it.
+
+    python3 tests/mutants.py [name-substring ...]
+
+copies src/, tests/ and pyproject.toml into a temporary directory, runs every
+named test file once on the clean copy (each must pass), then, one mutant at
+a time, applies the mutant and runs each of its test files with ``-x``.  A
+mutant survives when one of its test files still passes; the runner prints a
+line per mutant and test file and exits 1 if any mutant survives.  It is not
+part of the tier-1 suite; tests/test_mutants.py checks there that every
+snippet still occurs exactly once, so the list cannot rot when code moves.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qtransport"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/qtransport
+    snippet: str
+    replacement: str
+    tests: tuple  # file names under tests/
+
+
+MUTANTS = [
+    # packed torus terms
+    Mutant(
+        "phase sign flipped in add_product",
+        "qalg.py",
+        "key = ta + tb - (sum(map(mul, row, eb)) << shift)",
+        "key = ta + tb + (sum(map(mul, row, eb)) << shift)",
+        ("test_qalg.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "max -> min for the span in QElem.__add__",
+        "qalg.py",
+        "return from_sums(form, out, max(self.span, other.span))",
+        "return from_sums(form, out, min(self.span, other.span))",
+        ("test_qalg.py",),
+    ),
+    Mutant(
+        "span check dropped from add_product",
+        "qalg.py",
+        "    check_span(span)\n    shift, off, rows",
+        "    shift, off, rows",
+        ("test_qalg.py",),
+    ),
+    Mutant(
+        "decode offset off by one",
+        "qalg.py",
+        "c = code + self.offset\n",
+        "c = code + self.offset + 1\n",
+        ("test_qalg.py",),
+    ),
+    Mutant(
+        "k shift dropped when scaling by a v-power",
+        "qalg.py",
+        "dk = k << shift",
+        "dk = k",
+        ("test_qalg.py", "test_ncmat.py"),
+    ),
+    # the routing primitive ncmat.add_acted
+    Mutant(
+        "left and right routing swapped",
+        "ncmat.py",
+        'elif side == "left":',
+        'elif side == "right":',
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "coefficient's sign dropped",
+        "ncmat.py",
+        "else ((0, coeff),)",
+        "else ((0, abs(coeff)),)",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "no-constant branch writes the transposed cell",
+        "ncmat.py",
+        "((i, j), x, f)",
+        "((j, i), x, f)",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+]
+
+
+def _pytest(workdir, test_file):
+    """Exit code of pytest on one test file of the copy in workdir."""
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           f"tests/{test_file}"]
+    return subprocess.run(cmd, cwd=workdir, env=env, capture_output=True).returncode
+
+
+def main(patterns):
+    mutants = [m for m in MUTANTS if not patterns or any(p in m.name for p in patterns)]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        broken = [f for f in sorted({f for m in mutants for f in m.tests})
+                  if _pytest(work, f) != 0]
+        if broken:
+            print(f"clean copy fails {', '.join(broken)}; no mutant was run")
+            return 1
+        survivors = 0
+        for m in mutants:
+            target = work / "src" / "qtransport" / m.path
+            clean = target.read_text()
+            if clean.count(m.snippet) != 1:
+                print(f"STALE   {m.name}: snippet does not occur once in {m.path}")
+                survivors += 1
+                continue
+            target.write_text(clean.replace(m.snippet, m.replacement))
+            try:
+                for f in m.tests:
+                    code = _pytest(work, f)
+                    # 1: some test failed; anything else is not a kill
+                    verdict = "killed " if code == 1 else "SURVIVED"
+                    survivors += code != 1
+                    print(f"{verdict} {m.name}: {f} (pytest exit {code})")
+            finally:
+                target.write_text(clean)
+        print(f"{len(mutants)} mutants, {survivors} survived or stale")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

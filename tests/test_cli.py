@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtransport import cli
+from qtransport import cli, verify
 from qtransport.network import (
     Edge,
     Geometry,
@@ -442,6 +442,9 @@ MALFORMED = {
     "coincident-edge-ends": lambda doc: _coincident_edge_ends(),
     # packed torus terms hold exponents below 2^14 in size
     "exponent-past-packed-limit": _edit("edges", 3, "exponent", 0, value=16384),
+    # a repeated source adds a column; a repeated sink empties a row
+    "repeated-source": _edit("sources", value=["1", "2", "1"]),
+    "repeated-sink": lambda doc: {**doc, "sinks": doc["sinks"] + doc["sinks"][:1]},
 }
 
 
@@ -483,6 +486,38 @@ def test_coincident_edge_ends_name_both_vertices(tmp_path, capsys):
     assert cli.main(["check", "rtt", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: edge 'g1_1'->'b1_1' has both ends drawn at one point\n"
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["no-drawing", "drawn"])
+@pytest.mark.parametrize("kind", ["sources", "sinks"])
+def test_boundary_vertex_listed_twice_is_named(kind, drawn, tmp_path, capsys):
+    doc = _drawn_triangle2() if drawn else network_to_dict(build_triangle(2))
+    if not drawn:
+        doc["geometry"] = None
+    name = doc[kind][0]
+    doc[kind].append(name)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", "rtt"], ["export", "transport"]):
+        assert cli.main([*argv, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: boundary vertex {name!r} is listed twice\n"
+
+
+def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
+    def no_product(core):
+        raise AssertionError("a product was started")
+
+    monkeypatch.setattr(verify, "_product", no_product)
+    argv = ["check", "reflection-affine", "--builder", "composite", "--order", "3"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: these relations need 37781504 torus term pairs; "
+        "the limit is 10000000\n"
+    )
 
 
 def test_face_error_does_not_depend_on_hash_seed(tmp_path):

@@ -3,23 +3,24 @@
 The oracle below is the evaluator as it was before residuals were summed
 into flat maps: each product became a dense QMatrix, a run of adjacent terms
 with the same outer constant was summed first, the constant then acted
-through classical_act, and the runs were folded with QMatrix arithmetic,
-one evaluate call per relation.  Its products come from its own copy of the
-earlier _product: a sheet product in either order, or a dense matmul of the
-lifts, both the dense kernels kept in test_ncmat.  Every checker's relation
+through the earlier two-sided classical_act, and the runs were folded with
+QMatrix arithmetic, one evaluate call per relation.  Its products come from
+its own copy of the earlier _product: a sheet product in either order, or a
+dense matmul of the lifts.  The dense kernels and that classical_act are the
+copies kept in test_ncmat, so the oracle shares no arithmetic with the
+routing primitive evaluate uses.  Every checker's relation
 table, on every builder below, plain and perturbed, must give the same
 residual matrices entry for entry.
 """
 
 import pytest
-from test_ncmat import dense_matmul, ordered_sheet_product
+from test_ncmat import dense_classical_act, dense_matmul, ordered_sheet_product
 
 from qtransport import verify
 from qtransport.affine import levels_T, loop_generators, reflection_series
 from qtransport.ncmat import (
     NotInvertibleInSupportedClass,
     QMatrix,
-    classical_act,
     lift1,
     lift2,
 )
@@ -39,7 +40,7 @@ def _fold(total, run):
         return total
     c, side, coeff, acc = run
     if c is not None:
-        acc = classical_act(c, acc, side)
+        acc = dense_classical_act(c, acc, side)
     if coeff != 1:
         acc = -acc if coeff == -1 else acc.scale(coeff)
     return acc if total is None else total + acc
@@ -54,7 +55,9 @@ def _product(core):
         return ordered_sheet_product(y, x, 21)
     c = verify._constant_at(core[1], core, "mid")
     lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
-    return dense_matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols), "left"))
+    return dense_matmul(
+        lift_x(x, y.rows), dense_classical_act(c, lift_y(y, x.cols), "left")
+    )
 
 
 def _oracle_one(terms):

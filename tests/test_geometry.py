@@ -269,6 +269,14 @@ def test_derivation_names_both_ends_of_a_collapsed_edge():
     assert str(info.value) == "edge 'g1_1'->'b1_1' has both ends drawn at one point"
 
 
+def test_derivation_names_a_boundary_vertex_listed_twice():
+    vertices, edges, sources, sinks, coords, markers = _drawing(build_triangle(2))
+    for srcs, snks, name in ((sources + ["1"], sinks, "1"), (sources, sinks + ["2'"], "2'")):
+        with pytest.raises(ValueError) as info:
+            geometry.derive_network_data(vertices, edges, srcs, snks, coords, markers)
+        assert str(info.value) == f"boundary vertex {name!r} is listed twice"
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: build_triangle(3), lambda: build_chain(2, 2, bridge=True)],

@@ -3,7 +3,8 @@
 Frozen products and inverses were computed by hand from the Weyl product rule
 before implementation; see the inline comments for the derivations.  The
 dense matmul and the two-order sheet product that the sparse kernels replaced
-live on at the end of this file as oracles for a differential test.
+live on at the end of this file as oracles for a differential test, and so
+does classical_act as it was with both sides, one scaled QElem per hit.
 """
 
 import random
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
+from qtransport.qalg import LIMIT, QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import (
     NotInvertibleInSupportedClass,
     QMatrix,
+    add_acted,
     classical_act,
     invert_restricted,
     lift1,
@@ -25,7 +27,7 @@ from qtransport.ncmat import (
     swap_sheets,
     transpose_q,
 )
-from qtransport.rmat import CMatrix, build_P_rect
+from qtransport.rmat import QQ, CMatrix, build_P_rect
 
 FORM2 = SkewForm([[0, 2], [-2, 0]])
 FORM3 = SkewForm([[0, 2, 0], [-2, 0, 2], [0, -2, 0]])
@@ -115,7 +117,7 @@ def test_sheet_product_flip_commutative_case():
     a = _random_qmatrix(rng, form, 2, 2)
     b = _random_qmatrix(rng, form, 2, 2)
     p = build_P_rect(2, 2)
-    flipped = classical_act(p, classical_act(p, sheet_product(a, b), "right"), "left")
+    flipped = classical_act(p, dense_classical_act(p, sheet_product(a, b), "right"))
     assert flipped == sheet_product(b, a)
 
 
@@ -123,10 +125,11 @@ def test_classical_act_frozen():
     w1 = w(FORM2, 1, 0)
     m = QMatrix.from_rows(FORM2, [[w1], [w(FORM2, 0, 1)]])
     c = CMatrix(2, 2, {(0, 0): QScalar.q_power(1), (0, 1): QScalar.one()})
-    left = classical_act(c, m, "left")
+    left = classical_act(c, m)
     assert left.entry(0, 0) == w1.scale(QScalar.q_power(1)) + w(FORM2, 0, 1)
     assert left.entry(1, 0).is_zero()
-    right = classical_act(c.transpose(), transpose_q(m), "right")
+    assert left == dense_classical_act(c, m, "left")
+    right = dense_classical_act(c.transpose(), transpose_q(m), "right")
     assert right.entry(0, 0) == left.entry(0, 0)
 
 
@@ -135,12 +138,60 @@ def test_classical_act_composition():
     m = _random_qmatrix(rng, FORM3, 3, 3)
     c1 = CMatrix(3, 3, {(0, 1): QScalar.one(), (2, 2): QScalar.v_power(1)})
     c2 = CMatrix(3, 3, {(1, 1): QScalar.v_power(-1), (1, 2): QScalar.one()})
-    assert classical_act(c1, classical_act(c2, m, "left"), "left") == classical_act(
-        c1 * c2, m, "left"
-    )
-    assert classical_act(c2, classical_act(c1, m, "right"), "right") == classical_act(
-        c1 * c2, m, "right"
-    )
+    assert classical_act(c1, classical_act(c2, m)) == classical_act(c1 * c2, m)
+    act = dense_classical_act
+    assert act(c2, act(c1, m, "right"), "right") == act(c1 * c2, m, "right")
+
+
+COEFFS = {"1": 1, "-1": -1, "QQ": QQ, "v^3": QScalar.v_power(3)}
+
+
+@pytest.mark.parametrize("coeff", list(COEFFS.values()), ids=list(COEFFS))
+@pytest.mark.parametrize("side", ["left", "right", None])
+def test_add_acted_matches_classical_act_oracle(side, coeff):
+    # coeff (C m), coeff (m C) or coeff m, summed into flat cells, against
+    # the two-sided classical_act and QElem.scale, entry for entry.
+    rng = random.Random(f"{side}:{coeff}")
+    scale = coeff if isinstance(coeff, QScalar) else QScalar.from_int(coeff)
+    for _ in range(30):
+        m = _wide_qmatrix(rng, FORM3, rng.randint(1, 4), rng.randint(1, 4))
+        if side is None:
+            c, shape, want = None, (m.rows, m.cols), m.scale(scale)
+        elif side == "left":
+            c = _sparse_cmatrix(rng, rng.randint(1, 4), m.rows)
+            shape = (c.rows, m.cols)
+            want = dense_classical_act(c, m, side).scale(scale)
+        else:
+            c = _sparse_cmatrix(rng, m.cols, rng.randint(1, 4))
+            shape = (m.rows, c.cols)
+            want = dense_classical_act(c, m, side).scale(scale)
+        cells = {}
+        span = add_acted(cells, m, coeff, c, side)
+        assert QMatrix.from_cells(*shape, FORM3, cells, span) == want
+        digits = [a for sums in cells.values() for t in sums
+                  for a in FORM3.decode(t)[0]]
+        assert all(abs(a) <= span < LIMIT for a in digits)
+
+
+def test_add_acted_sums_into_shared_cells():
+    # evaluate adds every term of a relation into one map of cells
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        m = _wide_qmatrix(rng, FORM3, n, n)
+        c = _sparse_cmatrix(rng, n, n)
+        cells = {}
+        span = max(
+            add_acted(cells, m, QQ, c, "left"),
+            add_acted(cells, m, -1, c, "right"),
+            add_acted(cells, m, 1, None, None),
+        )
+        want = (
+            dense_classical_act(c, m, "left").scale(QQ)
+            - dense_classical_act(c, m, "right")
+            + m
+        )
+        assert QMatrix.from_cells(n, n, FORM3, cells, span) == want
 
 
 def test_invert_1x1_monomial():
@@ -360,6 +411,35 @@ def ordered_sheet_product(a, b, order):
     return QMatrix(rows, cols, a.form, data)
 
 
+def dense_classical_act(c, m, side):
+    """Multiply by a matrix of commuting scalars on the given side."""
+    if side == "left":
+        if c.cols != m.rows:
+            raise ValueError("shape mismatch")
+        z = QElem.zero(m.form)
+        data = [[z] * m.cols for _ in range(c.rows)]
+        for (r, k), val in c.entries.items():
+            mrow = m.data[k]
+            row = data[r]
+            for j in range(m.cols):
+                x = mrow[j]
+                if not x.is_zero():
+                    row[j] = row[j] + x.scale(val)
+        return QMatrix(c.rows, m.cols, m.form, data)
+    if side == "right":
+        if m.cols != c.rows:
+            raise ValueError("shape mismatch")
+        z = QElem.zero(m.form)
+        data = [[z] * c.cols for _ in range(m.rows)]
+        for (k, cc), val in c.entries.items():
+            for i in range(m.rows):
+                x = m.data[i][k]
+                if not x.is_zero():
+                    data[i][cc] = data[i][cc] + x.scale(val)
+        return QMatrix(m.rows, c.cols, m.form, data)
+    raise ValueError("side must be 'left' or 'right'")
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -383,3 +463,34 @@ def _random_qmatrix(rng, form, rows, cols):
     return QMatrix.from_rows(
         form, [[_random_entry(rng, form) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def _wide_qmatrix(rng, form, rows, cols):
+    """Entries often zero, with several v-powers and digits up to LIMIT - 1."""
+    big = LIMIT - 1
+    data = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            x = QElem.zero(form)
+            for _ in range(rng.choice([0, 0, 1, 2, 3])):
+                exps = [rng.choice([-big, -1, 0, 1, big, rng.randint(-big, big)])
+                        for _ in range(form.n)]
+                powers = rng.sample(range(-4, 5), rng.randint(1, 3))
+                coeff = QScalar({k: rng.choice([-2, -1, 1, 3]) for k in powers})
+                x = x + weyl(form, exps, coeff)
+            row.append(x)
+        data.append(row)
+    return QMatrix(rows, cols, form, data)
+
+
+def _sparse_cmatrix(rng, rows, cols):
+    """A constant with at most two nonzeros per row and per column."""
+    entries = {}
+    for i in range(rows):
+        for j in rng.sample(range(cols), min(cols, rng.randint(0, 2))):
+            if sum(1 for (_, col) in entries if col == j) < 2:
+                entries[i, j] = rng.choice(
+                    [QScalar.one(), QScalar({1: 1, -1: -1}), QQ, QScalar.v_power(-2)]
+                )
+    return CMatrix(rows, cols, entries)
