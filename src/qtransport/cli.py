@@ -44,19 +44,28 @@ def _parse_ints(text, count):
     return vals
 
 
-def _size(args, name, default, least):
-    """The value of --name, or default when it is absent; below least is refused.
+# The largest sizes accepted.  Each runs in about a second; past them the
+# constants of check rmatrix and the series of an export grow to hundreds of
+# megabytes.
+MAX_K = 32
+MAX_EXPORT_ORDER = 8
 
-    A smaller size would crash, fail an identity that holds, or leave a
-    checker an empty window that passes without checking anything.  Checks
-    read their sizes before the blocks, so a bad size is refused even where
-    no block split exists.
+
+def _size(args, name, default, least, most=None):
+    """The value of --name, or default when it is absent; out of range is refused.
+
+    A size below least would crash, fail an identity that holds, or leave a
+    checker an empty window that passes without checking anything; one
+    above most would not finish.  Checks read their sizes before the
+    blocks, so a bad size is refused even where no block split exists.
     """
     value = getattr(args, name)
     if value is None:
         return default
     if value < least:
         raise ValueError(f"--{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"--{name} must be at most {most}, got {value}")
     return value
 
 
@@ -228,7 +237,7 @@ def _emit(args, doc, text_lines):
 def cmd_check(args):
     extra, skips = [], []
     if args.kind == "rmatrix":
-        reports = [verify.check_rmatrix(_size(args, "k", 2, 1))]
+        reports = [verify.check_rmatrix(_size(args, "k", 2, 1, MAX_K))]
     elif args.kind == "frp":
         rep, extra = _frp_report(_size(args, "r", 8, 1), _size(args, "p", 8, 1))
         reports = [rep]
@@ -248,11 +257,11 @@ def cmd_export(args):
     if what == "transport":
         labeled = [("transport", src.matrix)]
     elif what == "levels":
-        order = _size(args, "order", 2, 0)
+        order = _size(args, "order", 2, 0, MAX_EXPORT_ORDER)
         t = levels_T(src.blocks)
         labeled = [(f"T_{k}", t.get(k)) for k in range(order + 1)]
     else:
-        order = _size(args, "order", 1, 0)
+        order = _size(args, "order", 1, 0, MAX_EXPORT_ORDER)
         labeled = [(f"A^({k})", src.reflection.get(k + 1)) for k in range(order + 1)]
     # each matrix is rendered once; both output forms read that rendering
     grids = {

@@ -302,6 +302,9 @@ def save_network(net, path):
 # ---------------------------------------------------------------------------
 
 
+PATH_BUDGET = 10**6  # source-sink paths one transport_matrix call may walk
+
+
 def transport_matrix(net):
     """Matrix of transport amplitudes, sinks indexing rows, sources columns.
 
@@ -309,7 +312,8 @@ def transport_matrix(net):
     the path's monomial to the entry of the sink where the path ends.  In a
     cyclic network each edge may be used at most max_cycle_uses times on a
     path, and a path is signed by the parity of its self-crossings in the
-    drawing; an acyclic network needs neither.
+    drawing; an acyclic network needs neither.  The walks stop with
+    ValueError once more than PATH_BUDGET paths have reached a sink.
     """
     net.ensure_exponents()
     bound, coords = inf, None
@@ -341,10 +345,18 @@ def transport_matrix(net):
     row = {snk: c for c, snk in enumerate(net.sinks)}
     uses = {id(e): 0 for e in net.edges}
     trail = []
+    paths = 0
 
     def walk(v, t, column):
+        nonlocal paths
         trail.append(v)
         if v in row:
+            paths += 1
+            if paths > PATH_BUDGET:
+                raise ValueError(
+                    f"transport walked {paths} source-sink paths; "
+                    f"the limit is {PATH_BUDGET}"
+                )
             cell = column[row[v]]
             cell[t] = cell.get(t, 0) + sign(trail)
         else:

@@ -18,7 +18,8 @@ signed 16-bit digits a_i with k above them, unbounded.  Codes add like
 exponents, so a term product is one sum, code(a, k) + code(b, l) -
 (a.E.b << 16 N), with a and the row a^T E memoised per form by the code of
 :w^a:.  Sums, scaling by v-powers and the inverse of a unit monomial
-(code -> -code) are int-keyed dict work; only monomials() and render decode.
+(code -> -code) are int-keyed dict work.  Rendering reads the digits
+a_i + 2^15 of code + offset as one UTF-16 code point each (see QElem.render).
 Exactness: the span of a QElem bounds every |a_i| of its terms and stays
 below LIMIT = 2^14; a product refuses x.span + y.span >= LIMIT with
 ValueError before it adds anything.  So a digit sum stays below 2^15 in size
@@ -116,16 +117,36 @@ class QScalar:
         return hash(frozenset(self.terms.items()))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            parts.append(f"{c}" if k == 0 else f"{c}*v^{k}")
-        return " + ".join(parts)
+        return _laurent(self.terms)
 
     def __repr__(self) -> str:
         return self.render()
+
+
+def _laurent(terms) -> str:
+    """c v^k terms {k: c} as "c*v^k" ("c" at k = 0) in increasing k; "0" if none."""
+    if not terms:
+        return "0"
+    return " + ".join(
+        [f"{c}" if k == 0 else f"{c}*v^{k}" for k, c in sorted(terms.items())]
+    )
+
+
+class _Digits(dict):
+    """Text "a_1,a_2,...," of a run of digits, each the code point a_i + 2^15.
+
+    Filled on first lookup; render looks up runs of at most _CHUNK digits.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, run):
+        text = self[run] = "".join([f"{ord(ch) - 0x8000}," for ch in run])
+        return text
+
+
+_DIGITS = _Digits()
+_CHUNK = 8  # digits per cached run
 
 
 class _Rows(dict):
@@ -213,8 +234,8 @@ class QElem:
     """An element of the quantum torus in the Weyl monomial basis.
 
     terms maps the code of each term c v^k :w^a: to its nonzero int c, and
-    span bounds every |a_i|.  The constructor validates {exponent tuple:
-    QScalar}, the view that monomials() gives back.
+    span bounds every |a_i|.  The constructor validates and packs a decoded
+    view {exponent tuple: QScalar}.
     """
 
     __slots__ = ("form", "terms", "span")
@@ -241,14 +262,6 @@ class QElem:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def monomials(self):
-        """The decoded view {exponent tuple: QScalar}."""
-        out = {}
-        for code, c in self.terms.items():
-            exps, k = self.form.decode(code)
-            out.setdefault(exps, {})[k] = c
-        return {exps: QScalar(c) for exps, c in out.items()}
 
     def __add__(self, other: "QElem") -> "QElem":
         form = _same_form(self, other)
@@ -283,13 +296,35 @@ class QElem:
         return hash((self.form, frozenset(self.terms.items())))
 
     def render(self) -> str:
+        """Each monomial as "(coefficient) * w[a_1,...,a_N]", in exponent order.
+
+        The low 16N bits of code + offset are 2N little-endian bytes, one
+        digit a_i + 2^15 per 16-bit field; read as UTF-16 each digit is one
+        code point, never a surrogate since |a_i| < 2^14, so strings of them
+        sort as the exponent tuples do.  A monomial's v-powers are grouped
+        under its string, and its text is built from cached runs of digits.
+        """
         if not self.terms:
             return "0"
-        mons = self.monomials()
-        return " + ".join(
-            f"({mons[exps].render()}) * w[{','.join(map(str, exps))}]"
-            for exps in sorted(mons)
-        )
+        form = self.form
+        shift, off, width = form.shift, form.offset, 2 * form.n
+        mask = (1 << shift) - 1
+        mons = {}
+        for code, c in self.terms.items():
+            u = code + off
+            run = (u & mask).to_bytes(width, "little").decode("utf-16-le")
+            coeff = mons.get(run)
+            if coeff is None:
+                mons[run] = {u >> shift: c}
+            else:
+                coeff[u >> shift] = c
+        cuts = range(0, form.n, _CHUNK)
+        digits = _DIGITS
+        return " + ".join([
+            f"({_laurent(mons[run])}) * w["
+            f"{''.join([digits[run[i:i + _CHUNK]] for i in cuts])[:-1]}]"
+            for run in sorted(mons)
+        ])
 
     def __repr__(self) -> str:
         return self.render()

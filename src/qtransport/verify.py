@@ -162,16 +162,38 @@ PAIR_BUDGET = 10**7  # term pairs one evaluate call may multiply
 
 
 def _term_pairs(cores):
-    """Sum of |terms of X| |terms of Y| over the products (s)X ... (t)Y.
+    """An upper bound on the torus term pairs the products (s)X ... (t)Y multiply.
 
-    cores maps each product's key to its factors; for a sheet product the
-    sum is the exact number of torus term pairs it multiplies.
+    cores maps each product's key to its factors.  A sheet product pairs
+    every term of X with every term of Y, so there the bound is exact.  A
+    mid-constant word multiplies lift(X) by C lift(Y); a cell of C lift(Y)
+    sums rows of lift(Y) scaled by constant entries, so each C[r, c] pairs
+    column r of lift(X), a column of X, with row c of lift(Y), a row of Y,
+    once per v-power of C[r, c].
     """
-    return sum(_term_count(c[0][1]) * _term_count(c[-1][1]) for c in cores.values())
+    total = 0
+    for core in cores.values():
+        (s, x), (_, y) = core[0], core[-1]
+        if len(core) == 2:
+            total += sum(_row_terms(x)) * sum(_row_terms(y))
+            continue
+        xcol, yrow = _col_terms(x), _row_terms(y)
+        # composite indices are sheet-1-major, as in lift1 and lift2
+        for (r, c), val in _constant_at(core[1], core, "mid").entries.items():
+            if s == 1:
+                xt, yt = xcol[r // y.rows], yrow[c % y.rows]
+            else:
+                xt, yt = xcol[r % x.cols], yrow[c // x.cols]
+            total += xt * len(val.terms) * yt
+    return total
 
 
-def _term_count(m):
-    return sum(len(x.terms) for row in m.data for x in row)
+def _row_terms(m):
+    return [sum(len(x.terms) for x in row) for row in m.data]
+
+
+def _col_terms(m):
+    return _row_terms(transpose_q(m))
 
 
 def evaluate(*relations):
@@ -191,9 +213,9 @@ def evaluate(*relations):
     in one call.  Two adjacent factors make one product per ordered pair of
     matrices, whatever the sheets: (2)X (1)Y reads the entries of
     (1)X (2)Y at swapped composite indices, so the reversed word of an
-    exchange relation costs no torus products.  A call whose products pair
-    more than PAIR_BUDGET torus terms (_term_pairs) raises ValueError before
-    it builds any.
+    exchange relation costs no torus products.  A call whose products may
+    pair more than PAIR_BUDGET torus terms (_term_pairs, an upper bound)
+    raises ValueError before it builds any.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)

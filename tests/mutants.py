@@ -72,6 +72,50 @@ MUTANTS = [
         "dk = k",
         ("test_qalg.py", "test_ncmat.py"),
     ),
+    # QElem.render straight from packed codes
+    Mutant(
+        "digit offset 0x8000 -> 0x7fff in the rendered text",
+        "qalg.py",
+        "ord(ch) - 0x8000",
+        "ord(ch) - 0x7fff",
+        ("test_qalg.py", "test_golden_residuals.py"),
+    ),
+    Mutant(
+        "monomials sorted by raw little-endian bytes",
+        "qalg.py",
+        "for run in sorted(mons)",
+        'for run in sorted(mons, key=lambda r: r.encode("utf-16-le"))',
+        ("test_qalg.py", "test_golden_residuals.py"),
+    ),
+    Mutant(
+        "digit run sliced one digit too wide",
+        "qalg.py",
+        "run[i:i + _CHUNK]",
+        "run[i:i + _CHUNK + 1]",
+        ("test_qalg.py",),
+    ),
+    Mutant(
+        "trailing comma left on the digits",
+        "qalg.py",
+        "for i in cuts])[:-1]}]",
+        "for i in cuts])}]",
+        ("test_qalg.py", "test_golden_residuals.py"),
+    ),
+    # matrix kernels
+    Mutant(
+        "matmul drops the last column of b",
+        "ncmat.py",
+        "for j, y in enumerate(row) if y.terms]",
+        "for j, y in enumerate(row[:-1]) if y.terms]",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "swap_sheets keeps the column order",
+        "ncmat.py",
+        "order = [l * cols2 + j for j in range(cols2) for l in range(cols1)]",
+        "order = [l * cols2 + j for l in range(cols1) for j in range(cols2)]",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
     # the routing primitive ncmat.add_acted
     Mutant(
         "left and right routing swapped",

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtransport import cli, verify
+from qtransport import cli, network, verify
+from qtransport.affine import TSeries
 from qtransport.network import (
     Edge,
     Geometry,
@@ -101,6 +102,30 @@ def test_bad_size_exits_2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+def test_rmatrix_k_past_its_bound_builds_no_constant(monkeypatch, capsys):
+    def no_constant(*args):
+        raise AssertionError("a constant was built")
+
+    monkeypatch.setattr(verify, "const", no_constant)
+    assert cli.main(["check", "rmatrix", "--k", str(cli.MAX_K + 1)]) == 2
+    assert capsys.readouterr() == ("", "error: --k must be at most 32, got 33\n")
+    with pytest.raises(AssertionError, match="a constant was built"):
+        cli.main(["check", "rmatrix", "--k", str(cli.MAX_K)])
+
+
+@pytest.mark.parametrize("what", ["levels", "reflection"])
+def test_export_order_past_its_bound_builds_no_level(what, monkeypatch, capsys):
+    def no_level(self, k):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(TSeries, "get", no_level)
+    argv = ["export", what, "--builder", "chain", "--n", "1,1", "--bridge", "--order"]
+    assert cli.main([*argv, str(cli.MAX_EXPORT_ORDER + 1)]) == 2
+    assert capsys.readouterr() == ("", "error: --order must be at most 8, got 9\n")
+    with pytest.raises(AssertionError, match="a level was built"):
+        cli.main([*argv, str(cli.MAX_EXPORT_ORDER)])
 
 
 def test_triangle_size_parses_like_other_flags(capsys):
@@ -515,8 +540,19 @@ def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "error: these relations need 37781504 torus term pairs; "
+        "error: these relations need 56672256 torus term pairs; "
         "the limit is 10000000\n"
+    )
+    # --order 2 passes the budget and goes on to build its products
+    with pytest.raises(AssertionError, match="a product was started"):
+        cli.main(argv[:-1] + ["2"])
+
+
+def test_path_budget_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(network, "PATH_BUDGET", 5)  # triangle(2) has 6 paths
+    assert cli.main(["export", "transport", "--builder", "triangle", "--n", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: transport walked 6 source-sink paths; the limit is 5\n"
     )
 
 

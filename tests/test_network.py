@@ -19,7 +19,7 @@ import pytest
 from geometry_oracle import corners_between, polyline_crossings
 from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import QMatrix, invert_restricted, matmul
-from qtransport import geometry
+from qtransport import geometry, network
 from qtransport.network import (
     CyclicWithoutGeometry,
     Edge,
@@ -538,6 +538,27 @@ def test_cyclic_path_bound_at_the_packed_limit_is_refused_before_walking(
         transport_matrix(_cyclic2x2(4096))
     with pytest.raises(AssertionError, match="the walk started"):
         transport_matrix(_cyclic2x2(1))
+
+
+def test_path_walk_stops_past_its_budget(monkeypatch):
+    # triangle(3) has 2^4 - 2 = 14 source-sink paths
+    monkeypatch.setattr(network, "PATH_BUDGET", 14)
+    assert transport_matrix(build_triangle(3)) == transport_matrix(build_triangle(3))
+    monkeypatch.setattr(network, "PATH_BUDGET", 13)
+    with pytest.raises(ValueError, match="walked 14 source-sink paths; the limit is 13"):
+        transport_matrix(build_triangle(3))
+    # a cyclic walk is cut at the same count: each arrival signs one path
+    signed = []
+
+    def crossings(points):
+        signed.append(points)
+        return 0
+
+    monkeypatch.setattr(geometry, "path_self_crossings", crossings)
+    monkeypatch.setattr(network, "PATH_BUDGET", 5)
+    with pytest.raises(ValueError, match="walked 6 source-sink paths; the limit is 5"):
+        transport_matrix(_cyclic2x2(100))
+    assert len(signed) == 5
 
 
 # ---------------------------------------------------------------------------

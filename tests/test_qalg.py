@@ -28,8 +28,31 @@ from qtransport.verify import check_rtt
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the double-loop pairing and the term-by-term product
+# reference oracles: the decoded view, the double-loop pairing, the
+# term-by-term product and the tuple-sorted rendering
 # ---------------------------------------------------------------------------
+
+
+def monomials(x):
+    """The decoded view {exponent tuple: QScalar} of a QElem."""
+    out = {}
+    for code, c in x.terms.items():
+        exps, k = x.form.decode(code)
+        out.setdefault(exps, {})[k] = c
+    return {exps: QScalar(c) for exps, c in out.items()}
+
+
+def oracle_render(x):
+    """QElem.render through exponent tuples sorted as tuples and str of each digit."""
+    if not x.terms:
+        return "0"
+    mons = monomials(x)
+    parts = []
+    for exps in sorted(mons):
+        c = mons[exps].terms
+        coeff = " + ".join(f"{c[k]}" if k == 0 else f"{c[k]}*v^{k}" for k in sorted(c))
+        parts.append(f"({coeff}) * w[{','.join(map(str, exps))}]")
+    return " + ".join(parts)
 
 
 def oracle_pairing(form, a, b):
@@ -47,8 +70,8 @@ def oracle_qmul(x, y):
     """:w^a: :w^b: = v^{-a.E.b} :w^{a+b}: term by term, in QScalar arithmetic."""
     form = x.form
     out = {}
-    for ea, ca in x.monomials().items():
-        for eb, cb in y.monomials().items():
+    for ea, ca in monomials(x).items():
+        for eb, cb in monomials(y).items():
             key = tuple(a + b for a, b in zip(ea, eb))
             c = (ca * cb) * QScalar.v_power(-oracle_pairing(form, ea, eb))
             s = out.get(key)
@@ -97,7 +120,7 @@ def bar(x):
     """
     if isinstance(x, QScalar):
         return QScalar({-k: c for k, c in x.terms.items()})
-    return QElem(x.form, {exps: bar(c) for exps, c in x.monomials().items()})
+    return QElem(x.form, {exps: bar(c) for exps, c in monomials(x).items()})
 
 
 def test_scalar_bar_frozen():
@@ -156,7 +179,7 @@ FORM2 = SkewForm([[0, 2], [-2, 0]])  # eps_12 = 1
 
 def test_weyl_monomial_has_unit_coefficient():
     x = weyl(FORM2, (1, 0))
-    assert x.monomials() == {(1, 0): QScalar.one()}
+    assert monomials(x) == {(1, 0): QScalar.one()}
 
 
 def test_qmul_generators_frozen():
@@ -402,7 +425,7 @@ def test_row_memo_is_per_form(forms, data):
     unit = [tuple(int(k == m) for k in range(n)) for m in (i, j)]
     p1 = qmul(weyl(first, unit[0]), weyl(first, unit[1]))
     p2 = qmul(weyl(second, unit[0]), weyl(second, unit[1]))
-    assert p1.monomials() != p2.monomials()
+    assert monomials(p1) != monomials(p2)
 
 
 def test_rtt_memoises_each_transport_exponent_once(monkeypatch):
@@ -425,7 +448,7 @@ def test_rtt_memoises_each_transport_exponent_once(monkeypatch):
     m = transport_matrix(build_triangle(3))
     assert check_rtt(m).passed
     form = m.form
-    distinct = {form.encode(e) for row in m.data for x in row for e in x.monomials()}
+    distinct = {form.encode(e) for row in m.data for x in row for e in monomials(x)}
     assert sorted(computed) == sorted(distinct)
     assert set(form.rows) == distinct
     units = [tuple(int(k == j) for k in range(form.n)) for j in range(form.n)]
@@ -531,7 +554,7 @@ def test_product_at_the_span_limit_matches_oracle_and_past_it_raises():
     assert (x.span, y.span) == (half, half - 1)
     p = qmul(x, y)
     assert p.span == TOP
-    assert (TOP, -TOP, 3) in p.monomials()
+    assert (TOP, -TOP, 3) in monomials(p)
     assert p == oracle_qmul(x, y)
     assert qmul(y, x) == oracle_qmul(y, x)
     _assert_span_holds(p)
@@ -586,27 +609,59 @@ def test_packed_arithmetic_matches_tuple_oracle():
         # cancels them
         x = shared + _wide_elem(rng, form)
         y = _wide_elem(rng, form) - shared
-        mx, my = x.monomials(), y.monomials()
+        mx, my = monomials(x), monomials(y)
         c = rng.choice(scalars + [random_scalar(rng)])
         neg_y = {e: -s for e, s in my.items()}
         cases = [
-            (qmul(x, y), oracle_qmul(x, y).monomials()),
-            (qmul(y, x), oracle_qmul(y, x).monomials()),
+            (qmul(x, y), monomials(oracle_qmul(x, y))),
+            (qmul(y, x), monomials(oracle_qmul(y, x))),
             (x + y, _tuple_add(mx, my)),
             (x - y, _tuple_add(mx, neg_y)),
             (-y, neg_y),
             (x.scale(c), {e: s * c for e, s in mx.items() if not (s * c).is_zero()}),
         ]
         for got, want in cases:
-            assert got.monomials() == want, f"trial {trial}"
+            assert monomials(got) == want, f"trial {trial}"
             assert got == QElem(form, want)
             _assert_span_holds(got)
         exps = next(iter(mx))
         k, sign = rng.randint(-6, 6), rng.choice((1, -1))
         u = weyl(form, exps, QScalar({k: sign}))
         inv = invert_monomial(u)
-        assert inv.monomials() == {tuple(-a for a in exps): QScalar({-k: sign})}
+        assert monomials(inv) == {tuple(-a for a in exps): QScalar({-k: sign})}
         assert qmul(u, inv) == QElem.one(form) == qmul(inv, u)
         _assert_span_holds(inv)
         with pytest.raises(NotAUnit, match="coefficient is not a monomial in v"):
             invert_monomial(u + u.scale(QScalar.v_power(1)))
+
+
+def _render_elem(rng, n):
+    """Up to six monomials sharing prefixes, digits up to TOP in size, and
+    coefficients with negative, zero and positive v-powers, some several."""
+    digits = (TOP, -TOP, 0, 1, -1, 255, 256, -256, 4096)
+    base = [rng.choice((rng.choice(digits), rng.randint(-TOP, TOP))) for _ in range(n)]
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = list(base)
+        for i in rng.sample(range(n), min(n, rng.randint(0, 3))):
+            exps[i] = rng.choice((rng.choice(digits), rng.randint(-TOP, TOP)))
+        powers = rng.sample(range(-5, 6), rng.randint(1, 4))
+        terms[tuple(exps)] = QScalar({k: rng.choice((-7, -1, 1, 2, 12)) for k in powers})
+    return QElem(SkewForm([[0] * n for _ in range(n)]), terms)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 20])
+def test_render_matches_tuple_oracle(n):
+    rng = random.Random(1000 + n)
+    for _ in range(60):
+        x = _render_elem(rng, n)
+        assert x.render() == oracle_render(x)
+        assert (-x).render() == oracle_render(-x)
+    assert QElem.zero(SkewForm([[0] * n for _ in range(n)])).render() == "0"
+
+
+def test_render_matches_oracle_on_transport_entries():
+    m = transport_matrix(build_triangle(4))
+    assert [x.render() for row in m.data for x in row] == [
+        oracle_render(x) for row in m.data for x in row
+    ]

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from qtransport import verify
+from qtransport import ncmat, qalg, verify
 from qtransport.affine import TSeries, levels_T, loop_generators, reflection_series
 from qtransport.ncmat import (
     NotInvertibleInSupportedClass,
@@ -325,3 +325,48 @@ def test_appendix_negative_control():
     b = _chain_blocks(2, 1)
     rep = verify.check_appendix(replace(b, M21=_perturbed(b.M21)))
     assert not rep.passed
+
+
+def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
+    """Every evaluate call multiplies at most the term pairs it counted.
+
+    A spy on add_product sums |terms of x| |terms of y| over the products
+    one call builds, on every checker with mid-constant words, on plain and
+    perturbed inputs.
+    """
+    real, calls = [0], []
+    add_product, term_pairs, evaluate = (
+        qalg.add_product, verify._term_pairs, verify.evaluate
+    )
+
+    def spy(sums, x, y):
+        real[0] += len(x.terms) * len(y.terms)
+        return add_product(sums, x, y)
+
+    def counted(cores):
+        real[0] = 0
+        calls.append(term_pairs(cores))
+        return calls[-1]
+
+    def checked(*relations):
+        out = evaluate(*relations)
+        calls[-1] = (real[0], calls[-1])
+        return out
+
+    for module in (qalg, ncmat):
+        monkeypatch.setattr(module, "add_product", spy)
+    monkeypatch.setattr(verify, "_term_pairs", counted)
+    monkeypatch.setattr(verify, "evaluate", checked)
+    b = _chain_blocks(2, 1, bridge=True)
+    for blocks in (b, replace(b, M11=_perturbed(b.M11)), _chain_blocks(2, 2, bridge=True)):
+        verify.check_aux_inverse(blocks)
+        a = reflection_series(loop_generators(blocks))
+        verify.check_reflection_constant(a.get(1))
+        verify.check_reflection_affine(a, 1)
+        verify.check_reflection_affine(_with_perturbed_level(a, 1), 1)
+    for n in (3, 4):
+        m = transport_matrix(build_triangle(n))
+        verify.check_disc_reflection(m)
+        verify.check_disc_reflection(_perturbed(m, 1, 0))
+    assert len(calls) == 16
+    assert all(0 < made <= count for made, count in calls), calls
