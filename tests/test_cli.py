@@ -398,6 +398,18 @@ def test_stored_exponents_are_checked_against_the_drawing(tmp_path, capsys):
     assert captured.err == "error: drawing disagrees with stored edge exponents\n"
 
 
+def test_stored_skew_form_is_checked_against_the_drawing(tmp_path, capsys):
+    doc = network_to_dict(build_triangle(2))
+    doc["epsilon2"][0][1] += 1  # still skew, but not the drawing's form
+    doc["epsilon2"][1][0] -= 1
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "rtt", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: drawing disagrees with the stored skew form\n"
+
+
 _DROP = object()
 
 
