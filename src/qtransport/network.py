@@ -22,7 +22,7 @@ from math import comb, inf
 from .qalg import QElem, QScalar, SkewForm, check_span, from_sums, weyl
 from .ncmat import NotInvertibleInSupportedClass, QMatrix, invert_restricted, matmul
 from . import geometry
-from .geometry import check_boundary, check_edge_ends
+from .geometry import check_boundary, check_edge_ends, derive_network_data
 
 
 class CyclicWithoutGeometry(ValueError):
@@ -33,7 +33,7 @@ class TruncationRequired(ValueError):
     """A cyclic network needs max_cycle_uses to bound path enumeration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
     frm: str
     to: str
@@ -47,6 +47,16 @@ class Geometry:
 
 
 class Network:
+    """A planar directed network, complete once built.
+
+    A drawing fixes the skew form and every edge exponent, and they are
+    derived from it here, once: form=None takes the form from the drawing, a
+    stored form or exponent must agree with it, and missing exponents are
+    filled in.  A cyclic network that stores its form and every exponent
+    uses its drawing only for path signs; such a drawing may cross edges, so
+    nothing is derived from it.
+    """
+
     def __init__(
         self,
         form,
@@ -58,7 +68,9 @@ class Network:
         max_cycle_uses=None,
         generators=None,
     ):
-        self.form = form
+        if form is None and geometry is None:
+            raise ValueError("a network without a skew form needs a drawing")
+        n = len(geometry.face_markers) if form is None else form.n
         self.vertices = list(vertices)
         self.edges = list(edges)
         self.sources = list(sources)
@@ -68,9 +80,9 @@ class Network:
         self.generators = (
             list(generators)
             if generators is not None
-            else [f"x{i}" for i in range(form.n)]
+            else [f"x{i}" for i in range(n)]
         )
-        if len(self.generators) != form.n:
+        if len(self.generators) != n:
             raise ValueError("one generator name per skew-form row required")
         if max_cycle_uses is not None and max_cycle_uses < 1:
             raise ValueError(
@@ -80,89 +92,83 @@ class Network:
         if len(vset) != len(self.vertices):
             raise ValueError("vertex names must be unique")
         sinks = set(self.sinks)
-        self.out_edges = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.frm not in vset or e.to not in vset:
                 raise ValueError(f"edge {e.frm!r}->{e.to!r} uses unknown vertex")
             if e.frm in sinks:
                 raise ValueError(f"edge {e.frm!r}->{e.to!r} leaves a sink")
             if e.exponent is not None:
-                if len(e.exponent) != form.n:
+                if len(e.exponent) != n:
                     raise ValueError("edge exponent length must match the form size")
                 if any(type(x) is not int for x in e.exponent):
                     raise ValueError(
                         f"edge {e.frm!r}->{e.to!r} exponent must hold integers"
                     )
-            self.out_edges[e.frm].append(e)
         if not self.sources or not self.sinks:
             raise ValueError("a network needs at least one source and one sink")
         for b in self.sources + self.sinks:
             if b not in vset:
                 raise ValueError(f"unknown boundary vertex {b!r}")
         check_boundary(self.sources, self.sinks)
-        if self.geometry is not None:
-            missing = vset - set(self.geometry.coords)
+        if geometry is not None:
+            missing = vset - set(geometry.coords)
             if missing:
                 raise ValueError(f"drawing lacks coordinates for {sorted(missing)}")
-            check_edge_ends(((e.frm, e.to) for e in self.edges), self.geometry.coords)
-            if len(self.geometry.face_markers) != form.n:
+            check_edge_ends(((e.frm, e.to) for e in self.edges), geometry.coords)
+            if len(geometry.face_markers) != n:
                 raise ValueError("one face marker per generator required")
-        self._acyclic = None
-        self._exponents_checked = False
-
-    @property
-    def is_acyclic(self):
-        if self._acyclic is None:
-            indeg = {v: 0 for v in self.vertices}
-            for e in self.edges:
-                indeg[e.to] += 1
-            queue = [v for v, d in indeg.items() if d == 0]
-            seen = 0
-            while queue:
-                v = queue.pop()
-                seen += 1
-                for e in self.out_edges[v]:
-                    indeg[e.to] -= 1
-                    if indeg[e.to] == 0:
-                        queue.append(e.to)
-            self._acyclic = seen == len(self.vertices)
-        return self._acyclic
-
-    def ensure_exponents(self):
-        """Fill in edge exponents from the drawing, or check stored ones against it.
-
-        An acyclic network with a drawing has its skew form and every stored
-        exponent checked against the data derived from the drawing, once.  A
-        cyclic network that stores every exponent uses its drawing only for
-        path signs; such a drawing may cross edges, so nothing is derived.
-        """
-        if self._exponents_checked:
-            return
+        self.is_acyclic = _is_acyclic(self.vertices, self.edges)
         stored = all(e.exponent is not None for e in self.edges)
-        if stored and (self.geometry is None or not self.is_acyclic):
-            return
-        if self.geometry is None:
+        if geometry is None and not stored:
             if self.is_acyclic:
                 raise ValueError("edges lack exponents and there is no drawing")
             raise CyclicWithoutGeometry(
                 "cyclic network without a drawing to derive exponents from"
             )
-        e_mat, exps = geometry.derive_network_data(
-            self.vertices,
-            [(e.frm, e.to) for e in self.edges],
-            self.sources,
-            self.sinks,
-            self.geometry.coords,
-            self.geometry.face_markers,
-        )
-        if tuple(tuple(r) for r in e_mat) != self.form.E:
-            raise ValueError("drawing disagrees with the stored skew form")
-        for e, vec in zip(self.edges, exps):
-            if e.exponent is None:
-                e.exponent = tuple(vec)
-            elif tuple(e.exponent) != tuple(vec):
+        if geometry is not None and (form is None or self.is_acyclic or not stored):
+            e_mat, exps = derive_network_data(
+                self.vertices,
+                [(e.frm, e.to) for e in self.edges],
+                self.sources,
+                self.sinks,
+                geometry.coords,
+                geometry.face_markers,
+            )
+            if form is None:
+                form = SkewForm(e_mat)
+            elif tuple(tuple(r) for r in e_mat) != form.E:
+                raise ValueError("drawing disagrees with the stored skew form")
+            if any(
+                e.exponent is not None and tuple(e.exponent) != tuple(vec)
+                for e, vec in zip(self.edges, exps)
+            ):
                 raise ValueError("drawing disagrees with stored edge exponents")
-        self._exponents_checked = True
+            self.edges = [
+                Edge(e.frm, e.to, tuple(vec)) for e, vec in zip(self.edges, exps)
+            ]
+        self.form = form
+        self.out_edges = {v: [] for v in self.vertices}
+        for e in self.edges:
+            self.out_edges[e.frm].append(e)
+
+
+def _is_acyclic(vertices, edges):
+    """Whether the directed graph has no cycle: every vertex drains away."""
+    indeg = dict.fromkeys(vertices, 0)
+    heads = {v: [] for v in vertices}
+    for e in edges:
+        indeg[e.to] += 1
+        heads[e.frm].append(e.to)
+    queue = [v for v, d in indeg.items() if d == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in heads[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(indeg)
 
 
 def _coord_to_json(x):
@@ -193,7 +199,7 @@ def network_to_dict(net):
             {
                 "from": e.frm,
                 "to": e.to,
-                "exponent": list(e.exponent) if e.exponent is not None else None,
+                "exponent": list(e.exponent),
             }
             for e in net.edges
         ],
@@ -315,7 +321,6 @@ def transport_matrix(net):
     drawing; an acyclic network needs neither.  The walks stop with
     ValueError once more than PATH_BUDGET paths have reached a sink.
     """
-    net.ensure_exponents()
     bound, coords = inf, None
     if not net.is_acyclic:
         if net.geometry is None:
@@ -454,30 +459,6 @@ def block_split(m, n1, msize, n2):
 # ---------------------------------------------------------------------------
 
 
-def _network_from_drawing(vertices, edges, sources, sinks, coords, markers,
-                          generators):
-    e_mat, exps = geometry.derive_network_data(
-        vertices, edges, sources, sinks, coords, markers
-    )
-    form = SkewForm(e_mat)
-    edge_objs = [Edge(f, t, vec) for (f, t), vec in zip(edges, exps)]
-    geom = Geometry(
-        coords={v: (Fraction(x), Fraction(y)) for v, (x, y) in coords.items()},
-        face_markers=[(Fraction(x), Fraction(y)) for x, y in markers],
-    )
-    net = Network(
-        form=form,
-        vertices=vertices,
-        edges=edge_objs,
-        sources=sources,
-        sinks=sinks,
-        geometry=geom,
-        generators=generators,
-    )
-    net._exponents_checked = True  # derived from this drawing just above
-    return net
-
-
 def build_triangle(n):
     """Triangular n-by-n network with sources on the right slope.
 
@@ -540,9 +521,9 @@ def build_triangle(n):
     ]
     markers = [(c + (rho - 1) * half, rho - Fraction(1, 4)) for rho, c in faces]
     generators = [f"f{rho}_{c}" for rho, c in faces]
-    return _network_from_drawing(
-        vertices, edges, sources, sinks, coords, markers, generators
-    )
+    edges = [Edge(frm, to) for frm, to in edges]
+    drawing = Geometry(coords, markers)
+    return Network(None, vertices, edges, sources, sinks, drawing, generators=generators)
 
 
 def build_chain(n1, n2, bridge=False):
@@ -632,9 +613,9 @@ def build_chain(n1, n2, bridge=False):
     if bridge:
         generators.append("L")
         markers.append((Fraction(10), Fraction(-1, 4)))
-    return _network_from_drawing(
-        vertices, edges, sources, sinks, coords, markers, generators
-    )
+    edges = [Edge(frm, to) for frm, to in edges]
+    drawing = Geometry(coords, markers)
+    return Network(None, vertices, edges, sources, sinks, drawing, generators=generators)
 
 
 # ---------------------------------------------------------------------------

@@ -631,7 +631,7 @@ def test_loader_refuses_mutated_documents_with_value_error(data):
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data)
     try:
-        network_from_dict(doc).ensure_exponents()
+        network_from_dict(doc)
     except ValueError:
         pass
 

@@ -26,7 +26,9 @@ from test_network import transport_entry
 from qtransport import geometry, verify
 from qtransport.ncmat import QMatrix
 from qtransport.network import (
-    _network_from_drawing,
+    Edge,
+    Geometry,
+    Network,
     block_split,
     build_chain,
     build_triangle,
@@ -71,9 +73,9 @@ def bridge_word(n, word):
     markers = [(1, half), (1, half - n)]
     for k, columns in enumerate(gap_columns):
         markers += [(1, -k - half)] + [(-2 * c - 3 * half, -k - half) for c in columns]
-    return _network_from_drawing(
-        list(coords), edges, sources, sinks, coords, markers,
-        [f"f{i}" for i in range(len(markers))],
+    return Network(
+        None, list(coords), [Edge(frm, to) for frm, to in edges], sources, sinks,
+        Geometry(coords, markers), generators=[f"f{i}" for i in range(len(markers))],
     )
 
 

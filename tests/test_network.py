@@ -293,7 +293,6 @@ def transport_entry(net, a, c):
     Rebuilds the adjacency and walks every path from the source on its own,
     keeping only the paths that end at the one sink.
     """
-    net.ensure_exponents()
     src = net.sources[a]
     snk = net.sinks[c]
     out = {v: [] for v in net.vertices}
@@ -578,6 +577,68 @@ def test_network_roundtrip(tmp_path):
     assert again.geometry is not None
     assert again.geometry.coords == net.geometry.coords
     assert again.geometry.face_markers == net.geometry.face_markers
+
+
+def _without_exponents(net):
+    doc = network_to_dict(net)
+    for edge in doc["edges"]:
+        edge["exponent"] = None
+    return doc
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_triangle(3), lambda: build_chain(2, 2, bridge=True)],
+    ids=["triangle3", "chain22b"],
+)
+def test_loading_null_exponents_restores_the_builders_exponents(build):
+    net = build()
+    again = network_from_dict(_without_exponents(net))
+    assert again.edges == net.edges
+    assert network_to_dict(again) == network_to_dict(net)
+
+
+def test_transport_leaves_the_network_unchanged():
+    net = network_from_dict(_without_exponents(build_triangle(3)))
+    before = network_to_dict(net)
+    transport_matrix(net)
+    assert network_to_dict(net) == before
+    with pytest.raises(AttributeError):
+        net.edges[0].exponent = None  # edges are frozen
+
+
+def _skew_form_off(doc):
+    doc["epsilon2"][0][1] += 1
+    doc["epsilon2"][1][0] -= 1
+
+
+def _exponent_off(doc):
+    doc["edges"][3]["exponent"][0] += 1
+
+
+def _marker_moved(doc):
+    markers = doc["geometry"]["face_markers"]
+    markers[1] = markers[0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_skew_form_off, "drawing disagrees with the stored skew form"),
+        (_exponent_off, "drawing disagrees with stored edge exponents"),
+        (_marker_moved, "face must contain exactly one marker"),
+    ],
+    ids=["skew-form", "exponent", "face-marker"],
+)
+def test_bad_drawing_is_refused_at_load(edit, message, monkeypatch):
+    def walked(net):
+        raise AssertionError("transport was started")
+
+    monkeypatch.setattr(network, "transport_matrix", walked)
+    doc = network_to_dict(build_triangle(2))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        network_from_dict(doc)
 
 
 def test_network_loader_validates(tmp_path):
