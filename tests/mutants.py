@@ -5,9 +5,10 @@ once in src/, its replacement, and the test files expected to catch it.
 
     python3 tests/mutants.py [name-substring ...]
 
-copies src/, tests/ and pyproject.toml into a temporary directory, runs every
-named test file once on the clean copy (each must pass), then, one mutant at
-a time, applies the mutant and runs each of its test files with ``-x``.  A
+copies src/, tests/, pyproject.toml and README.md into a temporary
+directory, runs every named test file once on the clean copy (each must
+pass), then, one mutant at a time, applies the mutant and runs each of its
+test files with ``-x``.  A
 mutant survives when one of its test files still passes; the runner prints a
 line per mutant and test file and exits 1 if any mutant survives.  It is not
 part of the tier-1 suite; tests/test_mutants.py checks there that every
@@ -101,6 +102,13 @@ MUTANTS = [
         "for i in cuts])}]",
         ("test_qalg.py", "test_golden_residuals.py"),
     ),
+    Mutant(
+        "one row memo shared by all forms",
+        "qalg.py",
+        "self.rows = _Rows()",
+        'self.rows = globals().setdefault("_shared_rows", _Rows())',
+        ("test_qalg.py",),
+    ),
     # matrix kernels
     Mutant(
         "matmul drops the last column of b",
@@ -138,6 +146,43 @@ MUTANTS = [
         "((j, i), x, f)",
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
+    # the crossing table of a drawing
+    Mutant(
+        "reversed dart not negated",
+        "geometry.py",
+        "crossing[(v, u)] = [-x for x in vec]",
+        "crossing[(v, u)] = vec",
+        ("test_geometry.py", "test_network.py"),
+    ),
+    Mutant(
+        "spoke left out of A(b)",
+        "geometry.py",
+        "self.arc[b] = [x + y for x, y in zip(a, crossing[(u, b)])]",
+        "self.arc[b] = list(a)",
+        ("test_geometry.py", "test_network.py"),
+    ),
+    # a drawn network completed in Network.__init__
+    Mutant(
+        "stored skew form not compared with the drawing",
+        "network.py",
+        "elif tuple(tuple(r) for r in e_mat) != form.E:",
+        "elif False:",
+        ("test_cli.py", "test_network.py"),
+    ),
+    Mutant(
+        "stored exponents not compared with the drawing",
+        "network.py",
+        "e.exponent is not None and tuple(e.exponent) != tuple(vec)",
+        "False",
+        ("test_cli.py", "test_network.py"),
+    ),
+    Mutant(
+        "derived exponents not filled in",
+        "network.py",
+        "Edge(e.frm, e.to, tuple(vec)) for e, vec in zip(self.edges, exps)",
+        "e for e, vec in zip(self.edges, exps)",
+        ("test_network.py",),  # test_cli.py fails to collect, exit 2
+    ),
 ]
 
 
@@ -157,7 +202,8 @@ def main(patterns):
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copytree(ROOT / "tests", work / "tests",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):  # test_cli.py reads README
+            shutil.copy(ROOT / name, work)
         broken = [f for f in sorted({f for m in mutants for f in m.tests})
                   if _pytest(work, f) != 0]
         if broken:
