@@ -44,11 +44,15 @@ def _parse_ints(text, count):
     return vals
 
 
-# The largest sizes accepted.  Each runs in about a second; past them the
-# constants of check rmatrix and the series of an export grow to hundreds of
-# megabytes.
+# The largest sizes accepted.  On chain(2,2,bridge) each series window runs
+# in under two seconds, and check rmatrix --k 32 in under three.  Past them
+# the constants and an export's series grow to hundreds of megabytes, and a
+# window's time grows steeply (check affine --kmax 64 takes about 20 s).
 MAX_K = 32
 MAX_EXPORT_ORDER = 8
+MAX_LOOP_ORDER = 32
+MAX_LEVEL = 24
+MAX_REFLECTION_ORDER = 8
 
 
 def _size(args, name, default, least, most=None):
@@ -145,12 +149,12 @@ def _frp_report(rmax, pmax):
 
 
 def _loop_order(args):
-    return _size(args, "order", 2, 1)
+    return _size(args, "order", 2, 1, MAX_LOOP_ORDER)
 
 
 def _affine_levels(args):
-    kmax = _size(args, "kmax", 2, 0)
-    return kmax, _size(args, "pmax", kmax, 0)
+    kmax = _size(args, "kmax", 2, 0, MAX_LEVEL)
+    return kmax, _size(args, "pmax", kmax, 0, MAX_LEVEL)
 
 
 def _check_affine(src, args):
@@ -164,7 +168,7 @@ def _check_loop(src, args):
 
 
 def _check_reflection_affine(src, args):
-    order = _size(args, "order", 1, 0)
+    order = _size(args, "order", 1, 0, MAX_REFLECTION_ORDER)
     return verify.check_reflection_affine(src.reflection, order)
 
 

@@ -128,6 +128,43 @@ def test_export_order_past_its_bound_builds_no_level(what, monkeypatch, capsys):
         cli.main([*argv, str(cli.MAX_EXPORT_ORDER)])
 
 
+@pytest.mark.parametrize(
+    "argv, flag, most",
+    [
+        (["check", "loop"], "order", cli.MAX_LOOP_ORDER),
+        (["check", "all"], "order", cli.MAX_LOOP_ORDER),
+        (["check", "reflection-affine"], "order", cli.MAX_REFLECTION_ORDER),
+        (["check", "affine"], "kmax", cli.MAX_LEVEL),
+        (["check", "affine", "--kmax", "0"], "pmax", cli.MAX_LEVEL),
+        (["check", "all"], "kmax", cli.MAX_LEVEL),
+    ],
+    ids=["loop-order", "all-order", "reflection-affine-order", "affine-kmax",
+         "affine-pmax", "all-kmax"],
+)
+def test_series_window_past_its_bound_builds_no_level(
+    argv, flag, most, monkeypatch, capsys
+):
+    def no_level(self, k):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(TSeries, "get", no_level)
+    argv = [*argv, "--builder", "chain", "--n", "1,1", "--bridge", f"--{flag}"]
+    assert cli.main([*argv, str(most + 1)]) == 2
+    err = f"error: --{flag} must be at most {most}, got {most + 1}\n"
+    assert capsys.readouterr() == ("", err)
+    with pytest.raises(AssertionError, match="a level was built"):
+        cli.main([*argv, str(most)])
+
+
+def test_series_windows_at_their_bounds_run(capsys):
+    chain = ["--builder", "chain", "--n", "1,1", "--bridge"]
+    order, level = str(cli.MAX_LOOP_ORDER), str(cli.MAX_LEVEL)
+    argv = ["check", "all", *chain, "--order", order, "--kmax", level]
+    assert _run(argv, capsys)[0] == 0
+    argv = ["check", "reflection-affine", *chain, "--order", str(cli.MAX_REFLECTION_ORDER)]
+    assert _run(argv, capsys)[0] == 0
+
+
 def test_triangle_size_parses_like_other_flags(capsys):
     assert cli.main(["check", "rtt", "--builder", "triangle", "--n", "2,2"]) == 2
     err = "error: expected 1 comma-separated integers, got '2,2'\n"
