@@ -522,8 +522,10 @@ def build_triangle(n):
     markers = [(c + (rho - 1) * half, rho - Fraction(1, 4)) for rho, c in faces]
     generators = [f"f{rho}_{c}" for rho, c in faces]
     edges = [Edge(frm, to) for frm, to in edges]
-    drawing = Geometry(coords, markers)
-    return Network(None, vertices, edges, sources, sinks, drawing, generators=generators)
+    return Network(
+        None, vertices, edges, sources, sinks, Geometry(coords, markers),
+        generators=generators,
+    )
 
 
 def build_chain(n1, n2, bridge=False):
@@ -614,8 +616,10 @@ def build_chain(n1, n2, bridge=False):
         generators.append("L")
         markers.append((Fraction(10), Fraction(-1, 4)))
     edges = [Edge(frm, to) for frm, to in edges]
-    drawing = Geometry(coords, markers)
-    return Network(None, vertices, edges, sources, sinks, drawing, generators=generators)
+    return Network(
+        None, vertices, edges, sources, sinks, Geometry(coords, markers),
+        generators=generators,
+    )
 
 
 # ---------------------------------------------------------------------------

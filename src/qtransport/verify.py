@@ -159,6 +159,7 @@ def _read(core, value):
 
 
 PAIR_BUDGET = 10**7  # term pairs one evaluate call may multiply
+CELL_BUDGET = 10**5  # composite cells its distinct products may hold, ~1 KB each
 
 
 def _term_pairs(cores):
@@ -214,15 +215,23 @@ def evaluate(*relations):
     matrices, whatever the sheets: (2)X (1)Y reads the entries of
     (1)X (2)Y at swapped composite indices, so the reversed word of an
     exchange relation costs no torus products.  A call whose products may
-    pair more than PAIR_BUDGET torus terms (_term_pairs, an upper bound)
-    raises ValueError before it builds any.
+    pair more than PAIR_BUDGET torus terms (_term_pairs, an upper bound), or
+    hold more than CELL_BUDGET composite cells, raises ValueError before it
+    builds any.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
-    pairs = _term_pairs({_key(core): core for rel in parts for *_, core in rel})
+    cores = {_key(core): core for rel in parts for *_, core in rel}
+    pairs = _term_pairs(cores)
     if pairs > PAIR_BUDGET:
         raise ValueError(
             f"these relations need {pairs} torus term pairs; the limit is {PAIR_BUDGET}"
+        )
+    cells = sum(x.rows * x.cols * y.rows * y.cols
+                for (_, x), *_, (_, y) in cores.values())
+    if cells > CELL_BUDGET:
+        raise ValueError(
+            f"these relations need {cells} product cells; the limit is {CELL_BUDGET}"
         )
     kept = {}
     out = []

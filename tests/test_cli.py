@@ -597,6 +597,24 @@ def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
         cli.main(argv[:-1] + ["2"])
 
 
+def test_cell_budget_refuses_before_any_product(monkeypatch, capsys):
+    # chain(n,n) has (n+1)^2 one-monomial entries, so check rtt needs
+    # (n+1)^4 product cells and as many term pairs
+    def no_product(core):
+        raise AssertionError("a product was started")
+
+    monkeypatch.setattr(verify, "_product", no_product)
+    argv = ["check", "rtt", "--builder", "chain", "--n"]
+    assert cli.main([*argv, "17,17"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: these relations need 104976 product cells; the limit is 100000\n"
+    )
+    with pytest.raises(AssertionError, match="a product was started"):
+        cli.main([*argv, "16,16"])
+
+
 def test_path_budget_exits_2_with_one_line(monkeypatch, capsys):
     monkeypatch.setattr(network, "PATH_BUDGET", 5)  # triangle(2) has 6 paths
     assert cli.main(["export", "transport", "--builder", "triangle", "--n", "2"]) == 2
