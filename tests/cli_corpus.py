@@ -1,0 +1,200 @@
+"""A fixed corpus of command lines, and what each one prints.
+
+    python3 tests/cli_corpus.py > corpus.txt
+
+runs every command of the corpus in process and prints one line per
+command: its name, its exit code, the sha256 of its stdout and its stderr
+as a JSON string.  Run it on two checkouts and diff the outputs to see every
+change in what the command line prints.  The corpus holds:
+
+- every check kind and export, as text and with --json, on triangle(2),
+  triangle(3), chain(2,2,bridge), chain(2,3,bridge), hat(3), the composite
+  example, cyclic2x2 and perturbed network files;
+- every MALFORMED edit of tests/test_cli.py, with and without a drawing;
+- drawn documents that disagree with their drawing;
+- sizes at and past each bound of the command line and of verify.evaluate.
+
+It is not part of the tier-1 suite; tests/test_cli.py checks there that the
+corpus names every check kind and every export.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from qtransport import cli  # noqa: E402
+from qtransport.network import (  # noqa: E402
+    build_chain,
+    build_triangle,
+    network_to_dict,
+)
+
+GOLDEN = ROOT / "tests" / "golden"
+CHECK_KINDS = ["rmatrix", *(k for k in cli.CHECKS if k != "aux-inverse"), "frp", "all"]
+EXPORTS = ["transport", "levels", "reflection"]
+
+# Extra arguments a check kind or export needs beside the source.
+SIZES = {"rmatrix": ["--k", "3"], "frp": ["--r", "4", "--p", "4"]}
+SOURCELESS = {"rmatrix", "frp"}
+
+
+def _perturbed(net):
+    """The document with no drawing and edge 3 off by one in x0."""
+    doc = network_to_dict(net)
+    doc["geometry"] = None
+    doc["edges"][3]["exponent"][0] += 1
+    return doc
+
+
+def _drawn(n=2):
+    return network_to_dict(build_triangle(n))
+
+
+def _drawn_edits():
+    """Drawn documents that disagree with their drawing or leave it the exponents."""
+    def edited(edit, n=2):
+        doc = _drawn(n)
+        edit(doc)
+        return doc
+
+    def exponent_off(doc):
+        doc["edges"][3]["exponent"][0] += 1
+
+    def null_exponents(doc):
+        for edge in doc["edges"]:
+            edge["exponent"] = None
+
+    def undrawn_null_exponents(doc):
+        null_exponents(doc)
+        doc["geometry"] = None
+
+    def skew_form_off(doc):
+        doc["epsilon2"][0][1] += 1
+        doc["epsilon2"][1][0] -= 1
+
+    def marker_moved(doc):
+        markers = doc["geometry"]["face_markers"]
+        markers[1] = markers[0]
+
+    return {
+        "exponent-off": edited(exponent_off),
+        "exponent-off-triangle3": edited(exponent_off, 3),
+        "skew-form-off": edited(skew_form_off),
+        "marker-moved": edited(marker_moved),
+        "marker-missing": edited(lambda doc: doc["geometry"]["face_markers"].pop()),
+        "short-generators": edited(lambda doc: doc["generators"].pop()),
+        "null-exponents-drawn": edited(null_exponents),
+        "null-exponents-undrawn": edited(undrawn_null_exponents),
+        "null-exponents-drawn-triangle3": edited(null_exponents, 3),
+    }
+
+
+def documents():
+    """name -> network document written to a file for --input."""
+    from test_cli import MALFORMED
+
+    docs = {
+        "perturbed-triangle3": _perturbed(build_triangle(3)),
+        "perturbed-chain22b": _perturbed(build_chain(2, 2, bridge=True)),
+    }
+    for name, edit in MALFORMED.items():
+        undrawn = _drawn()
+        undrawn["geometry"] = None
+        docs[f"malformed-{name}"] = edit(undrawn)
+        docs[f"malformed-{name}-drawn"] = edit(_drawn())
+    docs.update({f"drawn-{k}": doc for k, doc in _drawn_edits().items()})
+    return docs
+
+
+def commands(paths):
+    """[(name, argv)] for the corpus; paths maps document names to files."""
+    sources = {
+        "triangle2": ["--builder", "triangle", "--n", "2"],
+        "triangle3": ["--builder", "triangle", "--n", "3"],
+        "chain22b": ["--builder", "chain", "--n", "2,2", "--bridge"],
+        "chain23b": ["--builder", "chain", "--n", "2,3", "--bridge"],
+        "hat3": ["--builder", "hat", "--r", "3"],
+        "composite": ["--builder", "composite"],
+        "cyclic2x2": ["--input", str(GOLDEN / "cyclic2x2.json")],
+        "triangle4-shuffled": ["--input", str(GOLDEN / "triangle4_shuffled.json")],
+        "perturbed-triangle3": ["--input", paths["perturbed-triangle3"]],
+        "perturbed-chain22b": [
+            "--input", paths["perturbed-chain22b"], "--split", "2,1,2",
+        ],
+    }
+    out = []
+    for fmt in ([], ["--json"]):
+        tag = "-json" if fmt else ""
+        for kind in CHECK_KINDS:
+            if kind in SOURCELESS:
+                out.append((f"check-{kind}{tag}", ["check", kind, *SIZES[kind], *fmt]))
+                continue
+            for src, args in sources.items():
+                out.append((f"check-{kind}-{src}{tag}", ["check", kind, *args, *fmt]))
+        for what in EXPORTS:
+            for src, args in sources.items():
+                out.append((f"export-{what}-{src}{tag}", ["export", what, *args, *fmt]))
+    for name, path in paths.items():
+        if name in sources:
+            continue
+        for argv in (["check", "rtt"], ["export", "transport"], ["check", "all"]):
+            out.append((f"{'-'.join(argv)}-{name}", [*argv, "--input", path]))
+    # sizes at and one past each bound, written out so that the corpus also
+    # runs on a checkout without these bounds
+    chain = ["--builder", "chain", "--n", "2,2", "--bridge"]
+    bounds = [
+        ("check", "loop", "--order", 32),
+        ("check", "all", "--order", 32),
+        ("check", "reflection-affine", "--order", 8),
+        ("check", "affine", "--kmax", 24),
+        ("check", "affine", "--pmax", 24),
+        ("check", "all", "--kmax", 24),
+        ("export", "levels", "--order", 8),
+        ("export", "reflection", "--order", 8),
+    ]
+    for command, kind, flag, most in bounds:
+        for size in (most, most + 1):
+            name = f"bound-{command}-{kind}{flag}-{size}"
+            out.append((name, [command, kind, *chain, flag, str(size)]))
+    out.append(("bound-rmatrix-k-33", ["check", "rmatrix", "--k", "33"]))
+    for n in ("16,16", "17,17"):  # 83521 and 104976 product cells
+        argv = ["check", "rtt", "--builder", "chain", "--n", n]
+        out.append((f"bound-cells-chain{n}", argv))
+    out.append((
+        "bound-pairs-composite",
+        ["check", "reflection-affine", "--builder", "composite", "--order", "3"],
+    ))
+    return out
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one command run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in documents().items():
+            path = pathlib.Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            paths[name] = str(path)
+        for name, argv in commands(paths):
+            code, out, err = run(argv)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            print(f"{name}\t{code}\t{digest}\t{json.dumps(err)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -691,6 +691,27 @@ def test_loader_refuses_mutated_documents_with_value_error(data):
         pass
 
 
+def test_cli_corpus_names_every_check_kind_and_export():
+    import cli_corpus
+
+    parser = cli._build_parser()
+    named = set()
+    paths = dict.fromkeys(cli_corpus.documents(), "net.json")
+    for _, argv in cli_corpus.commands(paths):
+        args = parser.parse_args(argv)
+        named.add((args.command, getattr(args, "kind", None) or args.what))
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    choices = {
+        (command, choice)
+        for command, sub in subcommands.items()
+        for action in sub._actions
+        if action.dest in ("kind", "what")
+        for choice in action.choices
+    }
+    assert choices <= named
+    assert {("check", kind) for kind in cli.CHECKS if kind != "aux-inverse"} <= named
+
+
 def _readme_commands():
     """The argv of each `qtransport` line in README's Command-line code block."""
     section = README.read_text().split("## Command line", 1)[1]
