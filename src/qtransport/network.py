@@ -139,13 +139,11 @@ class Network:
             elif tuple(tuple(r) for r in e_mat) != form.E:
                 raise ValueError("drawing disagrees with the stored skew form")
             if any(
-                e.exponent is not None and tuple(e.exponent) != tuple(vec)
+                e.exponent is not None and tuple(e.exponent) != vec
                 for e, vec in zip(self.edges, exps)
             ):
                 raise ValueError("drawing disagrees with stored edge exponents")
-            self.edges = [
-                Edge(e.frm, e.to, tuple(vec)) for e, vec in zip(self.edges, exps)
-            ]
+            self.edges = [Edge(e.frm, e.to, vec) for e, vec in zip(self.edges, exps)]
         self.form = form
         self.out_edges = {v: [] for v in self.vertices}
         for e in self.edges:
