@@ -14,7 +14,6 @@ from .qalg import (
     QScalar,
     SkewForm,
     add_product,
-    add_scaled,
     from_sums,
     invert_monomial,
     qmul,
@@ -128,9 +127,8 @@ class QMatrix:
         """The matrix of flat cells {(row, col): {code: int}} within span."""
         res = cls.zero(rows, cols, form)
         for (i, j), sums in cells.items():
-            x = from_sums(form, sums, span)
-            if x.terms:
-                res.data[i][j] = x
+            if any(sums.values()):
+                res.data[i][j] = from_sums(form, sums, span)
         return res
 
     def __repr__(self) -> str:
@@ -150,7 +148,7 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
         raise ValueError("matrices live on different quantum tori")
     form = a.form
     z = QElem.zero(form)
-    b_rows = [[(j, y) for j, y in enumerate(row) if y.terms] for row in b.data]
+    b_rows = _nonzero_rows(b)
     data = []
     for arow in a.data:
         cells = {}
@@ -168,6 +166,38 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
             out_row[j] = from_sums(form, sums, spans[j])
         data.append(out_row)
     return QMatrix(a.rows, b.cols, form, data)
+
+
+def _nonzero_rows(m: QMatrix):
+    """Per row of m, its nonzero entries as (column, entry) pairs."""
+    return [[(j, y) for j, y in enumerate(row) if y.terms] for row in m.data]
+
+
+def sandwich(a: QMatrix, c: CMatrix, b: QMatrix) -> QMatrix:
+    """a C b for a matrix C of commuting scalars, in one pass over C's nonzeros.
+
+    Each nonzero C[r, s] pairs column r of a with row s of b: each pair of
+    nonzero entries a[i, r], b[s, j] is multiplied once and added into cell
+    (i, j) at every v-power of C[r, s] (add_product's g), so no C b is
+    built.  The factors keep their order.
+    """
+    if a.cols != c.rows or c.cols != b.rows:
+        raise ValueError("shape mismatch")
+    if a.form != b.form:
+        raise ValueError("matrices live on different quantum tori")
+    a_cols = _nonzero_rows(transpose_q(a))
+    b_rows = _nonzero_rows(b)
+    cells = {}
+    span = 0
+    for (r, s), val in c.entries.items():
+        g = tuple(val.terms.items())
+        for i, x in a_cols[r]:
+            for j, y in b_rows[s]:
+                sums = cells.get((i, j))
+                if sums is None:
+                    sums = cells[i, j] = {}
+                span = max(span, add_product(sums, x, y, g))
+    return QMatrix.from_cells(a.rows, b.cols, a.form, cells, span)
 
 
 def transpose_q(m: QMatrix) -> QMatrix:
@@ -193,17 +223,15 @@ def sheet_product(a: QMatrix, b: QMatrix) -> QMatrix:
     cols = a.cols * b.cols
     z = QElem.zero(a.form)
     data = [[z] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.data[i][j]
-            if x.is_zero():
+    nonzero = [(k, l, y) for k, row in enumerate(_nonzero_rows(b)) for l, y in row]
+    for i, arow in enumerate(a.data):
+        block = data[i * b.rows:(i + 1) * b.rows]
+        for j, x in enumerate(arow):
+            if not x.terms:
                 continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    y = b.data[k][l]
-                    if y.is_zero():
-                        continue
-                    data[i * b.rows + k][j * b.cols + l] = qmul(x, y)
+            left = j * b.cols
+            for k, l, y in nonzero:
+                block[k][left + l] = qmul(x, y)
     return QMatrix(rows, cols, a.form, data)
 
 
@@ -262,42 +290,47 @@ def add_acted(cells, m: QMatrix, coeff, c: CMatrix | None, side) -> int:
     reads them.  coeff is 1, -1 or a QScalar; its product with each entry of
     C stays on (v-power, int) pairs.  Each nonzero C[r, k] routes row k of m
     to row r (left) or column r of m to column k (right); the constants of
-    the relations have at most two nonzeros per row and column.  Returns the
-    largest span added.
+    the relations have at most two nonzeros per row and column.  A cell's
+    first contribution is one copy of the entry's terms, moved by the first
+    v-power; every later one is added in place.  Returns the largest span
+    added.
     """
-    data = m.data
     f = tuple(coeff.terms.items()) if isinstance(coeff, QScalar) else ((0, coeff),)
+    # Each route adds scalar g times a line of m (its nonzero (index, entry)
+    # pairs) into the row, or with is_row False the column, called fixed.
     if c is None:
-        hits = (
-            ((i, j), x, f)
-            for i, row in enumerate(data)
-            for j, x in enumerate(row)
-            if x.terms
-        )
+        routes = [(f, i, line, True) for i, line in enumerate(_nonzero_rows(m))]
     elif side == "left":
-        hits = (
-            ((r, j), x, g)
-            for (r, k), s in c.entries.items()
-            for g in (_times(f, s),)
-            for j, x in enumerate(data[k])
-            if x.terms
-        )
+        lines = _nonzero_rows(m)
+        routes = [(_times(f, s), r, lines[k], True) for (r, k), s in c.entries.items()]
     else:
-        hits = (
-            ((i, k), row[r], g)
-            for (r, k), s in c.entries.items()
-            for g in (_times(f, s),)
-            for i, row in enumerate(data)
-            if row[r].terms
-        )
+        lines = _nonzero_rows(transpose_q(m))
+        routes = [(_times(f, s), k, lines[r], False) for (r, k), s in c.entries.items()]
+    shift = m.form.shift
+    get = cells.get
     span = 0
-    for pos, x, g in hits:
-        if x.span > span:
-            span = x.span
-        cell = cells.get(pos)
-        if cell is None:
-            cell = cells[pos] = {}
-        add_scaled(cell, x, g)
+    for g, fixed, line, is_row in routes:
+        if not g:
+            continue
+        g = [(k << shift, n) for k, n in g]
+        (dk0, n0), rest = g[0], g[1:]
+        plain = dk0 == 0 and n0 == 1 and not rest
+        for idx, x in line:
+            if x.span > span:
+                span = x.span
+            pos = (fixed, idx) if is_row else (idx, fixed)
+            cell = get(pos)
+            more = g
+            if cell is None:
+                if plain:
+                    cells[pos] = dict(x.terms)
+                    continue
+                cell = cells[pos] = {t + dk0: n * n0 for t, n in x.terms.items()}
+                more = rest
+            for dk, ck in more:
+                for t, n in x.terms.items():
+                    key = t + dk
+                    cell[key] = cell.get(key, 0) + n * ck
     return span
 
 

@@ -29,7 +29,7 @@ and never carries into the next digit.
 from __future__ import annotations
 
 import struct
-from operator import mul
+from operator import itemgetter, mul
 
 LIMIT = 1 << 14  # every stored span is below this
 
@@ -150,17 +150,27 @@ _CHUNK = 8  # digits per cached run
 
 
 class _Rows(dict):
-    """Monomial code of :w^a: -> (a, a^T E), computed on first lookup.
+    """Monomial code of :w^a: -> (a, a^T E, pick, vals), computed on first lookup.
 
     E is skew, so entry j of a^T E is -(E a)_j, one dot product per generator.
+    vals holds the nonzero entries of a^T E and pick takes the entries of b
+    at their indices, so a^T E b is sum(map(mul, vals, pick(b))).  pick is
+    an itemgetter; for one index or none it takes a slice, which is still a
+    tuple.
     """
 
     __slots__ = ("form",)
 
     def __missing__(self, code):
         a = self.form.decode(code)[0]
-        pair = self[code] = a, tuple(-sum(map(mul, e, a)) for e in self.form.E)
-        return pair
+        row = tuple(-sum(map(mul, e, a)) for e in self.form.E)
+        nz = [j for j, e in enumerate(row) if e]
+        if len(nz) > 1:
+            pick = itemgetter(*nz)
+        else:
+            pick = itemgetter(slice(nz[0], nz[0] + 1) if nz else slice(0))
+        memo = self[code] = a, row, pick, tuple([row[j] for j in nz])
+        return memo
 
 
 class SkewForm:
@@ -341,27 +351,39 @@ def qmul(x: QElem, y: QElem) -> QElem:
     return from_sums(x.form, sums, add_product(sums, x, y))
 
 
-def add_product(sums, x: QElem, y: QElem) -> int:
-    """Add the terms of x y into flat sums {code: int}; return the product's span.
+def add_product(sums, x: QElem, y: QElem, g=None) -> int:
+    """Add the terms of x y, or of x y g, into flat sums {code: int}.
 
-    Each term's monomial code looks up a and a^T E once, so each term pair
-    is one dot product and one int key.  Raises ValueError, before adding
-    anything, when the span would reach LIMIT.
+    g, if given, is a Laurent polynomial in v as (v-power, int) pairs; each
+    term pair is multiplied once and added at each of its v-powers.  Each
+    term's monomial code looks up a and the nonzero entries of a^T E once,
+    so each term pair is one short dot product and one int key.  Returns
+    the product's span; raises ValueError, before adding anything, when the
+    span would reach LIMIT.
     """
-    form = _same_form(x, y)
+    form = x.form
+    if y.form is not form:
+        _same_form(x, y)
     span = x.span + y.span
-    check_span(span)
+    if span >= LIMIT:
+        check_span(span)
     shift, off, rows = form.shift, form.offset, form.rows
-    right = [
-        (tb, cb, rows[tb - ((tb + off) >> shift << shift)][0])
-        for tb, cb in y.terms.items()
-    ]
+    # a loop, not a comprehension: most products have one term on each side
+    right = []
+    for tb, cb in y.terms.items():
+        right.append((tb, cb, rows[tb - ((tb + off) >> shift << shift)][0]))
     get = sums.get
+    g = None if g is None else [(k << shift, c) for k, c in g]
     for ta, ca in x.terms.items():
-        row = rows[ta - ((ta + off) >> shift << shift)][1]
+        _, _, pick, vals = rows[ta - ((ta + off) >> shift << shift)]
         for tb, cb, eb in right:
-            key = ta + tb - (sum(map(mul, row, eb)) << shift)
-            sums[key] = get(key, 0) + ca * cb
+            key = ta + tb - (sum(map(mul, vals, pick(eb))) << shift)
+            if g is None:
+                sums[key] = get(key, 0) + ca * cb
+                continue
+            c = ca * cb
+            for dk, ck in g:
+                sums[key + dk] = get(key + dk, 0) + c * ck
     return span
 
 

@@ -20,10 +20,10 @@ from itertools import product
 from .ncmat import (
     QMatrix,
     add_acted,
-    classical_act,
     lift1,
     lift2,
     matmul,
+    sandwich,
     sheet_product,
     swap_sheets,
     transpose_q,
@@ -141,13 +141,18 @@ def _key(core):
 
 
 def _product(core):
-    """The product _key names: (1)X (2)Y, or (s)X C (t)Y through the lifts."""
+    """The product _key names: (1)X (2)Y, or (s)X C (t)Y through the lifts.
+
+    A mid-constant word is one sandwich of the lifts around C: each nonzero
+    C[r, c] pairs column r of lift(X) with row c of lift(Y), so no C lift(Y)
+    is built.
+    """
     (s, x), (_, y) = core[0], core[-1]
     if len(core) == 2:
         return sheet_product(x, y)
     c = _constant_at(core[1], core, "mid")
     lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
-    return matmul(lift_x(x, y.rows), classical_act(c, lift_y(y, x.cols)))
+    return sandwich(lift_x(x, y.rows), c, lift_y(y, x.cols))
 
 
 def _read(core, value):
@@ -163,14 +168,13 @@ CELL_BUDGET = 10**5  # composite cells its distinct products may hold, ~1 KB eac
 
 
 def _term_pairs(cores):
-    """An upper bound on the torus term pairs the products (s)X ... (t)Y multiply.
+    """The torus term pairs the products (s)X ... (t)Y add, counted up front.
 
     cores maps each product's key to its factors.  A sheet product pairs
-    every term of X with every term of Y, so there the bound is exact.  A
-    mid-constant word multiplies lift(X) by C lift(Y); a cell of C lift(Y)
-    sums rows of lift(Y) scaled by constant entries, so each C[r, c] pairs
-    column r of lift(X), a column of X, with row c of lift(Y), a row of Y,
-    once per v-power of C[r, c].
+    every term of X with every term of Y.  A mid-constant word is a
+    sandwich: each C[r, c] pairs column r of lift(X), a column of X, with
+    row c of lift(Y), a row of Y, and adds each term pair once per v-power
+    of C[r, c].  Both counts are exact.
     """
     total = 0
     for core in cores.values():
@@ -214,9 +218,9 @@ def evaluate(*relations):
     in one call.  Two adjacent factors make one product per ordered pair of
     matrices, whatever the sheets: (2)X (1)Y reads the entries of
     (1)X (2)Y at swapped composite indices, so the reversed word of an
-    exchange relation costs no torus products.  A call whose products may
-    pair more than PAIR_BUDGET torus terms (_term_pairs, an upper bound), or
-    hold more than CELL_BUDGET composite cells, raises ValueError before it
+    exchange relation costs no torus products.  A call whose products
+    would pair more than PAIR_BUDGET torus terms (_term_pairs), or hold
+    more than CELL_BUDGET composite cells, raises ValueError before it
     builds any.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]

@@ -14,8 +14,11 @@ change in what the command line prints.  The corpus holds:
 - drawn documents that disagree with their drawing;
 - sizes at and past each bound of the command line and of verify.evaluate.
 
-It is not part of the tier-1 suite; tests/test_cli.py checks there that the
-corpus names every check kind and every export.
+tests/golden/cli_corpus.txt holds its output.  tests/test_cli_corpus.py
+reruns every command but the sized bound-* ones and compares each line
+with that file, and tests/test_cli.py checks that the corpus names every
+check kind and every export.  A change that alters the output on purpose
+regenerates the file with the command above.
 """
 
 import contextlib
@@ -174,6 +177,16 @@ def commands(paths):
     return out
 
 
+def write_documents(directory):
+    """Write every corpus document into directory; name -> file path."""
+    paths = {}
+    for name, doc in documents().items():
+        path = pathlib.Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one command run in process."""
     out, err = io.StringIO(), io.StringIO()
@@ -182,17 +195,17 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def line(name, argv):
+    """The corpus line of one command: name, exit code, stdout sha256, stderr."""
+    code, out, err = run(argv)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    return f"{name}\t{code}\t{digest}\t{json.dumps(err)}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for name, doc in documents().items():
-            path = pathlib.Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(doc))
-            paths[name] = str(path)
-        for name, argv in commands(paths):
-            code, out, err = run(argv)
-            digest = hashlib.sha256(out.encode()).hexdigest()
-            print(f"{name}\t{code}\t{digest}\t{json.dumps(err)}", flush=True)
+        for name, argv in commands(write_documents(tmp)):
+            print(line(name, argv), flush=True)
     return 0
 
 

@@ -41,8 +41,8 @@ MUTANTS = [
     Mutant(
         "phase sign flipped in add_product",
         "qalg.py",
-        "key = ta + tb - (sum(map(mul, row, eb)) << shift)",
-        "key = ta + tb + (sum(map(mul, row, eb)) << shift)",
+        "key = ta + tb - (sum(map(mul, vals, pick(eb))) << shift)",
+        "key = ta + tb + (sum(map(mul, vals, pick(eb))) << shift)",
         ("test_qalg.py", "test_evaluate_oracle.py"),
     ),
     Mutant(
@@ -55,8 +55,8 @@ MUTANTS = [
     Mutant(
         "span check dropped from add_product",
         "qalg.py",
-        "    check_span(span)\n    shift, off, rows",
-        "    shift, off, rows",
+        "        check_span(span)\n    shift, off, rows",
+        "        pass\n    shift, off, rows",
         ("test_qalg.py",),
     ),
     Mutant(
@@ -68,10 +68,31 @@ MUTANTS = [
     ),
     Mutant(
         "k shift dropped when scaling by a v-power",
+        "ncmat.py",
+        "g = [(k << shift, n) for k, n in g]",
+        "g = [(k, n) for k, n in g]",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "k shift dropped in add_scaled",
         "qalg.py",
         "dk = k << shift",
         "dk = k",
-        ("test_qalg.py", "test_ncmat.py"),
+        ("test_qalg.py",),
+    ),
+    Mutant(
+        "shift of g dropped in add_product",
+        "qalg.py",
+        "g = None if g is None else [(k << shift, c) for k, c in g]",
+        "g = None if g is None else [(k, c) for k, c in g]",
+        ("test_qalg.py", "test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "sparse phase drops its last index",
+        "qalg.py",
+        "pick = itemgetter(*nz)",
+        "pick = itemgetter(*nz[:-1])",
+        ("test_qalg.py", "test_evaluate_oracle.py"),
     ),
     # QElem.render straight from packed codes
     Mutant(
@@ -111,6 +132,7 @@ MUTANTS = [
     ),
     # matrix kernels
     Mutant(
+        # _nonzero_rows serves matmul, sandwich, sheet_product and add_acted
         "matmul drops the last column of b",
         "ncmat.py",
         "for j, y in enumerate(row) if y.terms]",
@@ -142,8 +164,30 @@ MUTANTS = [
     Mutant(
         "no-constant branch writes the transposed cell",
         "ncmat.py",
-        "((i, j), x, f)",
-        "((j, i), x, f)",
+        "(f, i, line, True)",
+        "(f, i, line, False)",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "first-write copy ignores a -1 coefficient",
+        "ncmat.py",
+        "plain = dk0 == 0 and n0 == 1 and not rest",
+        "plain = dk0 == 0 and abs(n0) == 1 and not rest",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "first write aliases the entry's terms",
+        "ncmat.py",
+        "cells[pos] = dict(x.terms)",
+        "cells[pos] = x.terms",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    # the sandwich product of a mid-constant word
+    Mutant(
+        "sandwich pairs row r of a",
+        "ncmat.py",
+        "a_cols = _nonzero_rows(transpose_q(a))",
+        "a_cols = _nonzero_rows(a)",
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
     # the crossing table of a drawing
@@ -182,6 +226,14 @@ MUTANTS = [
         "Edge(e.frm, e.to, vec) for e, vec in zip(self.edges, exps)",
         "e for e, vec in zip(self.edges, exps)",
         ("test_network.py",),  # test_cli.py fails to collect, exit 2
+    ),
+    # the command line
+    Mutant(
+        "collector not re-enabled after a command",
+        "cli.py",
+        "            gc.enable()",
+        "            pass",
+        ("test_cli.py",),
     ),
 ]
 

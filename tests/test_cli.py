@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, output shapes, determinism."""
 
+import gc
 import json
 import os
 import pathlib
@@ -271,7 +272,8 @@ def test_unreadable_file_exits_2(tmp_path, capsys):
     assert cli.main(["check", "rtt", "--input", str(tmp_path / "missing.json")]) == 2
 
 
-def test_cyclic_without_bound_exits_3(tmp_path, capsys):
+def _cyclic_without_bound(path):
+    """Write a cyclic network with no max_cycle_uses to path."""
     form = SkewForm([[0, -1], [1, 0]])
     net = Network(
         form,
@@ -297,9 +299,48 @@ def test_cyclic_without_bound_exits_3(tmp_path, capsys):
         ),
         max_cycle_uses=None,
     )
-    path = tmp_path / "cyclic.json"
     save_network(net, str(path))
+    return path
+
+
+def test_cyclic_without_bound_exits_3(tmp_path, capsys):
+    path = _cyclic_without_bound(tmp_path / "cyclic.json")
     assert cli.main(["check", "rtt", "--input", str(path)]) == 3
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_the_collector_as_it_found_it(
+    enabled, tmp_path, monkeypatch, capsys
+):
+    # main turns the cyclic collector off while a command runs, and back to
+    # the caller's state after every exit code, argparse's exit 2 included
+    cyclic = _cyclic_without_bound(tmp_path / "cyclic.json")
+    commands = [
+        (0, ["check", "rtt", "--builder", "triangle", "--n", "2"]),
+        (1, ["check", "groupoid", "--builder", "chain", "--n", "1,1", "--bridge"]),
+        (2, ["check", "rtt", "--input", str(tmp_path / "missing.json")]),
+        (2, ["check", "no-such-kind"]),
+        (3, ["check", "rtt", "--input", str(cyclic)]),
+    ]
+    during = []
+    check_rtt = verify.check_rtt
+
+    def spy(m):
+        during.append(gc.isenabled())
+        return check_rtt(m)
+
+    monkeypatch.setattr(verify, "check_rtt", spy)
+    switch = {True: gc.enable, False: gc.disable}
+    was = gc.isenabled()
+    try:
+        switch[enabled]()
+        for code, argv in commands:
+            assert cli.main(argv) == code
+            assert gc.isenabled() is enabled, argv
+    finally:
+        switch[was]()
+    capsys.readouterr()
+    assert during == [False]
 
 
 def test_export_transport_matches_golden(tmp_path, capsys):

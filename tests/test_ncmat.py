@@ -23,6 +23,7 @@ from qtransport.ncmat import (
     lift1,
     lift2,
     matmul,
+    sandwich,
     sheet_product,
     swap_sheets,
     transpose_q,
@@ -192,6 +193,91 @@ def test_add_acted_sums_into_shared_cells():
             + m
         )
         assert QMatrix.from_cells(n, n, FORM3, cells, span) == want
+
+
+# Scalars a constant entry or a coefficient takes in the relations: each
+# one sends a cell's first write down its own path (a plain copy for 1).
+FIRST = {
+    "1": QScalar.one(),
+    "-1": QScalar.from_int(-1),
+    "v^3": QScalar.v_power(3),
+    "QQ": QQ,
+}
+
+
+def _constant(rng, rows, cols, scalars, density=0.4):
+    """rows x cols entries drawn from scalars; empty rows and columns are common."""
+    entries = {
+        (i, j): rng.choice(scalars)
+        for i in range(rows)
+        for j in range(cols)
+        if rng.random() < density
+    }
+    return CMatrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("sheet", [1, 2])
+def test_sandwich_matches_lifted_oracle(sheet):
+    # (s)X C (t)Y as verify builds it: one pass over C's nonzeros, against
+    # the dense matmul of lift(X) with the two-sided classical_act of C on
+    # lift(Y), on both sheet orders
+    rng = random.Random(f"sandwich:{sheet}")
+    lift_x, lift_y = (lift1, lift2) if sheet == 1 else (lift2, lift1)
+    scalars = list(FIRST.values())
+    for trial in range(60):
+        form = (FORM2, FORM3)[trial % 2]
+        dims = [1, 1, 1, 1] if trial < 6 else [rng.randint(1, 3) for _ in range(4)]
+        # wide entries: several v-powers, digits up to half the limit
+        x = _wide_qmatrix(rng, form, *dims[:2], big=LIMIT // 2 - 1)
+        y = _wide_qmatrix(rng, form, *dims[2:], big=LIMIT // 2 - 1)
+        if trial % 5 == 0:  # an empty row of X and an empty column of Y
+            x.data[0] = [QElem.zero(form)] * x.cols
+            for row in y.data:
+                row[-1] = QElem.zero(form)
+        a, b = lift_x(x, y.rows), lift_y(y, x.cols)
+        c = _constant(rng, a.cols, b.rows, scalars, density=(0, 0.2, 0.5)[trial % 3])
+        want = dense_matmul(a, dense_classical_act(c, b, "left"))
+        assert sandwich(a, c, b) == want, trial
+
+
+def test_sandwich_refuses_a_span_past_the_limit():
+    half = LIMIT // 2
+    x = QMatrix.from_rows(FORM2, [[w(FORM2, half, 0)]])
+    y = QMatrix.from_rows(FORM2, [[w(FORM2, 0, half - 1)]])
+    c = CMatrix(1, 1, {(0, 0): QQ})
+    assert sandwich(x, c, y) == matmul(x, y).scale(QQ)
+    y = QMatrix.from_rows(FORM2, [[w(FORM2, 0, half)]])
+    with pytest.raises(ValueError, match="may reach 16384 in size"):
+        sandwich(x, c, y)
+
+
+@pytest.mark.parametrize("name", list(FIRST))
+@pytest.mark.parametrize("side", ["left", "right", None])
+def test_add_acted_first_contribution_into_fresh_and_shared_cells(side, name):
+    # Every scalar that reaches a cell is first: the constant's entries, or
+    # with no constant the coefficient (1 and -1 passed as ints, as the
+    # relations do).  A fresh cell takes a copy of the entry's terms, which
+    # the later adds must not write through to m; a second call then adds
+    # into the same cells in place.
+    rng = random.Random(f"first:{side}:{name}")
+    first = FIRST[name]
+    coeff = {"1": 1, "-1": -1}.get(name, first)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        m, m2 = (_wide_qmatrix(rng, FORM3, n, n) for _ in range(2))
+        before = [[dict(x.terms) for x in row] for row in m.data]
+        if side is None:
+            c, want = None, m.scale(first) + m2.scale(first)
+        else:
+            c = _constant(rng, n, n, [first], density=0.5)
+            want = dense_classical_act(c, m, side) + dense_classical_act(c, m2, side)
+        cells = {}
+        span = max(
+            add_acted(cells, m, coeff if c is None else 1, c, side),
+            add_acted(cells, m2, coeff if c is None else 1, c, side),
+        )
+        assert QMatrix.from_cells(n, n, FORM3, cells, span) == want
+        assert [[x.terms for x in row] for row in m.data] == before
 
 
 def test_invert_1x1_monomial():
@@ -465,9 +551,8 @@ def _random_qmatrix(rng, form, rows, cols):
     )
 
 
-def _wide_qmatrix(rng, form, rows, cols):
-    """Entries often zero, with several v-powers and digits up to LIMIT - 1."""
-    big = LIMIT - 1
+def _wide_qmatrix(rng, form, rows, cols, big=LIMIT - 1):
+    """Entries often zero, with several v-powers and digits up to big."""
     data = []
     for _ in range(rows):
         row = []

@@ -7,6 +7,7 @@ straightforward term-by-term product kept here as the oracle.
 """
 
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -366,6 +367,34 @@ def test_qmul_matches_oracle(data):
     assert qmul(y, x) == oracle_qmul(y, x)
 
 
+SCALARS = {
+    "1": QScalar.one(),
+    "-1": QScalar.from_int(-1),
+    "v^3": QScalar.v_power(3),
+    "QQ": QScalar({2: 1, -2: -1}),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(form_and_elems(3), st.sampled_from(sorted(SCALARS)))
+def test_add_product_with_a_scalar_matches_product_then_add_scaled(data, name):
+    # x y g in one pass against x y followed by add_scaled, into fresh sums
+    # and into sums that already hold terms
+    _, (x, y, z) = data
+    g = tuple(SCALARS[name].terms.items())
+    for start in ({}, dict(z.terms)):
+        got = dict(start)
+        span = qalg.add_product(got, x, y, g)
+        plain = {}
+        qalg.add_product(plain, x, y)
+        want = dict(start)
+        qalg.add_scaled(want, qalg.from_sums(x.form, plain, span), g)
+        assert span == x.span + y.span
+        assert qalg.from_sums(x.form, got, span) == qalg.from_sums(x.form, want, span)
+    oracle = z + oracle_qmul(x, y).scale(SCALARS[name])
+    assert qalg.from_sums(x.form, got, span) == oracle
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(form_and_elems(3))
 def test_qmul_associative_hypothesis(data):
@@ -452,9 +481,12 @@ def test_rtt_memoises_each_transport_exponent_once(monkeypatch):
     assert sorted(computed) == sorted(distinct)
     assert set(form.rows) == distinct
     units = [tuple(int(k == j) for k in range(form.n)) for j in range(form.n)]
-    for code, (a, row) in form.rows.items():
+    for code, (a, row, pick, vals) in form.rows.items():
         assert form.decode(code) == (a, 0)
         assert row == tuple(oracle_pairing(form, a, u) for u in units)
+        # the sparse phase: vals are the nonzero entries of a^T E, in order
+        assert vals == tuple(e for e in row if e)
+        assert [sum(map(mul, vals, pick(u))) for u in units] == list(row)
 
 
 def test_generator_commutation_random_forms():

@@ -328,20 +328,21 @@ def test_appendix_negative_control():
 
 
 def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
-    """Every evaluate call multiplies at most the term pairs it counted.
+    """Every evaluate call adds exactly the term pairs it counted.
 
-    A spy on add_product sums |terms of x| |terms of y| over the products
-    one call builds, on every checker with mid-constant words, on plain and
-    perturbed inputs.
+    A spy on add_product sums |terms of x| |terms of y|, times the v-powers
+    of the scalar g when one is passed, over the products one call builds,
+    on every checker with mid-constant words, on plain and perturbed inputs.
     """
     real, calls = [0], []
     add_product, term_pairs, evaluate = (
         qalg.add_product, verify._term_pairs, verify.evaluate
     )
 
-    def spy(sums, x, y):
-        real[0] += len(x.terms) * len(y.terms)
-        return add_product(sums, x, y)
+    def spy(sums, x, y, g=None):
+        powers = 1 if g is None else len(g)
+        real[0] += len(x.terms) * len(y.terms) * powers
+        return add_product(sums, x, y, g)
 
     def counted(cores):
         real[0] = 0
@@ -369,4 +370,6 @@ def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
         verify.check_disc_reflection(m)
         verify.check_disc_reflection(_perturbed(m, 1, 0))
     assert len(calls) == 16
-    assert all(0 < made <= count for made, count in calls), calls
+    # the sandwich adds each term pair once per v-power of its constant
+    # entry, so the count is exact there as it is for sheet products
+    assert all(0 < made == count for made, count in calls), calls
