@@ -8,15 +8,13 @@ arguments or unreadable input, 3 a cyclic network without max_cycle_uses.
 Each check kind is one entry of CHECKS; `check all` runs its suite through
 the same entries.  Series are built on first read, so only windows are sized.
 
-Output is deterministic for a fixed command line; checker timings are
-stripped from reports so that identical runs are byte-identical.
+Output is deterministic for a fixed command line.
 """
 
 import argparse
 import gc
 import json
 import sys
-import time
 from functools import cached_property
 
 from . import verify
@@ -49,7 +47,13 @@ def _parse_ints(text, count):
 # in under two seconds, and check rmatrix --k 32 in under three.  Past them
 # the constants and an export's series grow to hundreds of megabytes, and a
 # window's time grows steeply (check affine --kmax 64 takes about 20 s).
+# check frp --r 24 --p 24 takes about 4 s, and its time grows about as the
+# fourth power of the size.  The slowest command on hat(256) takes about
+# 3 s, and inverting hat(r)'s M12 recurses r levels deep, so near r = 1000
+# it passes Python's recursion limit.
 MAX_K = 32
+MAX_FRP = 24
+MAX_HAT_R = 256
 MAX_EXPORT_ORDER = 8
 MAX_LOOP_ORDER = 32
 MAX_LEVEL = 24
@@ -117,7 +121,7 @@ def _resolve_source(args):
         m = transport_matrix(build_chain(n1, n2, bridge=args.bridge))
         return _Source(m, split or (n1, 1, n2))
     if args.builder == "hat":
-        b = hat_blocks(_size(args, "r", 2, 1))
+        b = hat_blocks(_size(args, "r", 2, 1, MAX_HAT_R))
         return _Source(b.matrix, split or b)
     if args.builder == "composite":
         b = build_composite_example()
@@ -127,7 +131,6 @@ def _resolve_source(args):
 
 def _frp_report(rmax, pmax):
     """The f^r_p agreement report and the lines of its table."""
-    t0 = time.perf_counter()
     residuals = []
     lines = [f"f^r_p (rows r=1..{rmax}, columns p=1..{pmax})"]
     for r in range(1, rmax + 1):
@@ -144,7 +147,6 @@ def _frp_report(rmax, pmax):
         parameters={"r": rmax, "p": pmax},
         passed=not residuals,
         residuals=residuals,
-        timing_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return rep, lines
 
@@ -244,13 +246,15 @@ def cmd_check(args):
     if args.kind == "rmatrix":
         reports = [verify.check_rmatrix(_size(args, "k", 2, 1, MAX_K))]
     elif args.kind == "frp":
-        rep, extra = _frp_report(_size(args, "r", 8, 1), _size(args, "p", 8, 1))
+        rep, extra = _frp_report(
+            _size(args, "r", 8, 1, MAX_FRP), _size(args, "p", 8, 1, MAX_FRP)
+        )
         reports = [rep]
     elif args.kind == "all":
         reports, skips = _run_all(_resolve_source(args), args)
     else:
         reports = [CHECKS[args.kind](_resolve_source(args), args)]
-    runs = [{k: v for k, v in rep.to_json().items() if k != "timing_ms"} for rep in reports]
+    runs = [rep.to_json() for rep in reports]
     doc = {"reports": runs, "skipped": [{"name": n, "reason": r} for n, r in skips]}
     _emit(args, doc, lambda: extra + _report_lines(reports, skips))
     return 0 if all(rep.passed for rep in reports) else 1

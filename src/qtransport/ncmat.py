@@ -136,61 +136,35 @@ class QMatrix:
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """(a b)[i, j] = sum_k a[i, k] b[k, j], factors kept in this order.
-
-    Only pairs of nonzero entries a[i, k], b[k, j] are visited.  Each output
-    cell sums its term products as one flat {code: int} map, with the
-    largest span of its products, and becomes one QElem at the end.
-    """
+    """(a b)[i, j] = sum_k a[i, k] b[k, j], factors kept in this order."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    if a.form != b.form:
-        raise ValueError("matrices live on different quantum tori")
-    form = a.form
-    z = QElem.zero(form)
-    b_rows = _nonzero_rows(b)
-    data = []
-    for arow in a.data:
-        cells = {}
-        spans = {}
-        for k, x in enumerate(arow):
-            if not x.terms:
-                continue
-            for j, y in b_rows[k]:
-                sums = cells.get(j)
-                if sums is None:
-                    sums = cells[j] = {}
-                spans[j] = max(spans.get(j, 0), add_product(sums, x, y))
-        out_row = [z] * b.cols
-        for j, sums in cells.items():
-            out_row[j] = from_sums(form, sums, spans[j])
-        data.append(out_row)
-    return QMatrix(a.rows, b.cols, form, data)
-
-
-def _nonzero_rows(m: QMatrix):
-    """Per row of m, its nonzero entries as (column, entry) pairs."""
-    return [[(j, y) for j, y in enumerate(row) if y.terms] for row in m.data]
+    return _pair_pass(a, [(k, k, None) for k in range(a.cols)], b)
 
 
 def sandwich(a: QMatrix, c: CMatrix, b: QMatrix) -> QMatrix:
-    """a C b for a matrix C of commuting scalars, in one pass over C's nonzeros.
-
-    Each nonzero C[r, s] pairs column r of a with row s of b: each pair of
-    nonzero entries a[i, r], b[s, j] is multiplied once and added into cell
-    (i, j) at every v-power of C[r, s] (add_product's g), so no C b is
-    built.  The factors keep their order.
-    """
+    """a C b for a matrix C of commuting scalars, with no C b built."""
     if a.cols != c.rows or c.cols != b.rows:
         raise ValueError("shape mismatch")
+    links = [(r, s, tuple(val.terms.items())) for (r, s), val in c.entries.items()]
+    return _pair_pass(a, links, b)
+
+
+def _pair_pass(a: QMatrix, links, b: QMatrix) -> QMatrix:
+    """The sum over links (r, s, g) of column r of a times g times row s of b.
+
+    Each pair of nonzero entries a[i, r], b[s, j] is multiplied once and
+    added into cell (i, j), at every v-power of g (add_product's g; None is
+    the scalar 1).  The factors keep their order, and the result takes the
+    largest span of its products.
+    """
     if a.form != b.form:
         raise ValueError("matrices live on different quantum tori")
     a_cols = _nonzero_rows(transpose_q(a))
     b_rows = _nonzero_rows(b)
     cells = {}
     span = 0
-    for (r, s), val in c.entries.items():
-        g = tuple(val.terms.items())
+    for r, s, g in links:
         for i, x in a_cols[r]:
             for j, y in b_rows[s]:
                 sums = cells.get((i, j))
@@ -198,6 +172,11 @@ def sandwich(a: QMatrix, c: CMatrix, b: QMatrix) -> QMatrix:
                     sums = cells[i, j] = {}
                 span = max(span, add_product(sums, x, y, g))
     return QMatrix.from_cells(a.rows, b.cols, a.form, cells, span)
+
+
+def _nonzero_rows(m: QMatrix):
+    """Per row of m, its nonzero entries as (column, entry) pairs."""
+    return [[(j, y) for j, y in enumerate(row) if y.terms] for row in m.data]
 
 
 def transpose_q(m: QMatrix) -> QMatrix:

@@ -117,7 +117,8 @@ class Network:
             check_edge_ends(((e.frm, e.to) for e in self.edges), geometry.coords)
             if len(geometry.face_markers) != n:
                 raise ValueError("one face marker per generator required")
-        self.is_acyclic = _is_acyclic(self.vertices, self.edges)
+        self.longest_path = _longest_path(self.vertices, self.edges)
+        self.is_acyclic = self.longest_path is not None
         stored = all(e.exponent is not None for e in self.edges)
         if geometry is None and not stored:
             if self.is_acyclic:
@@ -150,23 +151,29 @@ class Network:
             self.out_edges[e.frm].append(e)
 
 
-def _is_acyclic(vertices, edges):
-    """Whether the directed graph has no cycle: every vertex drains away."""
+def _longest_path(vertices, edges):
+    """Vertices on the longest directed path, or None if there is a cycle.
+
+    One topological pass: every vertex drains away exactly when the graph
+    has no cycle, and a vertex drains after every path into it is measured.
+    """
     indeg = dict.fromkeys(vertices, 0)
     heads = {v: [] for v in vertices}
     for e in edges:
         indeg[e.to] += 1
         heads[e.frm].append(e.to)
+    depth = dict.fromkeys(vertices, 1)
     queue = [v for v, d in indeg.items() if d == 0]
     seen = 0
     while queue:
         v = queue.pop()
         seen += 1
         for w in heads[v]:
+            depth[w] = max(depth[w], depth[v] + 1)
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    return seen == len(indeg)
+    return max(depth.values()) if seen == len(indeg) else None
 
 
 def _coord_to_json(x):
@@ -307,6 +314,9 @@ def save_network(net, path):
 
 
 PATH_BUDGET = 10**6  # source-sink paths one transport_matrix call may walk
+# Vertices on one walked path; the walk recurses once per vertex, so this
+# stays well below Python's recursion limit of 1000.
+MAX_PATH_DEPTH = 800
 
 
 def transport_matrix(net):
@@ -316,8 +326,10 @@ def transport_matrix(net):
     the path's monomial to the entry of the sink where the path ends.  In a
     cyclic network each edge may be used at most max_cycle_uses times on a
     path, and a path is signed by the parity of its self-crossings in the
-    drawing; an acyclic network needs neither.  The walks stop with
-    ValueError once more than PATH_BUDGET paths have reached a sink.
+    drawing; an acyclic network needs neither.  A network whose paths may
+    visit more than MAX_PATH_DEPTH vertices is refused before the walk, and
+    the walks stop with ValueError once more than PATH_BUDGET paths have
+    reached a sink.
     """
     bound, coords = inf, None
     if not net.is_acyclic:
@@ -337,6 +349,11 @@ def transport_matrix(net):
     span = sum(max(map(abs, e.exponent), default=0) for e in net.edges)
     span *= 1 if bound == inf else bound
     check_span(span, "transport exponents")
+    depth = net.longest_path if bound == inf else len(net.edges) * bound + 1
+    if depth > MAX_PATH_DEPTH:
+        raise ValueError(
+            f"transport paths may visit {depth} vertices; the limit is {MAX_PATH_DEPTH}"
+        )
     code = {id(e): form.encode(e.exponent) for e in net.edges}
 
     def sign(trail):

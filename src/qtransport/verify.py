@@ -12,9 +12,8 @@ turns the table into residual matrices.
 """
 
 import functools
-import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .ncmat import (
@@ -51,16 +50,9 @@ class CheckReport:
     parameters: dict
     passed: bool
     residuals: list
-    timing_ms: float
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "passed": self.passed,
-            "residuals": self.residuals,
-            "timing_ms": self.timing_ms,
-        }
+        return asdict(self)
 
 
 def _first_nonzero(mat):
@@ -77,7 +69,7 @@ def _first_nonzero(mat):
     return None
 
 
-def _finish(name, parameters, items, t0):
+def _finish(name, parameters, items):
     residuals = []
     for label, mat in items:
         hit = _first_nonzero(mat)
@@ -88,7 +80,6 @@ def _finish(name, parameters, items, t0):
         parameters=parameters,
         passed=not residuals,
         residuals=residuals,
-        timing_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
@@ -274,7 +265,6 @@ def _self_exchange(m, tag=""):
 
 def check_rmatrix(k):
     """All constant R-matrix identities at size k."""
-    t0 = time.perf_counter()
     r = const("R", k)
     ri = const("R^-1", k)
     rt = r.transpose()
@@ -294,19 +284,17 @@ def check_rmatrix(k):
     for nm, a in (("t1(R)", const("R^t1", k)), ("t1(R*)", const("R*^t1", k))):
         for nm2, b in (("R", r), ("R*", rit)):
             items.append((f"commute:{nm},{nm2}", a * b - b * a))
-    return _finish("rmatrix", {"k": k}, items, t0)
+    return _finish("rmatrix", {"k": k}, items)
 
 
 def check_rtt(m):
     """Self-exchange relations of a full transport matrix."""
-    t0 = time.perf_counter()
     items = _table(_self_exchange(m))
-    return _finish("rtt", {"rows": m.rows, "cols": m.cols}, items, t0)
+    return _finish("rtt", {"rows": m.rows, "cols": m.cols}, items)
 
 
 def check_blocks(b):
     """The complete set of exchange relations among the four blocks."""
-    t0 = time.perf_counter()
     m11, m12, m21, m22 = b.M11, b.M12, b.M21, b.M22
     rows = []
     for tag, mat in (("M11:", m11), ("M12:", m12), ("M21:", m21), ("M22:", m22)):
@@ -320,7 +308,7 @@ def check_blocks(b):
         ("M11,M22", _exchange([(1, ((1, m11), (2, m22)))])
          + [(-QQ, ((2, m21), (1, m12), "P"))]),
     ]
-    return _finish("blocks", {"n1": b.n1, "m": b.m, "n2": b.n2}, _table(rows), t0)
+    return _finish("blocks", {"n1": b.n1, "m": b.m, "n2": b.n2}, _table(rows))
 
 
 def _affine_terms(tser, k, p):
@@ -333,10 +321,9 @@ def _affine_terms(tser, k, p):
 
 def check_affine(tser, kmax, pmax):
     """Summed level relations over 0 <= k <= kmax, 0 <= p <= pmax."""
-    t0 = time.perf_counter()
     window = product(range(kmax + 1), range(pmax + 1))
     rows = [(f"S({k},{p})", _affine_terms(tser, k, p)) for k, p in window]
-    return _finish("affine", {"kmax": kmax, "pmax": pmax}, _table(rows), t0)
+    return _finish("affine", {"kmax": kmax, "pmax": pmax}, _table(rows))
 
 
 def _loop_terms(x, y, a, b):
@@ -347,28 +334,25 @@ def _loop_terms(x, y, a, b):
 
 def check_loop(tser, lo, hi):
     """Componentwise exchange relations of a two-sided level family."""
-    t0 = time.perf_counter()
     window = product(range(lo, hi + 1), repeat=2)
     rows = [(f"C({a},{b})", _loop_terms(tser, tser, a, b)) for a, b in window]
-    return _finish("loop", {"lo": lo, "hi": hi}, _table(rows), t0)
+    return _finish("loop", {"lo": lo, "hi": hi}, _table(rows))
 
 
 def check_subalgebra(tser):
     """Exchange relations of the level-0 and level-(-1) generators alone."""
-    t0 = time.perf_counter()
     tp0 = tser.get(0)
     tm1 = tser.get(-1)
     rows = _self_exchange(tp0, "T+0:")
     rows.append(("T-1,T+0", _exchange([(1, ("R", (1, tm1), (2, tp0)))])))
     rows += _self_exchange(tm1, "T-1:")
-    return _finish("subalgebra", {}, _table(rows), t0)
+    return _finish("subalgebra", {}, _table(rows))
 
 
 def check_groupoid(b):
     """Does M22 M12^-1 M11 reproduce M21 exactly?"""
-    t0 = time.perf_counter()
     items = [("M22 M12^-1 M11 - M21", b.power(-1) - b.M21)]
-    return _finish("groupoid", {"n1": b.n1, "m": b.m, "n2": b.n2}, items, t0)
+    return _finish("groupoid", {"n1": b.n1, "m": b.m, "n2": b.n2}, items)
 
 
 def check_aux_inverse(b):
@@ -380,7 +364,6 @@ def check_aux_inverse(b):
     and, with G = M22 M12^-1 M11, the cross relation
     (1)G (2)M11 R^-1 = (2)M11 (1)G - (q-q^-1) (1)M21 (2)M11 P.
     """
-    t0 = time.perf_counter()
     inv, g = b.M12_inverse, b.power(-1)
     m11, m21, m22 = b.M11, b.M21, b.M22
     rows = [
@@ -394,7 +377,7 @@ def check_aux_inverse(b):
         ]),
     ]
     params = {"n1": b.n1, "m": b.m, "n2": b.n2}
-    return _finish("aux-inverse", params, _table(rows), t0)
+    return _finish("aux-inverse", params, _table(rows))
 
 
 def reflection_constant_residual(a0):
@@ -404,11 +387,10 @@ def reflection_constant_residual(a0):
 
 def check_reflection_constant(a0):
     """Constant reflection relation of a single square matrix."""
-    t0 = time.perf_counter()
     if a0.rows != a0.cols:
         raise ValueError("reflection checks need a square matrix")
     items = [("constant", reflection_constant_residual(a0))]
-    return _finish("reflection", {"size": a0.rows}, items, t0)
+    return _finish("reflection", {"size": a0.rows}, items)
 
 
 def _reflection_affine_terms(aser, alpha, beta):
@@ -424,10 +406,9 @@ def _reflection_affine_terms(aser, alpha, beta):
 
 def check_reflection_affine(aser, kmax):
     """Spectral reflection relation over a window of bidegrees."""
-    t0 = time.perf_counter()
     window = product(range(0, kmax + 1), range(-1, kmax))
     rows = [(f"({a},{b})", _reflection_affine_terms(aser, a, b)) for a, b in window]
-    return _finish("reflection-affine", {"kmax": kmax}, _table(rows), t0)
+    return _finish("reflection-affine", {"kmax": kmax}, _table(rows))
 
 
 def check_disc_reflection(m):
@@ -436,7 +417,6 @@ def check_disc_reflection(m):
     With M1 the top half and M2 the bottom half, A = M1^t M2 must be
     upper-triangular and satisfy the constant reflection relation.
     """
-    t0 = time.perf_counter()
     if m.rows % 2 != 0:
         raise ValueError("need an even number of sink rows")
     half = m.rows // 2
@@ -450,7 +430,7 @@ def check_disc_reflection(m):
         ("triangular", lower),
         ("reflection", reflection_constant_residual(a)),
     ]
-    return _finish("disc-reflection", {"rows": m.rows, "cols": m.cols}, items, t0)
+    return _finish("disc-reflection", {"rows": m.rows, "cols": m.cols}, items)
 
 
 def check_appendix(b):
@@ -460,9 +440,8 @@ def check_appendix(b):
     R* (1)T_2 (2)T_2 - (2)T_2 (1)T_2 R*
       = (q - q^-1) [ P (1)T_3 (2)D - (2)D (1)T_3 P ].
     """
-    t0 = time.perf_counter()
     t2, t3 = b.power(-2), b.power(-3)
     d = b.power(-1) - b.M21
     terms = [(1, ("R*", (1, t2), (2, t2))), (-QQ, ("P", (1, t3), (2, d)))]
     rows = [("appendix", _exchange(terms))]
-    return _finish("appendix", {"n1": b.n1, "m": b.m, "n2": b.n2}, _table(rows), t0)
+    return _finish("appendix", {"n1": b.n1, "m": b.m, "n2": b.n2}, _table(rows))

@@ -12,6 +12,8 @@ change in what the command line prints.  The corpus holds:
   example, cyclic2x2 and perturbed network files;
 - every MALFORMED edit of tests/test_cli.py, with and without a drawing;
 - drawn documents that disagree with their drawing;
+- undrawn one-path lines at and one past the path-depth bound of
+  network.transport_matrix;
 - sizes at and past each bound of the command line and of verify.evaluate.
 
 tests/golden/cli_corpus.txt holds its output.  tests/test_cli_corpus.py
@@ -99,6 +101,18 @@ def _drawn_edits():
     }
 
 
+def _line(edges):
+    """An undrawn path of edges edges, weight 0, from its one source to its one sink."""
+    names = [f"v{i}" for i in range(edges + 1)]
+    return {
+        "epsilon2": [[0]],
+        "vertices": names,
+        "edges": [{"from": u, "to": w, "exponent": [0]} for u, w in zip(names, names[1:])],
+        "sources": names[:1],
+        "sinks": names[-1:],
+    }
+
+
 def documents():
     """name -> network document written to a file for --input."""
     from test_cli import MALFORMED
@@ -113,6 +127,8 @@ def documents():
         docs[f"malformed-{name}"] = edit(undrawn)
         docs[f"malformed-{name}-drawn"] = edit(_drawn())
     docs.update({f"drawn-{k}": doc for k, doc in _drawn_edits().items()})
+    for edges in (799, 800):  # paths of 800 and 801 vertices
+        docs[f"line{edges}"] = _line(edges)
     return docs
 
 
@@ -167,6 +183,12 @@ def commands(paths):
             name = f"bound-{command}-{kind}{flag}-{size}"
             out.append((name, [command, kind, *chain, flag, str(size)]))
     out.append(("bound-rmatrix-k-33", ["check", "rmatrix", "--k", "33"]))
+    for r, p in ((24, 24), (25, 24), (24, 25)):
+        argv = ["check", "frp", "--r", str(r), "--p", str(p)]
+        out.append((f"bound-frp-r{r}-p{p}", argv))
+    for r in (256, 257):
+        argv = ["check", "groupoid", "--builder", "hat", "--r", str(r)]
+        out.append((f"bound-hat-r-{r}", argv))
     for n in ("16,16", "17,17"):  # 83521 and 104976 product cells
         argv = ["check", "rtt", "--builder", "chain", "--n", n]
         out.append((f"bound-cells-chain{n}", argv))

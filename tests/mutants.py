@@ -132,7 +132,8 @@ MUTANTS = [
     ),
     # matrix kernels
     Mutant(
-        # _nonzero_rows serves matmul, sandwich, sheet_product and add_acted
+        # _nonzero_rows serves the pair pass behind matmul and sandwich,
+        # sheet_product and add_acted
         "matmul drops the last column of b",
         "ncmat.py",
         "for j, y in enumerate(row) if y.terms]",
@@ -182,7 +183,14 @@ MUTANTS = [
         "cells[pos] = x.terms",
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
-    # the sandwich product of a mid-constant word
+    # the pair pass behind matmul and sandwich
+    Mutant(
+        "pass keeps the last product's span",
+        "ncmat.py",
+        "span = max(span, add_product(sums, x, y, g))",
+        "span = add_product(sums, x, y, g)",
+        ("test_ncmat.py",),
+    ),
     Mutant(
         "sandwich pairs row r of a",
         "ncmat.py",

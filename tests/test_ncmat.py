@@ -251,6 +251,35 @@ def test_sandwich_refuses_a_span_past_the_limit():
         sandwich(x, c, y)
 
 
+def _spans_hold(m):
+    """Whether every entry of m has a span at least its largest |digit|."""
+    return all(
+        abs(a) <= x.span
+        for row in m.data
+        for x in row
+        for code in x.terms
+        for a in m.form.decode(code)[0]
+    )
+
+
+def test_products_keep_the_largest_span():
+    # The output takes the largest span of its products, not the last one:
+    # the first pair made is wide, (5,-3) times (0,1), and every later pair
+    # is narrow.  Random wide entries then carry spans from 0 to 99.
+    wide, narrow = w(FORM2, 5, -3), w(FORM2, 0, 1)
+    a = QMatrix.from_rows(FORM2, [[wide, narrow], [narrow, narrow]])
+    b = QMatrix.from_rows(FORM2, [[narrow, narrow], [narrow, narrow]])
+    c = CMatrix(2, 2, {(0, 0): QScalar.one(), (1, 1): QQ})
+    assert _spans_hold(matmul(a, b)) and _spans_hold(sandwich(a, c, b))
+    rng = random.Random(41)
+    for trial in range(40):
+        form = (FORM2, FORM3)[trial % 2]
+        a = _wide_qmatrix(rng, form, 3, 2, big=rng.randint(1, 99))
+        b = _wide_qmatrix(rng, form, 2, 3, big=rng.randint(1, 99))
+        c = _constant(rng, 2, 2, list(FIRST.values()), density=0.7)
+        assert _spans_hold(matmul(a, b)) and _spans_hold(sandwich(a, c, b)), trial
+
+
 @pytest.mark.parametrize("name", list(FIRST))
 @pytest.mark.parametrize("side", ["left", "right", None])
 def test_add_acted_first_contribution_into_fresh_and_shared_cells(side, name):

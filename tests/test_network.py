@@ -539,6 +539,44 @@ def test_cyclic_path_bound_at_the_packed_limit_is_refused_before_walking(
         transport_matrix(_cyclic2x2(1))
 
 
+def _line(edges):
+    """An undrawn path of edges edges, weight 0, from one source to one sink."""
+    names = [f"v{i}" for i in range(edges + 1)]
+    return Network(
+        SkewForm([[0]]),
+        names,
+        [Edge(u, w, (0,)) for u, w in zip(names, names[1:])],
+        names[:1],
+        names[-1:],
+    )
+
+
+def test_deep_paths_are_refused_before_walking(monkeypatch):
+    # The walk recurses once per vertex of a path.  An acyclic network is
+    # bounded by its longest path; a path in cyclic2x2 (7 edges) may visit
+    # 7 uses + 1 vertices.
+    assert _line(799).longest_path == network.MAX_PATH_DEPTH == 800
+    assert transport_matrix(_line(799)) == QMatrix.identity(1, SkewForm([[0]]))
+    with pytest.raises(ValueError, match="may visit 801 vertices; the limit is 800"):
+        transport_matrix(_line(800))
+
+    def walked(points):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(geometry, "path_self_crossings", walked)
+    with pytest.raises(ValueError, match="may visit 806 vertices; the limit is 800"):
+        transport_matrix(_cyclic2x2(115))
+    with pytest.raises(AssertionError, match="the walk started"):
+        transport_matrix(_cyclic2x2(114))
+
+
+def test_longest_path_counts_vertices_and_is_none_on_a_cycle():
+    assert _cyclic2x2(1).longest_path is None
+    # two routes from s to t: s-a-t and s-b-c-t
+    edges = [Edge(u, w, (0,)) for u, w in ["sa", "at", "sb", "bc", "ct"]]
+    assert Network(SkewForm([[0]]), "sabct", edges, ["s"], ["t"]).longest_path == 4
+
+
 def test_path_walk_stops_past_its_budget(monkeypatch):
     # triangle(3) has 2^4 - 2 = 14 source-sink paths
     monkeypatch.setattr(network, "PATH_BUDGET", 14)
