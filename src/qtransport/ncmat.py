@@ -14,6 +14,7 @@ from .qalg import (
     QScalar,
     SkewForm,
     add_product,
+    add_scaled,
     from_sums,
     invert_monomial,
     qmul,
@@ -136,42 +137,76 @@ class QMatrix:
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """(a b)[i, j] = sum_k a[i, k] b[k, j], factors kept in this order."""
+    """(a b)[i, j] = sum_k a[i, k] b[k, j], factors kept in this order.
+
+    Each pair of nonzero entries a[i, k], b[k, j] is multiplied once,
+    straight into the sums of cell (i, j), and the result takes the largest
+    span of its products.
+    """
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    return _pair_pass(a, [(k, k, None) for k in range(a.cols)], b)
-
-
-def sandwich(a: QMatrix, c: CMatrix, b: QMatrix) -> QMatrix:
-    """a C b for a matrix C of commuting scalars, with no C b built."""
-    if a.cols != c.rows or c.cols != b.rows:
-        raise ValueError("shape mismatch")
-    links = [(r, s, tuple(val.terms.items())) for (r, s), val in c.entries.items()]
-    return _pair_pass(a, links, b)
-
-
-def _pair_pass(a: QMatrix, links, b: QMatrix) -> QMatrix:
-    """The sum over links (r, s, g) of column r of a times g times row s of b.
-
-    Each pair of nonzero entries a[i, r], b[s, j] is multiplied once and
-    added into cell (i, j), at every v-power of g (add_product's g; None is
-    the scalar 1).  The factors keep their order, and the result takes the
-    largest span of its products.
-    """
     if a.form != b.form:
         raise ValueError("matrices live on different quantum tori")
+    cells = {}
+    span = 0
+    for xs, ys in zip(_nonzero_rows(transpose_q(a)), _nonzero_rows(b)):
+        for i, x in xs:
+            for j, y in ys:
+                sums = cells.get((i, j))
+                if sums is None:
+                    sums = cells[i, j] = {}
+                span = max(span, add_product(sums, x, y))
+    return QMatrix.from_cells(a.rows, b.cols, a.form, cells, span)
+
+
+def sandwich(a: QMatrix, c: CMatrix, b: QMatrix, memo=None, reverse=False) -> QMatrix:
+    """a C b for a matrix C of commuting scalars, with no C b built.
+
+    Each nonzero C[r, s] pairs column r of a with row s of b: the product
+    x y of each pair of nonzero entries is added into its cell at every
+    v-power of C[r, s].  x y is taken from memo (see _entry_product), made
+    once and kept there, so a pair that meets under several links of C, or
+    in another sandwich sharing memo, is multiplied once.  The result takes
+    the largest span of its products.
+    """
+    if a.cols != c.rows or c.cols != b.rows:
+        raise ValueError("shape mismatch")
+    if a.form != b.form:
+        raise ValueError("matrices live on different quantum tori")
+    if memo is None:
+        memo = {}
     a_cols = _nonzero_rows(transpose_q(a))
     b_rows = _nonzero_rows(b)
     cells = {}
     span = 0
-    for r, s, g in links:
+    for (r, s), val in c.entries.items():
+        g = tuple(val.terms.items())
         for i, x in a_cols[r]:
             for j, y in b_rows[s]:
+                key = id(x), id(y)
+                xy = memo.get(key)
+                if xy is None:
+                    xy = memo[key] = _entry_product(memo, x, y, reverse)
                 sums = cells.get((i, j))
                 if sums is None:
                     sums = cells[i, j] = {}
-                span = max(span, add_product(sums, x, y, g))
+                add_scaled(sums, xy, g)
+                span = max(span, xy.span)
     return QMatrix.from_cells(a.rows, b.cols, a.form, cells, span)
+
+
+def _entry_product(memo, x: QElem, y: QElem, reverse) -> QElem:
+    """x y; with reverse and x not y, the same pass leaves y x in memo.
+
+    memo maps (id x, id y) of two entries to their product x y.  It lives
+    for one relation evaluation, whose matrices keep every entry alive.
+    """
+    if not reverse or x is y:
+        return qmul(x, y)
+    rev = {}
+    xy = qmul(x, y, rev=rev)
+    memo[id(y), id(x)] = from_sums(x.form, rev, xy.span)
+    return xy
 
 
 def _nonzero_rows(m: QMatrix):
@@ -189,15 +224,21 @@ def transpose_q(m: QMatrix) -> QMatrix:
     )
 
 
-def sheet_product(a: QMatrix, b: QMatrix) -> QMatrix:
+def sheet_product(a: QMatrix, b: QMatrix, memo=None, reverse=False) -> QMatrix:
     """(1)a (2)b on the composite index space: entry ((i,k),(j,l)) = a[i,j] b[k,l].
 
     Rows are composite over (a-rows, b-rows), columns over (a-cols, b-cols),
     sheet-1-major.  The word with a on sheet 2 first, (2)a (1)b, holds the
     same products at swapped indices: swap_sheets reads it off this one.
+    An entry product that an earlier pass left in memo (see _entry_product)
+    is popped from it instead of multiplied; with reverse, each product made
+    also leaves the reversed one there, for sheet_product(b, a) or, with a
+    is b, for this pass.
     """
     if a.form != b.form:
         raise ValueError("matrices live on different quantum tori")
+    if memo is None:
+        memo = {}
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     z = QElem.zero(a.form)
@@ -210,7 +251,10 @@ def sheet_product(a: QMatrix, b: QMatrix) -> QMatrix:
                 continue
             left = j * b.cols
             for k, l, y in nonzero:
-                block[k][left + l] = qmul(x, y)
+                xy = memo.pop((id(x), id(y)), None)
+                if xy is None:
+                    xy = _entry_product(memo, x, y, reverse)
+                block[k][left + l] = xy
     return QMatrix(rows, cols, a.form, data)
 
 

@@ -117,8 +117,10 @@ class Network:
             check_edge_ends(((e.frm, e.to) for e in self.edges), geometry.coords)
             if len(geometry.face_markers) != n:
                 raise ValueError("one face marker per generator required")
-        self.longest_path = _longest_path(self.vertices, self.edges)
-        self.is_acyclic = self.longest_path is not None
+        acyclic = _longest_path(self.vertices, self.edges, self.sources, self.sinks)
+        self.is_acyclic = acyclic is not None
+        # source-sink paths, counted only when there is no cycle
+        self.longest_path, self.path_count = acyclic or (None, None)
         stored = all(e.exponent is not None for e in self.edges)
         if geometry is None and not stored:
             if self.is_acyclic:
@@ -151,11 +153,14 @@ class Network:
             self.out_edges[e.frm].append(e)
 
 
-def _longest_path(vertices, edges):
-    """Vertices on the longest directed path, or None if there is a cycle.
+def _longest_path(vertices, edges, sources, sinks):
+    """(vertices on the longest directed path, source-sink paths), or None.
 
-    One topological pass: every vertex drains away exactly when the graph
-    has no cycle, and a vertex drains after every path into it is measured.
+    None means the graph has a cycle.  One topological pass: every vertex
+    drains away exactly when the graph has no cycle, and a vertex drains
+    after every path into it is measured and counted.  No edge leaves a
+    sink, so a path from a source into a sink ends there, as the walk of
+    transport_matrix does.
     """
     indeg = dict.fromkeys(vertices, 0)
     heads = {v: [] for v in vertices}
@@ -163,6 +168,9 @@ def _longest_path(vertices, edges):
         indeg[e.to] += 1
         heads[e.frm].append(e.to)
     depth = dict.fromkeys(vertices, 1)
+    paths = dict.fromkeys(vertices, 0)  # paths from a source that end at v
+    for v in sources:
+        paths[v] = 1
     queue = [v for v, d in indeg.items() if d == 0]
     seen = 0
     while queue:
@@ -170,10 +178,13 @@ def _longest_path(vertices, edges):
         seen += 1
         for w in heads[v]:
             depth[w] = max(depth[w], depth[v] + 1)
+            paths[w] += paths[v]
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    return max(depth.values()) if seen == len(indeg) else None
+    if seen != len(indeg):
+        return None
+    return max(depth.values()), sum(paths[v] for v in sinks)
 
 
 def _coord_to_json(x):
@@ -327,9 +338,10 @@ def transport_matrix(net):
     cyclic network each edge may be used at most max_cycle_uses times on a
     path, and a path is signed by the parity of its self-crossings in the
     drawing; an acyclic network needs neither.  A network whose paths may
-    visit more than MAX_PATH_DEPTH vertices is refused before the walk, and
-    the walks stop with ValueError once more than PATH_BUDGET paths have
-    reached a sink.
+    visit more than MAX_PATH_DEPTH vertices, or an acyclic one with more
+    than PATH_BUDGET source-sink paths, is refused before the walk; a cyclic
+    network's walks stop with ValueError once more than PATH_BUDGET paths
+    have reached a sink.
     """
     bound, coords = inf, None
     if not net.is_acyclic:
@@ -353,6 +365,11 @@ def transport_matrix(net):
     if depth > MAX_PATH_DEPTH:
         raise ValueError(
             f"transport paths may visit {depth} vertices; the limit is {MAX_PATH_DEPTH}"
+        )
+    if bound == inf and net.path_count > PATH_BUDGET:
+        raise ValueError(
+            f"transport has {net.path_count} source-sink paths; "
+            f"the limit is {PATH_BUDGET}"
         )
     code = {id(e): form.encode(e.exponent) for e in net.edges}
 
@@ -724,8 +741,7 @@ def f_rp(r, p, mode="matrix"):
     if r < 1 or p < 1:
         raise ValueError("need r >= 1 and p >= 1")
     if mode == "matrix":
-        level = hat_blocks(r).power(-p).entry(0, 0)
-        return level.terms.get(0, 0)
+        return staircase_level(hat_blocks(r), p)
     if mode == "recursion":
         memo = {}
 
@@ -742,6 +758,15 @@ def f_rp(r, p, mode="matrix"):
             return 1
         return (-1) ** (r - 1) * comb(p - 2, r - 1)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def staircase_level(blocks, p):
+    """f(r, p) read off the staircase block system hat_blocks(r).
+
+    It is the constant term of M22 M12^-p M11, which power(-p) builds from
+    the levels above it, so a caller reading many p shares one inverse.
+    """
+    return blocks.power(-p).entry(0, 0).terms.get(0, 0)
 
 
 def _monomial_matrix(form, rows, cols, rng):

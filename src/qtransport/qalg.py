@@ -17,7 +17,8 @@ A QElem stores each term c v^k :w^a: under one int key, its code
 signed 16-bit digits a_i with k above them, unbounded.  Codes add like
 exponents, so a term product is one sum, code(a, k) + code(b, l) -
 (a.E.b << 16 N), with a and the row a^T E memoised per form by the code of
-:w^a:.  Sums, scaling by v-powers and the inverse of a unit monomial
+:w^a:; the reversed product :w^b: :w^a: adds the same shifted phase
+instead.  Sums, scaling by v-powers and the inverse of a unit monomial
 (code -> -code) are int-keyed dict work.  Rendering reads the digits
 a_i + 2^15 of code + offset as one UTF-16 code point each (see QElem.render).
 Exactness: the span of a QElem bounds every |a_i| of its terms and stays
@@ -345,21 +346,25 @@ def weyl(form: SkewForm, exponents, coeff: QScalar | None = None) -> QElem:
     return QElem(form, {tuple(exponents): QScalar.one() if coeff is None else coeff})
 
 
-def qmul(x: QElem, y: QElem) -> QElem:
-    """Product in the torus: :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:."""
+def qmul(x: QElem, y: QElem, rev=None) -> QElem:
+    """Product in the torus: :w^a: :w^b: = v^{-a.E.b} :w^{a+b}:.
+
+    With a dict rev, the same pass also adds the terms of y x into it (see
+    add_product).
+    """
     sums = {}
-    return from_sums(x.form, sums, add_product(sums, x, y))
+    return from_sums(x.form, sums, add_product(sums, x, y, rev))
 
 
-def add_product(sums, x: QElem, y: QElem, g=None) -> int:
-    """Add the terms of x y, or of x y g, into flat sums {code: int}.
+def add_product(sums, x: QElem, y: QElem, rev=None) -> int:
+    """Add the terms of x y into flat sums {code: int}, and of y x into rev.
 
-    g, if given, is a Laurent polynomial in v as (v-power, int) pairs; each
-    term pair is multiplied once and added at each of its v-powers.  Each
-    term's monomial code looks up a and the nonzero entries of a^T E once,
-    so each term pair is one short dot product and one int key.  Returns
-    the product's span; raises ValueError, before adding anything, when the
-    span would reach LIMIT.
+    Each term's monomial code looks up a and the nonzero entries of a^T E
+    once, so each term pair is one short dot product and one int key.  E is
+    skew, so the pair's term of y x differs only by the phase's sign: with a
+    dict rev, one pass serves both orders.  Returns the span of either
+    product; raises ValueError, before adding anything, when the span would
+    reach LIMIT.
     """
     form = x.form
     if y.form is not form:
@@ -373,17 +378,16 @@ def add_product(sums, x: QElem, y: QElem, g=None) -> int:
     for tb, cb in y.terms.items():
         right.append((tb, cb, rows[tb - ((tb + off) >> shift << shift)][0]))
     get = sums.get
-    g = None if g is None else [(k << shift, c) for k, c in g]
     for ta, ca in x.terms.items():
         _, _, pick, vals = rows[ta - ((ta + off) >> shift << shift)]
         for tb, cb, eb in right:
-            key = ta + tb - (sum(map(mul, vals, pick(eb))) << shift)
-            if g is None:
-                sums[key] = get(key, 0) + ca * cb
-                continue
+            phase = sum(map(mul, vals, pick(eb))) << shift
             c = ca * cb
-            for dk, ck in g:
-                sums[key + dk] = get(key + dk, 0) + c * ck
+            key = ta + tb - phase
+            sums[key] = get(key, 0) + c
+            if rev is not None:
+                key = ta + tb + phase
+                rev[key] = rev.get(key, 0) + c
     return span
 
 

@@ -131,19 +131,22 @@ def _key(core):
     return tuple(f if isinstance(f, str) else (f[0], id(f[1])) for f in core)
 
 
-def _product(core):
+def _product(core, memo, reverse):
     """The product _key names: (1)X (2)Y, or (s)X C (t)Y through the lifts.
 
     A mid-constant word is one sandwich of the lifts around C: each nonzero
     C[r, c] pairs column r of lift(X) with row c of lift(Y), so no C lift(Y)
-    is built.
+    is built.  Entry products come from, and with reverse also leave their
+    reversals in, the call's memo (ncmat._entry_product).
     """
     (s, x), (_, y) = core[0], core[-1]
     if len(core) == 2:
-        return sheet_product(x, y)
+        return sheet_product(x, y, memo=memo, reverse=reverse)
     c = _constant_at(core[1], core, "mid")
     lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
-    return sandwich(lift_x(x, y.rows), c, lift_y(y, x.cols))
+    return sandwich(
+        lift_x(x, y.rows), c, lift_y(y, x.cols), memo=memo, reverse=reverse
+    )
 
 
 def _read(core, value):
@@ -165,7 +168,8 @@ def _term_pairs(cores):
     every term of X with every term of Y.  A mid-constant word is a
     sandwich: each C[r, c] pairs column r of lift(X), a column of X, with
     row c of lift(Y), a row of Y, and adds each term pair once per v-power
-    of C[r, c].  Both counts are exact.
+    of C[r, c].  Entry pairs that evaluate multiplies once for several
+    words or links are counted for each, so the total is an upper bound.
     """
     total = 0
     for core in cores.values():
@@ -182,6 +186,10 @@ def _term_pairs(cores):
                 xt, yt = xcol[r % x.cols], yrow[c // x.cols]
             total += xt * len(val.terms) * yt
     return total
+
+
+def _nonzero(m):
+    return [x for row in m.data for x in row if x.terms]
 
 
 def _row_terms(m):
@@ -208,8 +216,13 @@ def evaluate(*relations):
     dropped after its last use, so a checker passes its whole window here
     in one call.  Two adjacent factors make one product per ordered pair of
     matrices, whatever the sheets: (2)X (1)Y reads the entries of
-    (1)X (2)Y at swapped composite indices, so the reversed word of an
-    exchange relation costs no torus products.  A call whose products
+    (1)X (2)Y at swapped composite indices.  A word and its reversal share
+    their entry products: a product whose factors X, Y are one matrix, or
+    whose reversal Y, X a later product of the call reads, leaves each y x
+    in a memo of entry products in the pass that makes x y.  A sheet
+    product pops what it reads there; a sandwich keeps its products for
+    later links and words until no product still to be built pairs X with
+    Y, and the memo is dropped when the call returns.  A call whose products
     would pair more than PAIR_BUDGET torus terms (_term_pairs), or hold
     more than CELL_BUDGET composite cells, raises ValueError before it
     builds any.
@@ -228,6 +241,10 @@ def evaluate(*relations):
         raise ValueError(
             f"these relations need {cells} product cells; the limit is {CELL_BUDGET}"
         )
+    # per (id X, id Y): the products still to build that read X's entries
+    # times Y's
+    unbuilt = Counter((id(x), id(y)) for (_, x), *_, (_, y) in cores.values())
+    memo = {}
     kept = {}
     out = []
     for rel in parts:
@@ -235,7 +252,19 @@ def evaluate(*relations):
         span = 0
         for coeff, name, side, core in rel:
             key = _key(core)
-            value = kept.pop(key) if key in kept else _product(core)
+            if key in kept:
+                value = kept.pop(key)
+            else:
+                (_, x), *_, (_, y) = core
+                unbuilt[id(x), id(y)] -= 1
+                value = _product(core, memo, x is y or unbuilt[id(y), id(x)] > 0)
+                if len(core) > 2 and not unbuilt[id(x), id(y)]:
+                    # a sandwich keeps its entry products in memo, and no
+                    # product to come reads them in this order
+                    ys = [id(b) for b in _nonzero(y)]
+                    for a in _nonzero(x):
+                        for b in ys:
+                            memo.pop((id(a), b), None)
             uses[key] -= 1
             if uses[key]:
                 kept[key] = value

@@ -14,7 +14,9 @@ change in what the command line prints.  The corpus holds:
 - drawn documents that disagree with their drawing;
 - undrawn one-path lines at and one past the path-depth bound of
   network.transport_matrix;
-- sizes at and past each bound of the command line and of verify.evaluate.
+- sizes at and past each bound of the command line and of verify.evaluate,
+  a network past the path budget, and check disc-reflection on triangle(7)
+  and, perturbed, on triangle(5).
 
 tests/golden/cli_corpus.txt holds its output.  tests/test_cli_corpus.py
 reruns every command but the sized bound-* ones and compares each line
@@ -120,6 +122,7 @@ def documents():
     docs = {
         "perturbed-triangle3": _perturbed(build_triangle(3)),
         "perturbed-chain22b": _perturbed(build_chain(2, 2, bridge=True)),
+        "perturbed-triangle5": _perturbed(build_triangle(5)),
     }
     for name, edit in MALFORMED.items():
         undrawn = _drawn()
@@ -160,14 +163,20 @@ def commands(paths):
         for what in EXPORTS:
             for src, args in sources.items():
                 out.append((f"export-{what}-{src}{tag}", ["export", what, *args, *fmt]))
+    # multi-term residuals of both reflection words and their reversals
+    out.append((
+        "check-disc-reflection-perturbed-triangle5",
+        ["check", "disc-reflection", "--input", paths["perturbed-triangle5"]],
+    ))
     for name, path in paths.items():
-        if name in sources:
+        if name in sources or name == "perturbed-triangle5":
             continue
         for argv in (["check", "rtt"], ["export", "transport"], ["check", "all"]):
             out.append((f"{'-'.join(argv)}-{name}", [*argv, "--input", path]))
     # sizes at and one past each bound, written out so that the corpus also
     # runs on a checkout without these bounds
     chain = ["--builder", "chain", "--n", "2,2", "--bridge"]
+    triangle = ["--builder", "triangle", "--n"]
     bounds = [
         ("check", "loop", "--order", 32),
         ("check", "all", "--order", 32),
@@ -196,6 +205,9 @@ def commands(paths):
         "bound-pairs-composite",
         ["check", "reflection-affine", "--builder", "composite", "--order", "3"],
     ))
+    # 2^21 - 2 source-sink paths, refused before the walk
+    out.append(("bound-paths-triangle20", ["export", "transport", *triangle, "20"]))
+    out.append(("bound-disc-reflection-triangle7", ["check", "disc-reflection", *triangle, "7"]))
     return out
 
 

@@ -41,9 +41,16 @@ MUTANTS = [
     Mutant(
         "phase sign flipped in add_product",
         "qalg.py",
-        "key = ta + tb - (sum(map(mul, vals, pick(eb))) << shift)",
-        "key = ta + tb + (sum(map(mul, vals, pick(eb))) << shift)",
+        "key = ta + tb - phase",
+        "key = ta + tb + phase",
         ("test_qalg.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "reversed product's phase not negated",
+        "qalg.py",
+        "key = ta + tb + phase",
+        "key = ta + tb - phase",
+        ("test_qalg.py", "test_ncmat.py", "test_evaluate_oracle.py", "test_cli_corpus.py"),
     ),
     Mutant(
         "max -> min for the span in QElem.__add__",
@@ -79,13 +86,6 @@ MUTANTS = [
         "dk = k << shift",
         "dk = k",
         ("test_qalg.py",),
-    ),
-    Mutant(
-        "shift of g dropped in add_product",
-        "qalg.py",
-        "g = None if g is None else [(k << shift, c) for k, c in g]",
-        "g = None if g is None else [(k, c) for k, c in g]",
-        ("test_qalg.py", "test_ncmat.py", "test_evaluate_oracle.py"),
     ),
     Mutant(
         "sparse phase drops its last index",
@@ -183,13 +183,41 @@ MUTANTS = [
         "cells[pos] = x.terms",
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
-    # the pair pass behind matmul and sandwich
+    # the entry-pair passes of matmul, sandwich and sheet_product
     Mutant(
         "pass keeps the last product's span",
         "ncmat.py",
-        "span = max(span, add_product(sums, x, y, g))",
-        "span = add_product(sums, x, y, g)",
+        "span = max(span, add_product(sums, x, y))",
+        "span = add_product(sums, x, y)",
         ("test_ncmat.py",),
+    ),
+    Mutant(
+        "sandwich adds an entry product at the first v-power of C only",
+        "ncmat.py",
+        "add_scaled(sums, xy, g)",
+        "add_scaled(sums, xy, g[:1])",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "reversed entry product stored under (id x, id y)",
+        "ncmat.py",
+        "memo[id(y), id(x)] = from_sums",
+        "memo[id(x), id(y)] = from_sums",
+        ("test_ncmat.py", "test_verify.py"),
+    ),
+    Mutant(
+        "sandwich products released while a later word reads them",
+        "verify.py",
+        "if len(core) > 2 and not unbuilt[id(x), id(y)]:",
+        "if len(core) > 2:",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "reversal asked for a self-product only",
+        "verify.py",
+        "x is y or unbuilt[id(y), id(x)] > 0",
+        "x is y",
+        ("test_verify.py",),
     ),
     Mutant(
         "sandwich pairs row r of a",
@@ -234,6 +262,14 @@ MUTANTS = [
         "Edge(e.frm, e.to, vec) for e, vec in zip(self.edges, exps)",
         "e for e, vec in zip(self.edges, exps)",
         ("test_network.py",),  # test_cli.py fails to collect, exit 2
+    ),
+    # the path count of the topological pass
+    Mutant(
+        "paths into a vertex counted once per edge",
+        "network.py",
+        "paths[w] += paths[v]",
+        "paths[w] += 1",
+        ("test_network.py", "test_cli.py"),
     ),
     # the command line
     Mutant(

@@ -63,6 +63,19 @@ def test_check_frp_table(capsys):
     assert "PASS frp" in out
 
 
+def test_check_frp_inverts_m12_once_per_row(monkeypatch, capsys):
+    inverted, invert = [], network.invert_restricted
+
+    def counted(m):
+        inverted.append(m.rows)
+        return invert(m)
+
+    monkeypatch.setattr(network, "invert_restricted", counted)
+    code, out = _run(["check", "frp", "--r", "3", "--p", "4"], capsys)
+    assert code == 0 and "PASS frp" in out
+    assert inverted == [1, 2, 3]
+
+
 # Each size below its least value either crashed, failed an identity that
 # holds, or left a checker an empty window that passed without checking.
 BAD_SIZES = {
@@ -621,7 +634,7 @@ def test_boundary_vertex_listed_twice_is_named(kind, drawn, tmp_path, capsys):
 
 
 def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
-    def no_product(core):
+    def no_product(core, memo, reverse):
         raise AssertionError("a product was started")
 
     monkeypatch.setattr(verify, "_product", no_product)
@@ -641,7 +654,7 @@ def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
 def test_cell_budget_refuses_before_any_product(monkeypatch, capsys):
     # chain(n,n) has (n+1)^2 one-monomial entries, so check rtt needs
     # (n+1)^4 product cells and as many term pairs
-    def no_product(core):
+    def no_product(core, memo, reverse):
         raise AssertionError("a product was started")
 
     monkeypatch.setattr(verify, "_product", no_product)
@@ -660,7 +673,7 @@ def test_path_budget_exits_2_with_one_line(monkeypatch, capsys):
     monkeypatch.setattr(network, "PATH_BUDGET", 5)  # triangle(2) has 6 paths
     assert cli.main(["export", "transport", "--builder", "triangle", "--n", "2"]) == 2
     assert capsys.readouterr() == (
-        "", "error: transport walked 6 source-sink paths; the limit is 5\n"
+        "", "error: transport has 6 source-sink paths; the limit is 5\n"
     )
 
 

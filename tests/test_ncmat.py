@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtransport import ncmat
 from qtransport.qalg import LIMIT, QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import (
     NotInvertibleInSupportedClass,
@@ -240,6 +241,46 @@ def test_sandwich_matches_lifted_oracle(sheet):
         assert sandwich(a, c, b) == want, trial
 
 
+def _pairs_read(a, c, b):
+    """The unordered pairs of entries, by identity, that sandwich(a, c, b) reads."""
+    return {
+        frozenset((id(row[r]), id(y)))
+        for r, k in c.entries
+        for row in a.data if row[r].terms
+        for y in b.data[k] if y.terms
+    }
+
+
+@pytest.mark.parametrize("sheet", [1, 2])
+def test_sandwiches_through_one_memo_multiply_each_entry_pair_once(sheet, monkeypatch):
+    # (s)X C (t)Y with reverse, then (t)Y C' (s)X, through one memo: both
+    # match the lifted oracle, and each unordered pair of entries is
+    # multiplied once, under however many links of C and C' it meets
+    made = []
+
+    def counted(x, y, rev=None):
+        made.append(frozenset((id(x), id(y))))
+        return qmul(x, y, rev=rev)
+
+    monkeypatch.setattr(ncmat, "qmul", counted)
+    rng = random.Random(f"memo:{sheet}")
+    lift_x, lift_y = (lift1, lift2) if sheet == 1 else (lift2, lift1)
+    for trial in range(30):
+        form = (FORM2, FORM3)[trial % 2]
+        dims = [rng.randint(1, 3) for _ in range(4)]
+        x = _wide_qmatrix(rng, form, *dims[:2], big=LIMIT // 2 - 1)
+        y = _wide_qmatrix(rng, form, *dims[2:], big=LIMIT // 2 - 1)
+        words = [(lift_x(x, y.rows), lift_y(y, x.cols)), (lift_y(y, x.rows), lift_x(x, y.cols))]
+        memo, read = {}, set()
+        made.clear()
+        for reverse, (a, b) in zip((True, False), words):
+            c = _constant(rng, a.cols, b.rows, list(FIRST.values()), density=0.6)
+            want = dense_matmul(a, dense_classical_act(c, b, "left"))
+            assert sandwich(a, c, b, memo=memo, reverse=reverse) == want, trial
+            read |= _pairs_read(a, c, b)
+        assert sorted(made, key=sorted) == sorted(read, key=sorted), trial
+
+
 def test_sandwich_refuses_a_span_past_the_limit():
     half = LIMIT // 2
     x = QMatrix.from_rows(FORM2, [[w(FORM2, half, 0)]])
@@ -464,6 +505,24 @@ def test_sheet_products_match_two_order_oracle(pair):
     assert sheet_product(a, b) == ordered_sheet_product(a, b, 12)
     swapped = swap_sheets(sheet_product(b, a), b.rows, b.cols)
     assert swapped == ordered_sheet_product(a, b, 21)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_matrix_pair(chained=False))
+def test_sheet_products_share_entry_products_through_memo(pair):
+    # sheet_product(a, b) with reverse leaves every product y x of an entry
+    # of b with one of a in memo, and sheet_product(b, a) pops them all; a
+    # self-product with reverse pops what it leaves itself
+    a, b = pair
+    memo = {}
+    assert sheet_product(a, b, memo=memo, reverse=True) == ordered_sheet_product(a, b, 12)
+    nonzero = [sum(1 for row in m.data for x in row if x.terms) for m in (a, b)]
+    assert len(memo) == nonzero[0] * nonzero[1]
+    swapped = swap_sheets(sheet_product(b, a, memo=memo), b.rows, b.cols)
+    assert swapped == ordered_sheet_product(a, b, 21)
+    assert memo == {}
+    assert sheet_product(a, a, memo=memo, reverse=True) == ordered_sheet_product(a, a, 12)
+    assert memo == {}
 
 
 # ---------------------------------------------------------------------------

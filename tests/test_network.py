@@ -577,13 +577,32 @@ def test_longest_path_counts_vertices_and_is_none_on_a_cycle():
     assert Network(SkewForm([[0]]), "sabct", edges, ["s"], ["t"]).longest_path == 4
 
 
+def _walked_paths(net):
+    """Source-sink paths of an acyclic network, by depth-first search."""
+    def count(v):
+        return 1 if v in net.sinks else sum(count(e.to) for e in net.out_edges[v])
+
+    return sum(count(src) for src in net.sources)
+
+
+def test_path_count_of_the_topological_pass_matches_a_walk():
+    nets = [build_triangle(n) for n in (1, 2, 3, 5)]
+    nets += [build_chain(2, 2, bridge=True), build_chain(3, 2)]
+    edges = [Edge(u, w, (0,)) for u, w in ["sa", "at", "sb", "bc", "ct", "ab", "sc"]]
+    nets.append(Network(SkewForm([[0]]), "sabct", edges, ["s", "a"], ["t"]))
+    assert [net.path_count for net in nets] == [_walked_paths(net) for net in nets]
+    assert _cyclic2x2(1).path_count is None
+
+
 def test_path_walk_stops_past_its_budget(monkeypatch):
     # triangle(3) has 2^4 - 2 = 14 source-sink paths
     monkeypatch.setattr(network, "PATH_BUDGET", 14)
     assert transport_matrix(build_triangle(3)) == transport_matrix(build_triangle(3))
     monkeypatch.setattr(network, "PATH_BUDGET", 13)
-    with pytest.raises(ValueError, match="walked 14 source-sink paths; the limit is 13"):
-        transport_matrix(build_triangle(3))
+    net = build_triangle(3)
+    net.out_edges = None  # the refusal comes before any walk
+    with pytest.raises(ValueError, match="^transport has 14 source-sink paths; the limit is 13$"):
+        transport_matrix(net)
     # a cyclic walk is cut at the same count: each arrival signs one path
     signed = []
 

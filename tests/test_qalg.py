@@ -367,32 +367,18 @@ def test_qmul_matches_oracle(data):
     assert qmul(y, x) == oracle_qmul(y, x)
 
 
-SCALARS = {
-    "1": QScalar.one(),
-    "-1": QScalar.from_int(-1),
-    "v^3": QScalar.v_power(3),
-    "QQ": QScalar({2: 1, -2: -1}),
-}
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(form_and_elems(3), st.sampled_from(sorted(SCALARS)))
-def test_add_product_with_a_scalar_matches_product_then_add_scaled(data, name):
-    # x y g in one pass against x y followed by add_scaled, into fresh sums
-    # and into sums that already hold terms
+@given(form_and_elems(3))
+def test_qmul_leaves_the_reversed_product_in_rev(data):
+    # one pass gives x y and adds y x into rev, fresh or already holding terms
     _, (x, y, z) = data
-    g = tuple(SCALARS[name].terms.items())
-    for start in ({}, dict(z.terms)):
-        got = dict(start)
-        span = qalg.add_product(got, x, y, g)
-        plain = {}
-        qalg.add_product(plain, x, y)
-        want = dict(start)
-        qalg.add_scaled(want, qalg.from_sums(x.form, plain, span), g)
-        assert span == x.span + y.span
-        assert qalg.from_sums(x.form, got, span) == qalg.from_sums(x.form, want, span)
-    oracle = z + oracle_qmul(x, y).scale(SCALARS[name])
-    assert qalg.from_sums(x.form, got, span) == oracle
+    rev = {}
+    assert qmul(x, y, rev=rev) == oracle_qmul(x, y)
+    span = x.span + y.span
+    assert qalg.from_sums(x.form, rev, span) == oracle_qmul(y, x)
+    rev = dict(z.terms)
+    assert qmul(x, y, rev=rev) == oracle_qmul(x, y)
+    assert qalg.from_sums(x.form, rev, max(span, z.span)) == z + oracle_qmul(y, x)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -326,31 +326,61 @@ def test_appendix_negative_control():
     assert not rep.passed
 
 
-def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
-    """Every evaluate call adds exactly the term pairs it counted.
+def _distinct_term_pairs(cores):
+    """Term pairs of the entry pairs the products of cores read, each once.
 
-    A spy on add_product sums |terms of x| |terms of y|, times the v-powers
-    of the scalar g when one is passed, over the products one call builds,
-    on every checker with mid-constant words, on plain and perturbed inputs.
+    Entries are told apart by identity, and x y and y x are one pair.  A
+    sheet product reads every nonzero entry of X with every one of Y; a
+    sandwich pairs column r of lift(X) with row c of lift(Y) for each
+    nonzero C[r, c].
     """
-    real, calls = [0], []
+    pairs = {}
+    for core in cores.values():
+        (s, x), (_, y) = core[0], core[-1]
+        if len(core) == 2:
+            links = [(x.data, y.data)]
+        else:
+            lift_x, lift_y = (ncmat.lift1, ncmat.lift2) if s == 1 else (ncmat.lift2, ncmat.lift1)
+            lx, ly = lift_x(x, y.rows), lift_y(y, x.cols)
+            c = verify._constant_at(core[1], core, "mid")
+            links = [
+                ([[row[r]] for row in lx.data], [ly.data[k]]) for r, k in c.entries
+            ]
+        for left, right in links:
+            xs = [e for row in left for e in row if e.terms]
+            ys = [e for row in right for e in row if e.terms]
+            for a in xs:
+                for b in ys:
+                    pairs[frozenset((id(a), id(b)))] = len(a.terms) * len(b.terms)
+    return sum(pairs.values())
+
+
+def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
+    """Every evaluate call multiplies each pair of entries once, for both orders.
+
+    A spy on add_product sums |terms of x| |terms of y| over the products
+    one call makes, whether or not the same pass adds y x.  That must equal
+    an independent count, each unordered pair of entries the call's products
+    read, once, times its term counts; and _term_pairs, the budget's count,
+    must bound it.  Every checker runs, on plain and perturbed inputs.
+    """
+    made, calls = [0], []
     add_product, term_pairs, evaluate = (
         qalg.add_product, verify._term_pairs, verify.evaluate
     )
 
-    def spy(sums, x, y, g=None):
-        powers = 1 if g is None else len(g)
-        real[0] += len(x.terms) * len(y.terms) * powers
-        return add_product(sums, x, y, g)
+    def spy(sums, x, y, rev=None):
+        made[0] += len(x.terms) * len(y.terms)
+        return add_product(sums, x, y, rev)
 
     def counted(cores):
-        real[0] = 0
-        calls.append(term_pairs(cores))
-        return calls[-1]
+        made[0] = 0
+        calls.append([_distinct_term_pairs(cores), term_pairs(cores)])
+        return calls[-1][1]
 
     def checked(*relations):
         out = evaluate(*relations)
-        calls[-1] = (real[0], calls[-1])
+        calls[-1].append(made[0])
         return out
 
     for module in (qalg, ncmat):
@@ -359,16 +389,23 @@ def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
     monkeypatch.setattr(verify, "evaluate", checked)
     b = _chain_blocks(2, 1, bridge=True)
     for blocks in (b, replace(b, M11=_perturbed(b.M11)), _chain_blocks(2, 2, bridge=True)):
+        verify.check_blocks(blocks)
         verify.check_aux_inverse(blocks)
+        verify.check_appendix(blocks)
+        t = levels_T(blocks)
+        verify.check_affine(t, 1, 1)
+        verify.check_subalgebra(loop_generators(blocks))
+        verify.check_loop(loop_generators(blocks), -1, 1)
         a = reflection_series(loop_generators(blocks))
         verify.check_reflection_constant(a.get(1))
         verify.check_reflection_affine(a, 1)
         verify.check_reflection_affine(_with_perturbed_level(a, 1), 1)
     for n in (3, 4):
         m = transport_matrix(build_triangle(n))
+        verify.check_rtt(m)
         verify.check_disc_reflection(m)
         verify.check_disc_reflection(_perturbed(m, 1, 0))
-    assert len(calls) == 16
-    # the sandwich adds each term pair once per v-power of its constant
-    # entry, so the count is exact there as it is for sheet products
-    assert all(0 < made == count for made, count in calls), calls
+    assert len(calls) == 33
+    assert all(0 < made == distinct <= budget for distinct, budget, made in calls), calls
+    # the reversed words share their pairs, so the budget's count is loose
+    assert all(made < budget for _, budget, made in calls), calls
