@@ -159,22 +159,45 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix.from_cells(a.rows, b.cols, a.form, cells, span)
 
 
-def sandwich(a: QMatrix, c: CMatrix, b: QMatrix, memo=None, reverse=False) -> QMatrix:
+def entry_products(a: QMatrix, b: QMatrix, both) -> dict:
+    """{(id x, id y): x y} for every nonzero entry x of a and y of b.
+
+    With both, the same qmul pass that makes x y also stores y x under
+    (id y, id x), and with a is b each unordered pair of entries is
+    multiplied once.  The keys are identities, so a table serves any matrix
+    that holds these entry objects, such as the lifts of a and b, for as
+    long as a and b keep them alive.
+    """
+    if a.form != b.form:
+        raise ValueError("matrices live on different quantum tori")
+    # each key shares its two id ints with every other key of the table
+    xs = [(id(x), x) for row in a.data for x in row if x.terms]
+    ys = xs if a is b else [(id(y), y) for row in b.data for y in row if y.terms]
+    out = {}
+    for i, (ix, x) in enumerate(xs):
+        for iy, y in ys[i:] if both and a is b else ys:
+            if not both or x is y:
+                out[ix, iy] = qmul(x, y)
+                continue
+            rev = {}
+            xy = out[ix, iy] = qmul(x, y, rev=rev)
+            out[iy, ix] = from_sums(x.form, rev, xy.span)
+    return out
+
+
+def sandwich(a: QMatrix, c: CMatrix, b: QMatrix, products=None) -> QMatrix:
     """a C b for a matrix C of commuting scalars, with no C b built.
 
     Each nonzero C[r, s] pairs column r of a with row s of b: the product
-    x y of each pair of nonzero entries is added into its cell at every
-    v-power of C[r, s].  x y is taken from memo (see _entry_product), made
-    once and kept there, so a pair that meets under several links of C, or
-    in another sandwich sharing memo, is multiplied once.  The result takes
-    the largest span of its products.
+    x y of each pair of nonzero entries, looked up in products (see
+    entry_products; by default a table of a with b), is added into its cell
+    at every v-power of C[r, s].  The result takes the largest span of its
+    products.
     """
     if a.cols != c.rows or c.cols != b.rows:
         raise ValueError("shape mismatch")
-    if a.form != b.form:
-        raise ValueError("matrices live on different quantum tori")
-    if memo is None:
-        memo = {}
+    if products is None:
+        products = entry_products(a, b, False)
     a_cols = _nonzero_rows(transpose_q(a))
     b_rows = _nonzero_rows(b)
     cells = {}
@@ -183,30 +206,13 @@ def sandwich(a: QMatrix, c: CMatrix, b: QMatrix, memo=None, reverse=False) -> QM
         g = tuple(val.terms.items())
         for i, x in a_cols[r]:
             for j, y in b_rows[s]:
-                key = id(x), id(y)
-                xy = memo.get(key)
-                if xy is None:
-                    xy = memo[key] = _entry_product(memo, x, y, reverse)
+                xy = products[id(x), id(y)]
                 sums = cells.get((i, j))
                 if sums is None:
                     sums = cells[i, j] = {}
                 add_scaled(sums, xy, g)
                 span = max(span, xy.span)
     return QMatrix.from_cells(a.rows, b.cols, a.form, cells, span)
-
-
-def _entry_product(memo, x: QElem, y: QElem, reverse) -> QElem:
-    """x y; with reverse and x not y, the same pass leaves y x in memo.
-
-    memo maps (id x, id y) of two entries to their product x y.  It lives
-    for one relation evaluation, whose matrices keep every entry alive.
-    """
-    if not reverse or x is y:
-        return qmul(x, y)
-    rev = {}
-    xy = qmul(x, y, rev=rev)
-    memo[id(y), id(x)] = from_sums(x.form, rev, xy.span)
-    return xy
 
 
 def _nonzero_rows(m: QMatrix):
@@ -224,37 +230,30 @@ def transpose_q(m: QMatrix) -> QMatrix:
     )
 
 
-def sheet_product(a: QMatrix, b: QMatrix, memo=None, reverse=False) -> QMatrix:
+def sheet_product(a: QMatrix, b: QMatrix, products=None) -> QMatrix:
     """(1)a (2)b on the composite index space: entry ((i,k),(j,l)) = a[i,j] b[k,l].
 
     Rows are composite over (a-rows, b-rows), columns over (a-cols, b-cols),
     sheet-1-major.  The word with a on sheet 2 first, (2)a (1)b, holds the
     same products at swapped indices: swap_sheets reads it off this one.
-    An entry product that an earlier pass left in memo (see _entry_product)
-    is popped from it instead of multiplied; with reverse, each product made
-    also leaves the reversed one there, for sheet_product(b, a) or, with a
-    is b, for this pass.
+    Each entry is looked up in products (see entry_products; by default a
+    table of a with b).
     """
-    if a.form != b.form:
-        raise ValueError("matrices live on different quantum tori")
-    if memo is None:
-        memo = {}
+    if products is None:
+        products = entry_products(a, b, False)
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     z = QElem.zero(a.form)
     data = [[z] * cols for _ in range(rows)]
-    nonzero = [(k, l, y) for k, row in enumerate(_nonzero_rows(b)) for l, y in row]
+    nonzero = [(k, l, id(y)) for k, row in enumerate(_nonzero_rows(b)) for l, y in row]
     for i, arow in enumerate(a.data):
         block = data[i * b.rows:(i + 1) * b.rows]
         for j, x in enumerate(arow):
             if not x.terms:
                 continue
-            left = j * b.cols
-            for k, l, y in nonzero:
-                xy = memo.pop((id(x), id(y)), None)
-                if xy is None:
-                    xy = _entry_product(memo, x, y, reverse)
-                block[k][left + l] = xy
+            left, ix = j * b.cols, id(x)
+            for k, l, iy in nonzero:
+                block[k][left + l] = products[ix, iy]
     return QMatrix(rows, cols, a.form, data)
 
 

@@ -19,6 +19,7 @@ from itertools import product
 from .ncmat import (
     QMatrix,
     add_acted,
+    entry_products,
     lift1,
     lift2,
     matmul,
@@ -131,22 +132,20 @@ def _key(core):
     return tuple(f if isinstance(f, str) else (f[0], id(f[1])) for f in core)
 
 
-def _product(core, memo, reverse):
+def _product(core, products):
     """The product _key names: (1)X (2)Y, or (s)X C (t)Y through the lifts.
 
     A mid-constant word is one sandwich of the lifts around C: each nonzero
     C[r, c] pairs column r of lift(X) with row c of lift(Y), so no C lift(Y)
-    is built.  Entry products come from, and with reverse also leave their
-    reversals in, the call's memo (ncmat._entry_product).
+    is built.  The lifts hold the entries of X and Y themselves, so both
+    kinds look their entry products up in one table of X with Y.
     """
     (s, x), (_, y) = core[0], core[-1]
     if len(core) == 2:
-        return sheet_product(x, y, memo=memo, reverse=reverse)
+        return sheet_product(x, y, products)
     c = _constant_at(core[1], core, "mid")
     lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
-    return sandwich(
-        lift_x(x, y.rows), c, lift_y(y, x.cols), memo=memo, reverse=reverse
-    )
+    return sandwich(lift_x(x, y.rows), c, lift_y(y, x.cols), products)
 
 
 def _read(core, value):
@@ -157,47 +156,21 @@ def _read(core, value):
     return value
 
 
-PAIR_BUDGET = 10**7  # term pairs one evaluate call may multiply
+PAIR_BUDGET = 10**6  # term pairs one evaluate call may multiply, ~1 KB each
 CELL_BUDGET = 10**5  # composite cells its distinct products may hold, ~1 KB each
 
 
-def _term_pairs(cores):
-    """The torus term pairs the products (s)X ... (t)Y add, counted up front.
+def _pair_terms(x, y):
+    """The torus term pairs of the entry-product table of X with Y.
 
-    cores maps each product's key to its factors.  A sheet product pairs
-    every term of X with every term of Y.  A mid-constant word is a
-    sandwich: each C[r, c] pairs column r of lift(X), a column of X, with
-    row c of lift(Y), a row of Y, and adds each term pair once per v-power
-    of C[r, c].  Entry pairs that evaluate multiplies once for several
-    words or links are counted for each, so the total is an upper bound.
+    With T the total number of terms of a matrix, that is T(X) T(Y); with X
+    is Y, the table multiplies each unordered pair of entries once, which
+    is (T^2 + sum of |x|^2 over its entries) / 2.
     """
-    total = 0
-    for core in cores.values():
-        (s, x), (_, y) = core[0], core[-1]
-        if len(core) == 2:
-            total += sum(_row_terms(x)) * sum(_row_terms(y))
-            continue
-        xcol, yrow = _col_terms(x), _row_terms(y)
-        # composite indices are sheet-1-major, as in lift1 and lift2
-        for (r, c), val in _constant_at(core[1], core, "mid").entries.items():
-            if s == 1:
-                xt, yt = xcol[r // y.rows], yrow[c % y.rows]
-            else:
-                xt, yt = xcol[r % x.cols], yrow[c // x.cols]
-            total += xt * len(val.terms) * yt
-    return total
-
-
-def _nonzero(m):
-    return [x for row in m.data for x in row if x.terms]
-
-
-def _row_terms(m):
-    return [sum(len(x.terms) for x in row) for row in m.data]
-
-
-def _col_terms(m):
-    return _row_terms(transpose_q(m))
+    tx = [len(e.terms) for row in x.data for e in row]
+    if x is y:
+        return (sum(tx) ** 2 + sum(t * t for t in tx)) // 2
+    return sum(tx) * sum(len(e.terms) for row in y.data for e in row)
 
 
 def evaluate(*relations):
@@ -216,21 +189,27 @@ def evaluate(*relations):
     dropped after its last use, so a checker passes its whole window here
     in one call.  Two adjacent factors make one product per ordered pair of
     matrices, whatever the sheets: (2)X (1)Y reads the entries of
-    (1)X (2)Y at swapped composite indices.  A word and its reversal share
-    their entry products: a product whose factors X, Y are one matrix, or
-    whose reversal Y, X a later product of the call reads, leaves each y x
-    in a memo of entry products in the pass that makes x y.  A sheet
-    product pops what it reads there; a sandwich keeps its products for
-    later links and words until no product still to be built pairs X with
-    Y, and the memo is dropped when the call returns.  A call whose products
-    would pair more than PAIR_BUDGET torus terms (_term_pairs), or hold
-    more than CELL_BUDGET composite cells, raises ValueError before it
-    builds any.
+    (1)X (2)Y at swapped composite indices.  The products of one unordered
+    pair of matrices {X, Y} read their entry products from one table
+    (ncmat.entry_products), built before the pair's first product and
+    dropped after its last; it holds y x too when X is Y or the call reads
+    both orders.  A call whose tables would pair more than PAIR_BUDGET
+    torus terms (_pair_terms), or whose products would hold more than
+    CELL_BUDGET composite cells, raises ValueError before it builds any.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
     cores = {_key(core): core for rel in parts for *_, core in rel}
-    pairs = _term_pairs(cores)
+    # per unordered pair of matrices {X, Y}: its products still to build,
+    # and the ids of the matrices they read first
+    todo, firsts, pairs = Counter(), {}, 0
+    for (_, x), *_, (_, y) in cores.values():
+        pair = frozenset((id(x), id(y)))
+        if pair not in firsts:
+            firsts[pair] = set()
+            pairs += _pair_terms(x, y)
+        todo[pair] += 1
+        firsts[pair].add(id(x))
     if pairs > PAIR_BUDGET:
         raise ValueError(
             f"these relations need {pairs} torus term pairs; the limit is {PAIR_BUDGET}"
@@ -241,10 +220,7 @@ def evaluate(*relations):
         raise ValueError(
             f"these relations need {cells} product cells; the limit is {CELL_BUDGET}"
         )
-    # per (id X, id Y): the products still to build that read X's entries
-    # times Y's
-    unbuilt = Counter((id(x), id(y)) for (_, x), *_, (_, y) in cores.values())
-    memo = {}
+    tables = {}
     kept = {}
     out = []
     for rel in parts:
@@ -256,15 +232,15 @@ def evaluate(*relations):
                 value = kept.pop(key)
             else:
                 (_, x), *_, (_, y) = core
-                unbuilt[id(x), id(y)] -= 1
-                value = _product(core, memo, x is y or unbuilt[id(y), id(x)] > 0)
-                if len(core) > 2 and not unbuilt[id(x), id(y)]:
-                    # a sandwich keeps its entry products in memo, and no
-                    # product to come reads them in this order
-                    ys = [id(b) for b in _nonzero(y)]
-                    for a in _nonzero(x):
-                        for b in ys:
-                            memo.pop((id(a), b), None)
+                pair = frozenset((id(x), id(y)))
+                table = tables.get(pair)
+                if table is None:
+                    both = x is y or len(firsts[pair]) > 1
+                    table = tables[pair] = entry_products(x, y, both)
+                value = _product(core, table)
+                todo[pair] -= 1
+                if not todo[pair]:
+                    del tables[pair]
             uses[key] -= 1
             if uses[key]:
                 kept[key] = value

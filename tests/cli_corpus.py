@@ -205,6 +205,7 @@ def commands(paths):
         "bound-pairs-composite",
         ["check", "reflection-affine", "--builder", "composite", "--order", "3"],
     ))
+    out.append(("bound-pairs-triangle10", ["check", "rtt", *triangle, "10"]))
     # 2^21 - 2 source-sink paths, refused before the walk
     out.append(("bound-paths-triangle20", ["export", "transport", *triangle, "20"]))
     out.append(("bound-disc-reflection-triangle7", ["check", "disc-reflection", *triangle, "7"]))

@@ -183,7 +183,7 @@ MUTANTS = [
         "cells[pos] = x.terms",
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
-    # the entry-pair passes of matmul, sandwich and sheet_product
+    # the entry-pair passes of matmul, sandwich and entry_products
     Mutant(
         "pass keeps the last product's span",
         "ncmat.py",
@@ -201,23 +201,31 @@ MUTANTS = [
     Mutant(
         "reversed entry product stored under (id x, id y)",
         "ncmat.py",
-        "memo[id(y), id(x)] = from_sums",
-        "memo[id(x), id(y)] = from_sums",
-        ("test_ncmat.py", "test_verify.py"),
+        "out[iy, ix] = from_sums",
+        "out[ix, iy] = from_sums",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
+    # one entry-product table per unordered matrix pair in verify.evaluate
     Mutant(
-        "sandwich products released while a later word reads them",
+        "self-pair table built without both",
         "verify.py",
-        "if len(core) > 2 and not unbuilt[id(x), id(y)]:",
-        "if len(core) > 2:",
+        "both = x is y or len(firsts[pair]) > 1",
+        "both = len(firsts[pair]) > 1",
         ("test_verify.py",),
     ),
     Mutant(
-        "reversal asked for a self-product only",
+        "table dropped one product early",
         "verify.py",
-        "x is y or unbuilt[id(y), id(x)] > 0",
-        "x is y",
+        "if not todo[pair]:",
+        "if todo[pair] <= 1:",
         ("test_verify.py",),
+    ),
+    Mutant(
+        "self-pair count without its diagonal",
+        "verify.py",
+        "(sum(tx) ** 2 + sum(t * t for t in tx)) // 2",
+        "sum(tx) ** 2 // 2",
+        ("test_verify.py", "test_cli.py"),
     ),
     Mutant(
         "sandwich pairs row r of a",

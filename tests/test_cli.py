@@ -633,31 +633,44 @@ def test_boundary_vertex_listed_twice_is_named(kind, drawn, tmp_path, capsys):
         assert err == f"error: boundary vertex {name!r} is listed twice\n"
 
 
-def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
-    def no_product(core, memo, reverse):
+def _no_products(monkeypatch):
+    """Make building an entry-product table or a product fail loudly."""
+    def no_table(a, b, both):
         raise AssertionError("a product was started")
 
+    def no_product(core, products):
+        raise AssertionError("a product was started")
+
+    monkeypatch.setattr(verify, "entry_products", no_table)
     monkeypatch.setattr(verify, "_product", no_product)
+
+
+def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
+    _no_products(monkeypatch)
     argv = ["check", "reflection-affine", "--builder", "composite", "--order", "3"]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "error: these relations need 56672256 torus term pairs; "
-        "the limit is 10000000\n"
+        "error: these relations need 9308160 torus term pairs; "
+        "the limit is 1000000\n"
     )
     # --order 2 passes the budget and goes on to build its products
     with pytest.raises(AssertionError, match="a product was started"):
         cli.main(argv[:-1] + ["2"])
+    argv = ["check", "rtt", "--builder", "triangle", "--n"]
+    assert cli.main([*argv, "10"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: these relations need 2159255 torus term pairs; the limit is 1000000\n"
+    )
+    with pytest.raises(AssertionError, match="a product was started"):
+        cli.main([*argv, "9"])
 
 
 def test_cell_budget_refuses_before_any_product(monkeypatch, capsys):
     # chain(n,n) has (n+1)^2 one-monomial entries, so check rtt needs
-    # (n+1)^4 product cells and as many term pairs
-    def no_product(core, memo, reverse):
-        raise AssertionError("a product was started")
-
-    monkeypatch.setattr(verify, "_product", no_product)
+    # (n+1)^4 product cells
+    _no_products(monkeypatch)
     argv = ["check", "rtt", "--builder", "chain", "--n"]
     assert cli.main([*argv, "17,17"]) == 2
     out, err = capsys.readouterr()

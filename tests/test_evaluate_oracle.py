@@ -10,11 +10,21 @@ dense matmul of the lifts.  The dense kernels and that classical_act are the
 copies kept in test_ncmat, so the oracle shares no arithmetic with the
 routing primitive evaluate uses.  Every checker's relation
 table, on every builder below, plain and perturbed, must give the same
-residual matrices entry for entry.
+residual matrices entry for entry, and so must random word tables over
+small random matrices.
 """
 
 import pytest
-from test_ncmat import dense_classical_act, dense_matmul, ordered_sheet_product
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ncmat import (
+    FORM2,
+    FORM3,
+    _sparse_qmatrix,
+    dense_classical_act,
+    dense_matmul,
+    ordered_sheet_product,
+)
 
 from qtransport import verify
 from qtransport.affine import levels_T, loop_generators, reflection_series
@@ -32,6 +42,7 @@ from qtransport.network import (
     transport_matrix,
 )
 from qtransport.qalg import QElem
+from qtransport.rmat import QQ
 
 
 def _fold(total, run):
@@ -167,3 +178,45 @@ def test_evaluate_matches_oracle_entry_for_entry(name, m, split, perturb, monkey
         assert failing == {c for c, _ in checkers} - HAT_LEVEL_CHECKERS
     else:
         assert failing == ({c for c, _ in checkers} if perturb else set())
+
+
+OUTER = ["R", "R*", "R^-1", "P", "R^t1", "R*^t1"]
+MIDDLE = ["R", "R*", "R^-1", "R^t1", "R*^t1"]
+
+
+@st.composite
+def _word_tables(draw):
+    """Relations of random words over a few random matrices of one shape.
+
+    Each word puts two matrices of the pool, the same one drawn twice
+    included, on sheets 1 and 2 in either order, with a constant outside on
+    either side or none and, when the matrices are square, a constant in
+    the middle or none; each term has coefficient 1, -1 or q - q^-1.
+    """
+    form = draw(st.sampled_from([FORM2, FORM3]))
+    rows = draw(st.integers(1, 3))
+    square = draw(st.booleans())  # a middle constant needs square matrices
+    cols = rows if square else draw(st.integers(1, 3))
+    pool = [draw(_sparse_qmatrix(form, rows, cols)) for _ in range(draw(st.integers(1, 3)))]
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            s = draw(st.sampled_from([1, 2]))
+            core = ((s, draw(st.sampled_from(pool))), (3 - s, draw(st.sampled_from(pool))))
+            if square and draw(st.booleans()):
+                core = (core[0], draw(st.sampled_from(MIDDLE)), core[1])
+            side = draw(st.sampled_from([None, "left", "right"]))
+            if side == "left":
+                core = (draw(st.sampled_from(OUTER)), *core)
+            elif side == "right":
+                core = (*core, draw(st.sampled_from(OUTER)))
+            terms.append((draw(st.sampled_from([1, -1, QQ])), core))
+        relations.append(terms)
+    return relations
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_word_tables())
+def test_random_word_tables_match_oracle(relations):
+    assert verify.evaluate(*relations) == oracle_evaluate(*relations)

@@ -8,6 +8,7 @@ does classical_act as it was with both sides, one scaled QElem per hit.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -241,46 +242,6 @@ def test_sandwich_matches_lifted_oracle(sheet):
         assert sandwich(a, c, b) == want, trial
 
 
-def _pairs_read(a, c, b):
-    """The unordered pairs of entries, by identity, that sandwich(a, c, b) reads."""
-    return {
-        frozenset((id(row[r]), id(y)))
-        for r, k in c.entries
-        for row in a.data if row[r].terms
-        for y in b.data[k] if y.terms
-    }
-
-
-@pytest.mark.parametrize("sheet", [1, 2])
-def test_sandwiches_through_one_memo_multiply_each_entry_pair_once(sheet, monkeypatch):
-    # (s)X C (t)Y with reverse, then (t)Y C' (s)X, through one memo: both
-    # match the lifted oracle, and each unordered pair of entries is
-    # multiplied once, under however many links of C and C' it meets
-    made = []
-
-    def counted(x, y, rev=None):
-        made.append(frozenset((id(x), id(y))))
-        return qmul(x, y, rev=rev)
-
-    monkeypatch.setattr(ncmat, "qmul", counted)
-    rng = random.Random(f"memo:{sheet}")
-    lift_x, lift_y = (lift1, lift2) if sheet == 1 else (lift2, lift1)
-    for trial in range(30):
-        form = (FORM2, FORM3)[trial % 2]
-        dims = [rng.randint(1, 3) for _ in range(4)]
-        x = _wide_qmatrix(rng, form, *dims[:2], big=LIMIT // 2 - 1)
-        y = _wide_qmatrix(rng, form, *dims[2:], big=LIMIT // 2 - 1)
-        words = [(lift_x(x, y.rows), lift_y(y, x.cols)), (lift_y(y, x.rows), lift_x(x, y.cols))]
-        memo, read = {}, set()
-        made.clear()
-        for reverse, (a, b) in zip((True, False), words):
-            c = _constant(rng, a.cols, b.rows, list(FIRST.values()), density=0.6)
-            want = dense_matmul(a, dense_classical_act(c, b, "left"))
-            assert sandwich(a, c, b, memo=memo, reverse=reverse) == want, trial
-            read |= _pairs_read(a, c, b)
-        assert sorted(made, key=sorted) == sorted(read, key=sorted), trial
-
-
 def test_sandwich_refuses_a_span_past_the_limit():
     half = LIMIT // 2
     x = QMatrix.from_rows(FORM2, [[w(FORM2, half, 0)]])
@@ -508,21 +469,32 @@ def test_sheet_products_match_two_order_oracle(pair):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_matrix_pair(chained=False))
-def test_sheet_products_share_entry_products_through_memo(pair):
-    # sheet_product(a, b) with reverse leaves every product y x of an entry
-    # of b with one of a in memo, and sheet_product(b, a) pops them all; a
-    # self-product with reverse pops what it leaves itself
+@given(_matrix_pair(chained=False), st.booleans(), st.booleans())
+def test_entry_products_multiply_each_pair_once(pair, both, same):
+    # the table holds x y for every nonzero x of a and y of b, and with both
+    # y x too; with both each unordered pair of entries is multiplied once,
+    # a self-pair x x included, and without it each ordered pair once
     a, b = pair
-    memo = {}
-    assert sheet_product(a, b, memo=memo, reverse=True) == ordered_sheet_product(a, b, 12)
-    nonzero = [sum(1 for row in m.data for x in row if x.terms) for m in (a, b)]
-    assert len(memo) == nonzero[0] * nonzero[1]
-    swapped = swap_sheets(sheet_product(b, a, memo=memo), b.rows, b.cols)
-    assert swapped == ordered_sheet_product(a, b, 21)
-    assert memo == {}
-    assert sheet_product(a, a, memo=memo, reverse=True) == ordered_sheet_product(a, a, 12)
-    assert memo == {}
+    if same:
+        b = a
+    xs, ys = ([x for row in m.data for x in row if x.terms] for m in (a, b))
+    want = {(id(x), id(y)): qmul(x, y) for x in xs for y in ys}
+    if both:
+        want.update({(id(y), id(x)): qmul(y, x) for x in xs for y in ys})
+    made = []
+
+    def counted(x, y, rev=None):
+        made.append((id(x), id(y)))
+        return qmul(x, y, rev=rev)
+
+    with mock.patch.object(ncmat, "qmul", counted):
+        assert ncmat.entry_products(a, b, both) == want
+    if both:
+        read = {frozenset(key) for key in want}
+    else:
+        read = set(want)
+    assert len(made) == len(read)
+    assert {frozenset(key) if both else key for key in made} == read
 
 
 # ---------------------------------------------------------------------------

@@ -361,31 +361,35 @@ def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
     A spy on add_product sums |terms of x| |terms of y| over the products
     one call makes, whether or not the same pass adds y x.  That must equal
     an independent count, each unordered pair of entries the call's products
-    read, once, times its term counts; and _term_pairs, the budget's count,
-    must bound it.  Every checker runs, on plain and perturbed inputs.
+    read, once, times its term counts; and the budget's count, the sum of
+    _pair_terms over the call's tables, must equal both.  Every checker
+    runs, on plain and perturbed inputs.
     """
     made, calls = [0], []
-    add_product, term_pairs, evaluate = (
-        qalg.add_product, verify._term_pairs, verify.evaluate
+    add_product, pair_terms, evaluate = (
+        qalg.add_product, verify._pair_terms, verify.evaluate
     )
 
     def spy(sums, x, y, rev=None):
         made[0] += len(x.terms) * len(y.terms)
         return add_product(sums, x, y, rev)
 
-    def counted(cores):
-        made[0] = 0
-        calls.append([_distinct_term_pairs(cores), term_pairs(cores)])
-        return calls[-1][1]
+    def counted(x, y):
+        n = pair_terms(x, y)
+        calls[-1][1] += n
+        return n
 
     def checked(*relations):
+        cores = [verify._split(word)[2] for terms in relations for _, word in terms]
+        calls.append([_distinct_term_pairs({verify._key(c): c for c in cores}), 0])
+        made[0] = 0
         out = evaluate(*relations)
         calls[-1].append(made[0])
         return out
 
     for module in (qalg, ncmat):
         monkeypatch.setattr(module, "add_product", spy)
-    monkeypatch.setattr(verify, "_term_pairs", counted)
+    monkeypatch.setattr(verify, "_pair_terms", counted)
     monkeypatch.setattr(verify, "evaluate", checked)
     b = _chain_blocks(2, 1, bridge=True)
     for blocks in (b, replace(b, M11=_perturbed(b.M11)), _chain_blocks(2, 2, bridge=True)):
@@ -406,6 +410,4 @@ def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
         verify.check_disc_reflection(m)
         verify.check_disc_reflection(_perturbed(m, 1, 0))
     assert len(calls) == 33
-    assert all(0 < made == distinct <= budget for distinct, budget, made in calls), calls
-    # the reversed words share their pairs, so the budget's count is loose
-    assert all(made < budget for _, budget, made in calls), calls
+    assert all(0 < made == distinct == budget for distinct, budget, made in calls), calls
