@@ -242,6 +242,38 @@ def test_sandwich_matches_lifted_oracle(sheet):
         assert sandwich(a, c, b) == want, trial
 
 
+@pytest.mark.parametrize("sheet", [1, 2])
+def test_sandwiches_through_one_memo_multiply_each_entry_pair_once(sheet, monkeypatch):
+    # (s)X C (t)Y, then (t)Y C' (s)X, through one table of X with Y built
+    # with both orders: both match the lifted oracle, and each unordered
+    # pair of nonzero entries is multiplied once, in the table, under
+    # however many links of C and C' it meets
+    made = []
+
+    def counted(x, y, rev=None):
+        made.append(frozenset((id(x), id(y))))
+        return qmul(x, y, rev=rev)
+
+    monkeypatch.setattr(ncmat, "qmul", counted)
+    rng = random.Random(f"memo:{sheet}")
+    lift_x, lift_y = (lift1, lift2) if sheet == 1 else (lift2, lift1)
+    for trial in range(30):
+        form = (FORM2, FORM3)[trial % 2]
+        dims = [rng.randint(1, 3) for _ in range(4)]
+        x = _wide_qmatrix(rng, form, *dims[:2], big=LIMIT // 2 - 1)
+        y = _wide_qmatrix(rng, form, *dims[2:], big=LIMIT // 2 - 1)
+        words = [(lift_x(x, y.rows), lift_y(y, x.cols)), (lift_y(y, x.rows), lift_x(x, y.cols))]
+        made.clear()
+        products = ncmat.entry_products(x, y, True)
+        for a, b in words:
+            c = _constant(rng, a.cols, b.rows, list(FIRST.values()), density=0.6)
+            want = dense_matmul(a, dense_classical_act(c, b, "left"))
+            assert sandwich(a, c, b, products) == want, trial
+        xs, ys = ([e for row in m.data for e in row if e.terms] for m in (x, y))
+        pairs = [frozenset((id(e), id(f))) for e in xs for f in ys]
+        assert sorted(made, key=sorted) == sorted(pairs, key=sorted), trial
+
+
 def test_sandwich_refuses_a_span_past_the_limit():
     half = LIMIT // 2
     x = QMatrix.from_rows(FORM2, [[w(FORM2, half, 0)]])
@@ -466,6 +498,24 @@ def test_sheet_products_match_two_order_oracle(pair):
     assert sheet_product(a, b) == ordered_sheet_product(a, b, 12)
     swapped = swap_sheets(sheet_product(b, a), b.rows, b.cols)
     assert swapped == ordered_sheet_product(a, b, 21)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_matrix_pair(chained=False))
+def test_sheet_products_share_entry_products_through_memo(pair):
+    # one table of a with b built with both orders holds every x y and y x:
+    # sheet_product(a, b) and sheet_product(b, a) both read from it, and a
+    # self-product reads from the table of a with itself
+    a, b = pair
+    products = ncmat.entry_products(a, b, True)
+    xs, ys = ([x for row in m.data for x in row if x.terms] for m in (a, b))
+    keys = {(id(x), id(y)) for x in xs for y in ys}
+    assert set(products) == keys | {(iy, ix) for ix, iy in keys}
+    assert sheet_product(a, b, products) == ordered_sheet_product(a, b, 12)
+    swapped = swap_sheets(sheet_product(b, a, products), b.rows, b.cols)
+    assert swapped == ordered_sheet_product(a, b, 21)
+    products = ncmat.entry_products(a, a, True)
+    assert sheet_product(a, a, products) == ordered_sheet_product(a, a, 12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
