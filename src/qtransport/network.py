@@ -54,7 +54,8 @@ class Network:
     stored form or exponent must agree with it, and missing exponents are
     filled in.  A cyclic network that stores its form and every exponent
     uses its drawing only for path signs; such a drawing may cross edges, so
-    nothing is derived from it.
+    nothing is derived from it.  A drawn acyclic network whose paths
+    transport_matrix would refuse to walk is refused before the derivation.
     """
 
     def __init__(
@@ -128,6 +129,8 @@ class Network:
             raise CyclicWithoutGeometry(
                 "cyclic network without a drawing to derive exponents from"
             )
+        if geometry is not None and self.is_acyclic:
+            _refuse_walk(self.longest_path, self.path_count)  # before deriving
         if geometry is not None and (form is None or self.is_acyclic or not stored):
             e_mat, exps = derive_network_data(
                 self.vertices,
@@ -330,6 +333,21 @@ PATH_BUDGET = 10**6  # source-sink paths one transport_matrix call may walk
 MAX_PATH_DEPTH = 800
 
 
+def _refuse_walk(depth, path_count):
+    """Refuse a walk whose paths may visit more than MAX_PATH_DEPTH vertices,
+    or, when path_count is known (an acyclic network), one with more than
+    PATH_BUDGET source-sink paths.
+    """
+    if depth > MAX_PATH_DEPTH:
+        raise ValueError(
+            f"transport paths may visit {depth} vertices; the limit is {MAX_PATH_DEPTH}"
+        )
+    if path_count is not None and path_count > PATH_BUDGET:
+        raise ValueError(
+            f"transport has {path_count} source-sink paths; the limit is {PATH_BUDGET}"
+        )
+
+
 def transport_matrix(net):
     """Matrix of transport amplitudes, sinks indexing rows, sources columns.
 
@@ -362,15 +380,7 @@ def transport_matrix(net):
     span *= 1 if bound == inf else bound
     check_span(span, "transport exponents")
     depth = net.longest_path if bound == inf else len(net.edges) * bound + 1
-    if depth > MAX_PATH_DEPTH:
-        raise ValueError(
-            f"transport paths may visit {depth} vertices; the limit is {MAX_PATH_DEPTH}"
-        )
-    if bound == inf and net.path_count > PATH_BUDGET:
-        raise ValueError(
-            f"transport has {net.path_count} source-sink paths; "
-            f"the limit is {PATH_BUDGET}"
-        )
+    _refuse_walk(depth, net.path_count)
     code = {id(e): form.encode(e.exponent) for e in net.edges}
 
     def sign(trail):

@@ -15,7 +15,7 @@ change in what the command line prints.  The corpus holds:
 - undrawn one-path lines at and one past the path-depth bound of
   network.transport_matrix;
 - sizes at and past each bound of the command line and of verify.evaluate,
-  a network past the path budget, and check disc-reflection on triangle(7)
+  a network past the path budget, a drawn one past the path-depth bound, and check disc-reflection on triangle(7)
   and, perturbed, on triangle(5).
 
 tests/golden/cli_corpus.txt holds its output.  tests/test_cli_corpus.py
@@ -208,6 +208,11 @@ def commands(paths):
     out.append(("bound-pairs-triangle10", ["check", "rtt", *triangle, "10"]))
     # 2^21 - 2 source-sink paths, refused before the walk
     out.append(("bound-paths-triangle20", ["export", "transport", *triangle, "20"]))
+    # paths of 1002 vertices, refused before the drawing's data is derived
+    out.append((
+        "bound-paths-chain500",
+        ["export", "transport", "--builder", "chain", "--n", "500,500"],
+    ))
     out.append(("bound-disc-reflection-triangle7", ["check", "disc-reflection", *triangle, "7"]))
     return out
 

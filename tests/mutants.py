@@ -5,7 +5,7 @@ once in src/, its replacement, and the test files expected to catch it.
 
     python3 tests/mutants.py [name-substring ...]
 
-copies src/, tests/, pyproject.toml and README.md into a temporary
+copies src/, tests/, perfbench/, pyproject.toml and README.md into a temporary
 directory, runs every named test file once on the clean copy (each must
 pass), then, one mutant at a time, applies the mutant and runs each of its
 test files with ``-x``.  A
@@ -287,6 +287,27 @@ MUTANTS = [
         "            pass",
         ("test_cli.py",),
     ),
+    Mutant(
+        "check all: the child's reports placed after the parent's",
+        "cli.py",
+        "return [done[kind] for kind in SUITE]",
+        "return list(done.values())",
+        ("test_check_all.py",),
+    ),
+    Mutant(
+        "check all: the child's exception dropped",
+        "cli.py",
+        "for _, error in (mine, theirs) if error",
+        "for _, error in (mine,) if error",
+        ("test_check_all.py",),
+    ),
+    Mutant(
+        "check all: the parent's later error raised ahead of the child's",
+        "cli.py",
+        "raise min(errors, key=lambda error: SUITE.index(error[0]))[1]",
+        "raise errors[0][1]",
+        ("test_check_all.py",),
+    ),
 ]
 
 
@@ -306,6 +327,9 @@ def main(patterns):
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copytree(ROOT / "tests", work / "tests",
                         ignore=shutil.ignore_patterns("__pycache__"))
+        # tests read perfbench's workload definitions
+        shutil.copytree(ROOT / "perfbench", work / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__", ".work"))
         for name in ("pyproject.toml", "README.md"):  # test_cli.py reads README
             shutil.copy(ROOT / name, work)
         broken = [f for f in sorted({f for m in mutants for f in m.tests})

@@ -598,8 +598,8 @@ def test_path_walk_stops_past_its_budget(monkeypatch):
     # triangle(3) has 2^4 - 2 = 14 source-sink paths
     monkeypatch.setattr(network, "PATH_BUDGET", 14)
     assert transport_matrix(build_triangle(3)) == transport_matrix(build_triangle(3))
+    net = build_triangle(3)  # built while the budget admits it
     monkeypatch.setattr(network, "PATH_BUDGET", 13)
-    net = build_triangle(3)
     net.out_edges = None  # the refusal comes before any walk
     with pytest.raises(ValueError, match="^transport has 14 source-sink paths; the limit is 13$"):
         transport_matrix(net)
@@ -615,6 +615,23 @@ def test_path_walk_stops_past_its_budget(monkeypatch):
     with pytest.raises(ValueError, match="walked 6 source-sink paths; the limit is 5"):
         transport_matrix(_cyclic2x2(100))
     assert len(signed) == 5
+
+
+def test_drawn_network_past_a_walk_bound_is_refused_before_deriving(monkeypatch):
+    # chain(500,500) has paths of 1002 vertices; deriving its drawing's
+    # data took 23 s before transport_matrix refused them.
+    def derived(*args):
+        raise AssertionError("the drawing was derived")
+
+    monkeypatch.setattr(network, "derive_network_data", derived)
+    with pytest.raises(ValueError, match="^transport paths may visit 1002 vertices; the limit is 800$"):
+        build_chain(500, 500)
+    monkeypatch.setattr(network, "PATH_BUDGET", 13)  # triangle(3) has 14 paths
+    with pytest.raises(ValueError, match="^transport has 14 source-sink paths; the limit is 13$"):
+        build_triangle(3)
+    monkeypatch.setattr(network, "PATH_BUDGET", 14)
+    with pytest.raises(AssertionError, match="the drawing was derived"):
+        build_triangle(3)
 
 
 # ---------------------------------------------------------------------------
