@@ -203,8 +203,9 @@ CHECKS = {
 # family reads M12^-1; reflection-affine runs at window 1 whatever --order.
 SUITE = ("rtt", "blocks", "affine", "aux-inverse", "loop", "subalgebra", "appendix",
          "reflection-affine")
-# The share a forked child runs beside the rest: the two slowest checkers.
-FORKED = ("loop", "reflection-affine")
+# The share a forked child runs beside the rest: affine and reflection-affine
+# cost about as much as the other six together (loop, the slowest, included).
+FORKED = ("affine", "reflection-affine")
 
 
 def _suite_check(kind, src, args):
@@ -266,7 +267,7 @@ def _run_split(src, args):
     one a serial run raises.  A child that ends without a result is a
     RuntimeError.  The parent always reads the pipe and reaps the child,
     also when an interrupt stops its own share.  On one CPU the two shares
-    take turns, at about 6% more wall time than a serial run.
+    take turns, at about 4.5% more wall time than a serial run.
     """
     import pickle
 

@@ -15,7 +15,7 @@ bottom of the file.
 import functools
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, inf
 
@@ -33,17 +33,10 @@ class TruncationRequired(ValueError):
     """A cyclic network needs max_cycle_uses to bound path enumeration."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    frm: str
-    to: str
-    exponent: tuple | None = None
-
-
-@dataclass
-class Geometry:
-    coords: dict
-    face_markers: list
+# An edge's exponent is a tuple, or None until a drawing derives it.
+Edge = namedtuple("Edge", "frm to exponent", defaults=(None,))
+# coords: vertex -> (x, y); face_markers: one (x, y) point per face.
+Geometry = namedtuple("Geometry", "coords face_markers")
 
 
 class Network:
@@ -422,23 +415,19 @@ def transport_matrix(net):
     return QMatrix.from_rows(form, zip(*columns))
 
 
-@dataclass
 class BlockTransport:
     """The blocks of a transport matrix split as [[M11, M12], [M21, M22]].
 
     Every level matrix of the split is one product M22 M12^j M11; power(j)
     builds it, inverting M12 (once) for negative j.  Products and the inverse
-    are cached on the instance, so a dataclasses.replace copy starts afresh;
-    callers must not modify the matrices it hands out.
+    are cached on the instance, so a new instance built from the same or
+    changed blocks starts afresh; callers must not modify the matrices it
+    hands out.
     """
 
-    n1: int
-    m: int
-    n2: int
-    M11: QMatrix
-    M12: QMatrix
-    M21: QMatrix
-    M22: QMatrix
+    def __init__(self, n1, m, n2, M11, M12, M21, M22):
+        self.n1, self.m, self.n2 = n1, m, n2
+        self.M11, self.M12, self.M21, self.M22 = M11, M12, M21, M22
 
     @property
     def matrix(self):

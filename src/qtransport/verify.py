@@ -12,8 +12,7 @@ turns the table into residual matrices.
 """
 
 import functools
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 from itertools import product
 
 from .ncmat import (
@@ -39,21 +38,17 @@ from .rmat import (
 )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "name parameters passed residuals")):
     """Outcome of one checker.
 
     residuals holds one record per failing relation: the relation label with
     the position of the first nonzero entry, and that entry rendered.
     """
 
-    name: str
-    parameters: dict
-    passed: bool
-    residuals: list
+    __slots__ = ()
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _first_nonzero(mat):

@@ -8,13 +8,13 @@ asserted below.
 
 import random
 import time
-from dataclasses import replace
 from math import comb
 
 from test_verify import (
     affine_level_residual,
     loop_component_residual,
     reflection_affine_residual,
+    with_blocks,
 )
 
 from qtransport import verify
@@ -258,10 +258,10 @@ def test_11_every_checker_has_a_failing_control():
     assert not verify.check_rtt(_perturbed(m)).passed
     assert not verify.check_disc_reflection(_perturbed(m, 1, 0)).passed
     b = _chain_blocks(2, 1, bridge=True)
-    assert not verify.check_blocks(replace(b, M12=_perturbed(b.M12))).passed
-    assert not verify.check_aux_inverse(replace(b, M11=_perturbed(b.M11))).passed
+    assert not verify.check_blocks(with_blocks(b, M12=_perturbed(b.M12))).passed
+    assert not verify.check_aux_inverse(with_blocks(b, M11=_perturbed(b.M11))).passed
     plain = _chain_blocks(2, 1)
-    assert not verify.check_appendix(replace(plain, M21=_perturbed(plain.M21))).passed
+    assert not verify.check_appendix(with_blocks(plain, M21=_perturbed(plain.M21))).passed
     assert not verify.check_groupoid(b).passed  # the bridged chain itself
     assert not verify.check_affine(_scrambled_series(), 1, 1).passed
     t = loop_generators(b)

@@ -1,8 +1,8 @@
-"""`check all` with its loop family split over two processes.
+"""`check all` with its suite split over two processes.
 
-cli._run_all runs loop and reflection-affine in a forked child beside the
-other six checkers.  Its reports, skips, stdout, stderr and exit codes must
-be those of running the suite serially, which serial_run_all below keeps as
+cli._run_all runs the checkers of cli.FORKED in a forked child beside the
+other ones.  Its reports, skips, stdout, stderr and exit codes must be
+those of running the suite serially, which serial_run_all below keeps as
 the oracle, and no child may outlive a command.
 """
 
@@ -112,15 +112,27 @@ def _raising(message):
     return check
 
 
+def _checker(kind):
+    return "check_" + kind.replace("-", "_")
+
+
 CHAIN11 = ["check", "all", "--builder", "chain", "--n", "1,1", "--bridge"]
+# A checker the child runs, and the parent's checkers just before and after it.
+CHILD = cli.FORKED[0]
+BEFORE = [k for k in cli.SUITE[: cli.SUITE.index(CHILD)] if k not in cli.FORKED][-1]
+AFTER = [k for k in cli.SUITE[cli.SUITE.index(CHILD):] if k not in cli.FORKED][0]
 
 
 @pytest.mark.parametrize(
     "failing, first",
     [
-        (("affine", "loop"), "affine"),  # the parent's error comes first
-        (("loop",), "loop"),  # the child's alone
-        (("subalgebra", "loop"), "loop"),  # the child's comes first
+        ((BEFORE, CHILD), BEFORE),  # the parent's error comes first
+        ((CHILD,), CHILD),  # the child's alone
+        ((AFTER, CHILD), CHILD),  # the child's comes first
+        # fixed kinds, which pin the suite order whichever process runs them
+        (("affine", "loop"), "affine"),
+        (("loop",), "loop"),
+        (("subalgebra", "loop"), "loop"),
         (("appendix",), "appendix"),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, tuple) else v,
@@ -129,26 +141,26 @@ def test_check_all_raises_the_earliest_error_in_suite_order(
     failing, first, monkeypatch, capsys
 ):
     for kind in failing:
-        monkeypatch.setattr(verify, f"check_{kind}", _raising(f"{kind} refused"))
+        monkeypatch.setattr(verify, _checker(kind), _raising(f"{kind} refused"))
     assert cli.main(CHAIN11) == 2
     assert capsys.readouterr() == ("", f"error: {first} refused\n")
     _no_child_left()
 
 
 def test_a_child_that_dies_is_an_error_not_a_pass(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "check_loop", lambda *a: os.kill(os.getpid(), signal.SIGKILL))
+    monkeypatch.setattr(verify, _checker(CHILD), lambda *a: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(RuntimeError, match=r"sent no result \(wait status 9\)"):
         cli.main(CHAIN11)
     assert capsys.readouterr().out == ""
     _no_child_left()
 
 
-@pytest.mark.parametrize("kind", ["subalgebra", "loop"])  # parent, child
+@pytest.mark.parametrize("kind", ["subalgebra", "loop", CHILD])  # parent, parent, child
 def test_an_interrupt_on_either_side_stops_the_command(kind, monkeypatch, capsys):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(verify, f"check_{kind}", interrupted)
+    monkeypatch.setattr(verify, _checker(kind), interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main(CHAIN11)
     assert capsys.readouterr() == ("", "")

@@ -608,6 +608,23 @@ def test_exponent_past_packed_limit_exits_2_without_traceback(tmp_path):
         assert proc.stderr.count("\n") == 1
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # Every command pays for its imports, and dataclasses alone pulls in
+    # inspect, ast, dis and tokenize.
+    script = (
+        "import sys, qtransport.cli\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 def test_coincident_edge_ends_name_both_vertices(tmp_path, capsys):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(_coincident_edge_ends()))
