@@ -230,14 +230,12 @@ def _run_all(src, args):
         return [CHECKS["rtt"](src, args)], [("block checks", "no --split given")]
     try:
         src.blocks.M12_inverse  # every negative level reads it; both processes share it
-    except NotInvertibleInSupportedClass:
-        reports = [CHECKS[kind](src, args) for kind in SUITE[:3]]
-        return reports, [("loop family", "M12 is not invertible here")]
-    except Exception:
+    except Exception as exc:
         # In suite order this error comes after rtt, blocks and affine; they
         # raise theirs first (a failed cached_property read is not cached).
-        for kind in SUITE[:3]:
-            CHECKS[kind](src, args)
+        reports = [CHECKS[kind](src, args) for kind in SUITE[:3]]
+        if isinstance(exc, NotInvertibleInSupportedClass):
+            return reports, [("loop family", "M12 is not invertible here")]
         raise
     return _run_split(src, args), []
 

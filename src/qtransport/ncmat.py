@@ -159,14 +159,14 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix.from_cells(a.rows, b.cols, a.form, cells, span)
 
 
-def entry_products(a: QMatrix, b: QMatrix, both) -> dict:
-    """{(id x, id y): x y} for every nonzero entry x of a and y of b.
+def entry_products(a: QMatrix, b: QMatrix) -> dict:
+    """{(id x, id y): x y, (id y, id x): y x} for every nonzero x of a and y of b.
 
-    With both, the same qmul pass that makes x y also stores y x under
-    (id y, id x), and with a is b each unordered pair of entries is
-    multiplied once.  The keys are identities, so a table serves any matrix
-    that holds these entry objects, such as the lifts of a and b, for as
-    long as a and b keep them alive.
+    One qmul pass makes x y and stores y x beside it, and with a is b each
+    unordered pair of entries is multiplied once.  The keys are identities,
+    so a table serves any matrix that holds these entry objects, such as
+    the lifts of a and b, in either order, for as long as a and b keep them
+    alive.  table_term_pairs(a, b) counts the torus term pairs it multiplies.
     """
     if a.form != b.form:
         raise ValueError("matrices live on different quantum tori")
@@ -175,8 +175,8 @@ def entry_products(a: QMatrix, b: QMatrix, both) -> dict:
     ys = xs if a is b else [(id(y), y) for row in b.data for y in row if y.terms]
     out = {}
     for i, (ix, x) in enumerate(xs):
-        for iy, y in ys[i:] if both and a is b else ys:
-            if not both or x is y:
+        for iy, y in ys[i:] if a is b else ys:
+            if x is y:
                 out[ix, iy] = qmul(x, y)
                 continue
             rev = {}
@@ -185,19 +185,30 @@ def entry_products(a: QMatrix, b: QMatrix, both) -> dict:
     return out
 
 
-def sandwich(a: QMatrix, c: CMatrix, b: QMatrix, products=None) -> QMatrix:
+def table_term_pairs(a: QMatrix, b: QMatrix) -> int:
+    """The torus term pairs entry_products(a, b) multiplies, exactly.
+
+    With T the total number of terms of a matrix, that is T(a) T(b); with a
+    is b, each unordered pair of entries is multiplied once, which is
+    (T^2 + sum of |x|^2 over its entries) / 2.
+    """
+    tx = [len(e.terms) for row in a.data for e in row]
+    if a is b:
+        return (sum(tx) ** 2 + sum(t * t for t in tx)) // 2
+    return sum(tx) * sum(len(e.terms) for row in b.data for e in row)
+
+
+def sandwich(a: QMatrix, c: CMatrix, b: QMatrix, products) -> QMatrix:
     """a C b for a matrix C of commuting scalars, with no C b built.
 
     Each nonzero C[r, s] pairs column r of a with row s of b: the product
-    x y of each pair of nonzero entries, looked up in products (see
-    entry_products; by default a table of a with b), is added into its cell
-    at every v-power of C[r, s].  The result takes the largest span of its
-    products.
+    x y of each pair of nonzero entries, looked up in products (a table of
+    entry_products that holds the entries of a and b), is added into its
+    cell at every v-power of C[r, s].  The result takes the largest span of
+    its products.
     """
     if a.cols != c.rows or c.cols != b.rows:
         raise ValueError("shape mismatch")
-    if products is None:
-        products = entry_products(a, b, False)
     a_cols = _nonzero_rows(transpose_q(a))
     b_rows = _nonzero_rows(b)
     cells = {}
@@ -230,17 +241,15 @@ def transpose_q(m: QMatrix) -> QMatrix:
     )
 
 
-def sheet_product(a: QMatrix, b: QMatrix, products=None) -> QMatrix:
+def sheet_product(a: QMatrix, b: QMatrix, products) -> QMatrix:
     """(1)a (2)b on the composite index space: entry ((i,k),(j,l)) = a[i,j] b[k,l].
 
     Rows are composite over (a-rows, b-rows), columns over (a-cols, b-cols),
     sheet-1-major.  The word with a on sheet 2 first, (2)a (1)b, holds the
     same products at swapped indices: swap_sheets reads it off this one.
-    Each entry is looked up in products (see entry_products; by default a
-    table of a with b).
+    Each entry is looked up in products (a table of entry_products that
+    holds the entries of a and b).
     """
-    if products is None:
-        products = entry_products(a, b, False)
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     z = QElem.zero(a.form)

@@ -428,6 +428,8 @@ class BlockTransport:
     def __init__(self, n1, m, n2, M11, M12, M21, M22):
         self.n1, self.m, self.n2 = n1, m, n2
         self.M11, self.M12, self.M21, self.M22 = M11, M12, M21, M22
+        self._tails = {0: M11}  # j -> M12^j M11
+        self._powers = {}  # j -> M22 M12^j M11
 
     @property
     def matrix(self):
@@ -441,14 +443,6 @@ class BlockTransport:
         except NotInvertibleInSupportedClass as exc:
             msg = f"M12 is not invertible here ({exc})"
             raise NotInvertibleInSupportedClass(msg) from exc
-
-    @functools.cached_property
-    def _tails(self):
-        return {0: self.M11}  # j -> M12^j M11
-
-    @functools.cached_property
-    def _powers(self):
-        return {}  # j -> M22 M12^j M11
 
     def power(self, j):
         """M22 M12^j M11 for any integer j; each M12^j M11 is built once."""

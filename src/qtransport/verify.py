@@ -1,6 +1,6 @@
 """Exact identity checkers for transport matrices over the quantum torus.
 
-Every checker recomputes both sides of an algebraic identity and returns a
+Every checker recomputes the two sides of an algebraic identity and returns a
 CheckReport listing the first offending entry of each failing relation.
 Nothing here is numerical: coefficients stay Laurent polynomials in v
 throughout, so a pass is an exact statement about the network, not an
@@ -25,6 +25,7 @@ from .ncmat import (
     sandwich,
     sheet_product,
     swap_sheets,
+    table_term_pairs,
     transpose_q,
 )
 from .qalg import QScalar
@@ -132,7 +133,7 @@ def _product(core, products):
 
     A mid-constant word is one sandwich of the lifts around C: each nonzero
     C[r, c] pairs column r of lift(X) with row c of lift(Y), so no C lift(Y)
-    is built.  The lifts hold the entries of X and Y themselves, so both
+    is built.  The lifts hold the entries of X and Y themselves, so the two
     kinds look their entry products up in one table of X with Y.
     """
     (s, x), (_, y) = core[0], core[-1]
@@ -155,19 +156,6 @@ PAIR_BUDGET = 10**6  # term pairs one evaluate call may multiply, ~1 KB each
 CELL_BUDGET = 10**5  # composite cells its distinct products may hold, ~1 KB each
 
 
-def _pair_terms(x, y):
-    """The torus term pairs of the entry-product table of X with Y.
-
-    With T the total number of terms of a matrix, that is T(X) T(Y); with X
-    is Y, the table multiplies each unordered pair of entries once, which
-    is (T^2 + sum of |x|^2 over its entries) / 2.
-    """
-    tx = [len(e.terms) for row in x.data for e in row]
-    if x is y:
-        return (sum(tx) ** 2 + sum(t * t for t in tx)) // 2
-    return sum(tx) * sum(len(e.terms) for row in y.data for e in row)
-
-
 def evaluate(*relations):
     """The residual QMatrix of each relation.
 
@@ -186,25 +174,22 @@ def evaluate(*relations):
     matrices, whatever the sheets: (2)X (1)Y reads the entries of
     (1)X (2)Y at swapped composite indices.  The products of one unordered
     pair of matrices {X, Y} read their entry products from one table
-    (ncmat.entry_products), built before the pair's first product and
-    dropped after its last; it holds y x too when X is Y or the call reads
-    both orders.  A call whose tables would pair more than PAIR_BUDGET
-    torus terms (_pair_terms), or whose products would hold more than
-    CELL_BUDGET composite cells, raises ValueError before it builds any.
+    (ncmat.entry_products), which holds x y and y x, built before the
+    pair's first product and dropped after its last.  A call whose tables
+    would pair more than PAIR_BUDGET torus terms (ncmat.table_term_pairs),
+    or whose products would hold more than CELL_BUDGET composite cells,
+    raises ValueError before it builds any.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
     cores = {_key(core): core for rel in parts for *_, core in rel}
-    # per unordered pair of matrices {X, Y}: its products still to build,
-    # and the ids of the matrices they read first
-    todo, firsts, pairs = Counter(), {}, 0
+    # per unordered pair of matrices {X, Y}: its products still to build
+    todo, pairs = Counter(), 0
     for (_, x), *_, (_, y) in cores.values():
         pair = frozenset((id(x), id(y)))
-        if pair not in firsts:
-            firsts[pair] = set()
-            pairs += _pair_terms(x, y)
+        if pair not in todo:
+            pairs += table_term_pairs(x, y)
         todo[pair] += 1
-        firsts[pair].add(id(x))
     if pairs > PAIR_BUDGET:
         raise ValueError(
             f"these relations need {pairs} torus term pairs; the limit is {PAIR_BUDGET}"
@@ -230,8 +215,7 @@ def evaluate(*relations):
                 pair = frozenset((id(x), id(y)))
                 table = tables.get(pair)
                 if table is None:
-                    both = x is y or len(firsts[pair]) > 1
-                    table = tables[pair] = entry_products(x, y, both)
+                    table = tables[pair] = entry_products(x, y)
                 value = _product(core, table)
                 todo[pair] -= 1
                 if not todo[pair]:

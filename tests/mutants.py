@@ -205,27 +205,27 @@ MUTANTS = [
         "out[ix, iy] = from_sums",
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
-    # one entry-product table per unordered matrix pair in verify.evaluate
     Mutant(
-        "self-pair table built without both",
-        "verify.py",
-        "both = x is y or len(firsts[pair]) > 1",
-        "both = len(firsts[pair]) > 1",
-        ("test_verify.py",),
+        "cross pair's y x left out of the table",
+        "ncmat.py",
+        "if x is y:",
+        "if x is y or a is not b:",
+        ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
+    Mutant(
+        "self-pair count without its diagonal",
+        "ncmat.py",
+        "(sum(tx) ** 2 + sum(t * t for t in tx)) // 2",
+        "sum(tx) ** 2 // 2",
+        ("test_ncmat.py", "test_verify.py", "test_cli.py"),
+    ),
+    # one entry-product table per unordered matrix pair in verify.evaluate
     Mutant(
         "table dropped one product early",
         "verify.py",
         "if not todo[pair]:",
         "if todo[pair] <= 1:",
         ("test_verify.py",),
-    ),
-    Mutant(
-        "self-pair count without its diagonal",
-        "verify.py",
-        "(sum(tx) ** 2 + sum(t * t for t in tx)) // 2",
-        "sum(tx) ** 2 // 2",
-        ("test_verify.py", "test_cli.py"),
     ),
     Mutant(
         "sandwich pairs row r of a",

@@ -652,7 +652,7 @@ def test_boundary_vertex_listed_twice_is_named(kind, drawn, tmp_path, capsys):
 
 def _no_products(monkeypatch):
     """Make building an entry-product table or a product fail loudly."""
-    def no_table(a, b, both):
+    def no_table(a, b):
         raise AssertionError("a product was started")
 
     def no_product(core, products):

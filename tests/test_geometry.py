@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 import geometry_oracle
 from test_network import transport_entry
 from qtransport import geometry, verify
-from qtransport.ncmat import QMatrix
+from qtransport.affine import levels_T, loop_generators, reflection_series
+from qtransport.ncmat import NotInvertibleInSupportedClass, QMatrix
 from qtransport.network import (
     Edge,
     Geometry,
@@ -355,3 +356,62 @@ def test_bridge_words_satisfy_rtt_and_square_block_relations(word, data):
     shared = [(i, j) for i in range(n) for j in range(n) if _shares_a_line(m, i, j)]
     i, j = data.draw(st.sampled_from(shared))
     assert not verify.check_rtt(_bumped(m, i, j)).passed
+
+
+def _invertible_square_splits(count, seed=11):
+    """(transport, m, blocks) of seeded bridge words, for each square split
+    (n-m, m, n-m) whose M12 is invertible in the supported class."""
+    for n, letters in _seeded_words(count, seed):
+        m = transport_matrix(bridge_word(n, letters))
+        for msize in range(1, n):
+            blocks = block_split(m, n - msize, msize, n - msize)
+            try:
+                blocks.M12_inverse
+            except NotInvertibleInSupportedClass:
+                continue
+            yield m, msize, blocks
+
+
+def _level_reports(b):
+    """The report of every level, loop and reflection checker on blocks b."""
+    t = loop_generators(b)
+    return {
+        "affine": verify.check_affine(levels_T(b), 2, 2),
+        "aux-inverse": verify.check_aux_inverse(b),
+        "loop": verify.check_loop(t, -2, 1),
+        "subalgebra": verify.check_subalgebra(t),
+        "appendix": verify.check_appendix(b),
+        "reflection-affine": verify.check_reflection_affine(reflection_series(t), 1),
+    }
+
+
+def test_bridge_words_satisfy_level_loop_and_reflection_relations():
+    """The paper's claims for any network whose M12 is invertible, on bridge words.
+
+    50 of the 592 square splits of 300 seeded words have an invertible
+    M12; the first of each shape (n, m) is checked.  groupoid stays out: it
+    probes loopback consistency, which the paper does not claim for every
+    network.  The control adds 1 to M22[0, 0], which every checker reads
+    through its levels and which leaves M12 alone, and each checker must
+    fail on it.  Where n1 = n2 = 1 and M21 = 0, subalgebra and
+    reflection-affine at window 1 hold whatever M11 and M22 are, so they
+    are left out there: T+0 = M21 is zero, a 1 x 1 self-exchange is
+    trivial, and each reflection component is a commutator of two levels,
+    one of them A_1 = (T-1)^t M21 = 0 or a level at or below 0, which vanish.
+    """
+    first = {}
+    for m, msize, b in _invertible_square_splits(300):
+        first.setdefault((m.rows, msize), (m, b))
+        if len(first) == 4:
+            break
+    assert sorted(first) == [(2, 1), (3, 1), (3, 2), (4, 1)]
+    for (n, msize), (m, b) in sorted(first.items()):
+        reports = _level_reports(b)
+        assert all(r.passed for r in reports.values()), (n, msize)
+        n1 = n - msize
+        bumped = block_split(_bumped(m, msize, n1), n1, msize, n1)
+        failed = {name for name, r in _level_reports(bumped).items() if not r.passed}
+        want = set(reports)
+        if n1 == 1 and b.M21.is_zero():
+            want -= {"subalgebra", "reflection-affine"}
+        assert failed == want, (n, msize)

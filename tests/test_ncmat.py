@@ -88,14 +88,15 @@ def test_sheet_product_frozen():
     w1, w2, w3 = w(FORM3, 1, 0, 0), w(FORM3, 0, 1, 0), w(FORM3, 0, 0, 1)
     a = QMatrix.from_rows(FORM3, [[w1, w2]])  # 1 x 2
     b = QMatrix.from_rows(FORM3, [[w3], [w1]])  # 2 x 1
-    s12 = sheet_product(a, b)
+    products = ncmat.entry_products(a, b)
+    s12 = sheet_product(a, b, products)
     # rows composite (a-row, b-row), cols composite (a-col, b-col)
     assert (s12.rows, s12.cols) == (2, 2)
     assert s12.entry(0, 0) == qmul(w1, w3)
     assert s12.entry(0, 1) == qmul(w2, w3)
     assert s12.entry(1, 0) == qmul(w1, w1)
     assert s12.entry(1, 1) == qmul(w2, w1)
-    s21 = swap_sheets(sheet_product(b, a), b.rows, b.cols)
+    s21 = swap_sheets(sheet_product(b, a, products), b.rows, b.cols)
     assert s21.entry(0, 0) == qmul(w3, w1)
     assert s21.entry(0, 1) == qmul(w3, w2)
     assert s21.entry(1, 0) == qmul(w1, w1)
@@ -107,8 +108,9 @@ def test_sheet_product_equals_lifted_matmul():
     for _ in range(10):
         a = _random_qmatrix(rng, FORM3, 2, 2)
         b = _random_qmatrix(rng, FORM3, 3, 2)
-        assert sheet_product(a, b) == matmul(lift1(a, b.rows), lift2(b, a.cols))
-        assert swap_sheets(sheet_product(b, a), b.rows, b.cols) == matmul(
+        products = ncmat.entry_products(a, b)
+        assert sheet_product(a, b, products) == matmul(lift1(a, b.rows), lift2(b, a.cols))
+        assert swap_sheets(sheet_product(b, a, products), b.rows, b.cols) == matmul(
             lift2(b, a.rows), lift1(a, b.cols)
         )
 
@@ -120,8 +122,9 @@ def test_sheet_product_flip_commutative_case():
     a = _random_qmatrix(rng, form, 2, 2)
     b = _random_qmatrix(rng, form, 2, 2)
     p = build_P_rect(2, 2)
-    flipped = classical_act(p, dense_classical_act(p, sheet_product(a, b), "right"))
-    assert flipped == sheet_product(b, a)
+    products = ncmat.entry_products(a, b)
+    flipped = classical_act(p, dense_classical_act(p, sheet_product(a, b, products), "right"))
+    assert flipped == sheet_product(b, a, products)
 
 
 def test_classical_act_frozen():
@@ -239,13 +242,13 @@ def test_sandwich_matches_lifted_oracle(sheet):
         a, b = lift_x(x, y.rows), lift_y(y, x.cols)
         c = _constant(rng, a.cols, b.rows, scalars, density=(0, 0.2, 0.5)[trial % 3])
         want = dense_matmul(a, dense_classical_act(c, b, "left"))
-        assert sandwich(a, c, b) == want, trial
+        assert sandwich(a, c, b, ncmat.entry_products(x, y)) == want, trial
 
 
 @pytest.mark.parametrize("sheet", [1, 2])
 def test_sandwiches_through_one_memo_multiply_each_entry_pair_once(sheet, monkeypatch):
-    # (s)X C (t)Y, then (t)Y C' (s)X, through one table of X with Y built
-    # with both orders: both match the lifted oracle, and each unordered
+    # (s)X C (t)Y, then (t)Y C' (s)X, through one table of X with Y: both
+    # match the lifted oracle, and each unordered
     # pair of nonzero entries is multiplied once, in the table, under
     # however many links of C and C' it meets
     made = []
@@ -264,7 +267,7 @@ def test_sandwiches_through_one_memo_multiply_each_entry_pair_once(sheet, monkey
         y = _wide_qmatrix(rng, form, *dims[2:], big=LIMIT // 2 - 1)
         words = [(lift_x(x, y.rows), lift_y(y, x.cols)), (lift_y(y, x.rows), lift_x(x, y.cols))]
         made.clear()
-        products = ncmat.entry_products(x, y, True)
+        products = ncmat.entry_products(x, y)
         for a, b in words:
             c = _constant(rng, a.cols, b.rows, list(FIRST.values()), density=0.6)
             want = dense_matmul(a, dense_classical_act(c, b, "left"))
@@ -279,10 +282,10 @@ def test_sandwich_refuses_a_span_past_the_limit():
     x = QMatrix.from_rows(FORM2, [[w(FORM2, half, 0)]])
     y = QMatrix.from_rows(FORM2, [[w(FORM2, 0, half - 1)]])
     c = CMatrix(1, 1, {(0, 0): QQ})
-    assert sandwich(x, c, y) == matmul(x, y).scale(QQ)
+    assert sandwich(x, c, y, ncmat.entry_products(x, y)) == matmul(x, y).scale(QQ)
     y = QMatrix.from_rows(FORM2, [[w(FORM2, 0, half)]])
     with pytest.raises(ValueError, match="may reach 16384 in size"):
-        sandwich(x, c, y)
+        sandwich(x, c, y, ncmat.entry_products(x, y))
 
 
 def _spans_hold(m):
@@ -304,14 +307,16 @@ def test_products_keep_the_largest_span():
     a = QMatrix.from_rows(FORM2, [[wide, narrow], [narrow, narrow]])
     b = QMatrix.from_rows(FORM2, [[narrow, narrow], [narrow, narrow]])
     c = CMatrix(2, 2, {(0, 0): QScalar.one(), (1, 1): QQ})
-    assert _spans_hold(matmul(a, b)) and _spans_hold(sandwich(a, c, b))
+    assert _spans_hold(matmul(a, b))
+    assert _spans_hold(sandwich(a, c, b, ncmat.entry_products(a, b)))
     rng = random.Random(41)
     for trial in range(40):
         form = (FORM2, FORM3)[trial % 2]
         a = _wide_qmatrix(rng, form, 3, 2, big=rng.randint(1, 99))
         b = _wide_qmatrix(rng, form, 2, 3, big=rng.randint(1, 99))
         c = _constant(rng, 2, 2, list(FIRST.values()), density=0.7)
-        assert _spans_hold(matmul(a, b)) and _spans_hold(sandwich(a, c, b)), trial
+        assert _spans_hold(matmul(a, b)), trial
+        assert _spans_hold(sandwich(a, c, b, ncmat.entry_products(a, b))), trial
 
 
 @pytest.mark.parametrize("name", list(FIRST))
@@ -495,56 +500,55 @@ def test_matmul_matches_dense_oracle(pair):
 @given(_matrix_pair(chained=False))
 def test_sheet_products_match_two_order_oracle(pair):
     a, b = pair
-    assert sheet_product(a, b) == ordered_sheet_product(a, b, 12)
-    swapped = swap_sheets(sheet_product(b, a), b.rows, b.cols)
+    products = ncmat.entry_products(a, b)
+    assert sheet_product(a, b, products) == ordered_sheet_product(a, b, 12)
+    swapped = swap_sheets(sheet_product(b, a, products), b.rows, b.cols)
     assert swapped == ordered_sheet_product(a, b, 21)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_matrix_pair(chained=False))
 def test_sheet_products_share_entry_products_through_memo(pair):
-    # one table of a with b built with both orders holds every x y and y x:
-    # sheet_product(a, b) and sheet_product(b, a) both read from it, and a
-    # self-product reads from the table of a with itself
+    # one table of a with b holds every x y and y x: sheet_product(a, b) and
+    # sheet_product(b, a) both read from it, and a self-product reads from
+    # the table of a with itself
     a, b = pair
-    products = ncmat.entry_products(a, b, True)
+    products = ncmat.entry_products(a, b)
     xs, ys = ([x for row in m.data for x in row if x.terms] for m in (a, b))
     keys = {(id(x), id(y)) for x in xs for y in ys}
     assert set(products) == keys | {(iy, ix) for ix, iy in keys}
     assert sheet_product(a, b, products) == ordered_sheet_product(a, b, 12)
     swapped = swap_sheets(sheet_product(b, a, products), b.rows, b.cols)
     assert swapped == ordered_sheet_product(a, b, 21)
-    products = ncmat.entry_products(a, a, True)
+    products = ncmat.entry_products(a, a)
     assert sheet_product(a, a, products) == ordered_sheet_product(a, a, 12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_matrix_pair(chained=False), st.booleans(), st.booleans())
-def test_entry_products_multiply_each_pair_once(pair, both, same):
-    # the table holds x y for every nonzero x of a and y of b, and with both
-    # y x too; with both each unordered pair of entries is multiplied once,
-    # a self-pair x x included, and without it each ordered pair once
+@given(_matrix_pair(chained=False), st.booleans())
+def test_entry_products_multiply_each_pair_once(pair, same):
+    # the table holds x y and y x for every nonzero x of a and y of b, from
+    # one qmul per unordered pair of entries, a self-pair x x included; the
+    # term pairs those qmuls multiply are table_term_pairs(a, b)
     a, b = pair
     if same:
         b = a
     xs, ys = ([x for row in m.data for x in row if x.terms] for m in (a, b))
     want = {(id(x), id(y)): qmul(x, y) for x in xs for y in ys}
-    if both:
-        want.update({(id(y), id(x)): qmul(y, x) for x in xs for y in ys})
+    want.update({(id(y), id(x)): qmul(y, x) for x in xs for y in ys})
     made = []
 
     def counted(x, y, rev=None):
-        made.append((id(x), id(y)))
+        made.append((x, y))
         return qmul(x, y, rev=rev)
 
     with mock.patch.object(ncmat, "qmul", counted):
-        assert ncmat.entry_products(a, b, both) == want
-    if both:
-        read = {frozenset(key) for key in want}
-    else:
-        read = set(want)
+        assert ncmat.entry_products(a, b) == want
+    read = {frozenset(key) for key in want}
     assert len(made) == len(read)
-    assert {frozenset(key) if both else key for key in made} == read
+    assert {frozenset((id(x), id(y))) for x, y in made} == read
+    pairs = sum(len(x.terms) * len(y.terms) for x, y in made)
+    assert ncmat.table_term_pairs(a, b) == pairs
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from test_ncmat import _matrix_pair
 
 from qtransport import ncmat, qalg, verify
 from qtransport.affine import TSeries, levels_T, loop_generators, reflection_series
@@ -143,6 +145,28 @@ def test_rtt_negative_control():
     rec = rep.residuals[0]
     assert set(rec) == {"index", "value"}
     assert "[" in rec["index"] and rec["value"]
+
+
+def test_r_star_self_exchange_residual_equals_r_residual():
+    """The R* self-exchange residual of any matrix is its R residual.
+
+    R - R* = (q - q^-1) P, which check_rmatrix checks as skein, and
+    P (1)M (2)M = (2)M (1)M P by re-indexing alone, so the two residuals
+    differ by (q - q^-1) times a zero matrix.  So a relation table may
+    carry both, but the R* one tells nothing new.
+    """
+    nonzero = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_matrix_pair(chained=False))
+    def same(pair):
+        m = pair[0]
+        (_, r), (_, r_star) = verify._table(verify._self_exchange(m))
+        assert r == r_star
+        nonzero.append(not r.is_zero())
+
+    same()
+    assert any(nonzero)
 
 
 def test_blocks_on_builders():
@@ -369,12 +393,12 @@ def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
     one call makes, whether or not the same pass adds y x.  That must equal
     an independent count, each unordered pair of entries the call's products
     read, once, times its term counts; and the budget's count, the sum of
-    _pair_terms over the call's tables, must equal both.  Every checker
+    ncmat.table_term_pairs over the call's tables, must equal both.  Every checker
     runs, on plain and perturbed inputs.
     """
     made, calls = [0], []
     add_product, pair_terms, evaluate = (
-        qalg.add_product, verify._pair_terms, verify.evaluate
+        qalg.add_product, ncmat.table_term_pairs, verify.evaluate
     )
 
     def spy(sums, x, y, rev=None):
@@ -396,7 +420,7 @@ def test_term_pair_budget_bounds_the_pairs_multiplied(monkeypatch):
 
     for module in (qalg, ncmat):
         monkeypatch.setattr(module, "add_product", spy)
-    monkeypatch.setattr(verify, "_pair_terms", counted)
+    monkeypatch.setattr(verify, "table_term_pairs", counted)
     monkeypatch.setattr(verify, "evaluate", checked)
     b = _chain_blocks(2, 1, bridge=True)
     for blocks in (b, with_blocks(b, M11=_perturbed(b.M11)), _chain_blocks(2, 2, bridge=True)):
