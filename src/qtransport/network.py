@@ -494,6 +494,11 @@ def build_triangle(n):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    # Its longest path visits 2n + 1 vertices and it has 2^(n+1) - 2
+    # source-sink paths, so a walk Network.__init__ would refuse is refused
+    # here, before the O(n^2) drawing is built.
+    depth = 2 * n + 1
+    _refuse_walk(depth, 2 ** (n + 1) - 2 if depth <= MAX_PATH_DEPTH else None)
     half = Fraction(1, 2)
     coords = {}
     vertices = []

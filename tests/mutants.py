@@ -234,6 +234,28 @@ MUTANTS = [
         "a_cols = _nonzero_rows(a)",
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
+    # the R* self-exchange row derived from the R row
+    Mutant(
+        "repeated row reports a zero residual",
+        "verify.py",
+        "hit = hit if mat is last else _first_nonzero(mat)",
+        "hit = None if mat is last else _first_nonzero(mat)",
+        ("test_evaluate_oracle.py", "test_cli_corpus.py"),
+    ),
+    Mutant(
+        "repeated row takes the first row's residual",
+        "verify.py",
+        "out.append((label, out[-1][1] if terms is None",
+        "out.append((label, out[0][1] if terms is None",
+        ("test_evaluate_oracle.py",),
+    ),
+    Mutant(
+        "skein check skipped before deriving R*",
+        "verify.py",
+        "    _skein(m.rows)\n    _skein(m.cols)\n",
+        "",
+        ("test_verify.py",),
+    ),
     # the crossing table of a drawing
     Mutant(
         "reversed dart not negated",

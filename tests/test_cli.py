@@ -699,11 +699,27 @@ def test_cell_budget_refuses_before_any_product(monkeypatch, capsys):
         cli.main([*argv, "16,16"])
 
 
-def test_path_budget_exits_2_with_one_line(monkeypatch, capsys):
+def test_path_budget_exits_2_with_one_line(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network_to_dict(build_triangle(2))))
     monkeypatch.setattr(network, "PATH_BUDGET", 5)  # triangle(2) has 6 paths
     assert cli.main(["export", "transport", "--builder", "triangle", "--n", "2"]) == 2
     assert capsys.readouterr() == (
         "", "error: transport has 6 source-sink paths; the limit is 5\n"
+    )
+    # the builder refuses from a closed form; a loaded network's paths are
+    # counted in the topological pass
+    assert cli.main(["export", "transport", "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: transport has 6 source-sink paths; the limit is 5\n"
+    )
+
+
+def test_huge_triangle_exits_2_with_one_line(capsys):
+    # before it was refused up front, --n 3000 ran for more than a minute
+    assert cli.main(["export", "transport", "--builder", "triangle", "--n", "3000"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: transport paths may visit 6001 vertices; the limit is 800\n"
     )
 
 

@@ -634,6 +634,27 @@ def test_drawn_network_past_a_walk_bound_is_refused_before_deriving(monkeypatch)
         build_triangle(3)
 
 
+def test_triangle_walk_bounds_have_a_closed_form():
+    # build_triangle refuses from 2n + 1 vertices and 2^(n+1) - 2 paths
+    for n in range(1, 13):
+        net = build_triangle(n)
+        walk = network._longest_path(net.vertices, net.edges, net.sources, net.sinks)
+        assert walk == (2 * n + 1, 2 ** (n + 1) - 2)
+
+
+def test_huge_triangle_is_refused_before_it_is_drawn(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("the drawing was built")
+
+    monkeypatch.setattr(network, "Geometry", drawn)
+    with pytest.raises(ValueError, match="^transport has 1048574 source-sink paths; the limit is 1000000$"):
+        build_triangle(19)
+    with pytest.raises(ValueError, match="^transport paths may visit 6001 vertices; the limit is 800$"):
+        build_triangle(3000)
+    with pytest.raises(AssertionError, match="the drawing was built"):
+        build_triangle(18)
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------

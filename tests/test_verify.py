@@ -152,8 +152,9 @@ def test_r_star_self_exchange_residual_equals_r_residual():
 
     R - R* = (q - q^-1) P, which check_rmatrix checks as skein, and
     P (1)M (2)M = (2)M (1)M P by re-indexing alone, so the two residuals
-    differ by (q - q^-1) times a zero matrix.  So a relation table may
-    carry both, but the R* one tells nothing new.
+    differ by (q - q^-1) times a zero matrix.  _self_exchange relies on
+    this and evaluates only the R row, so both relations are evaluated in
+    full here.
     """
     nonzero = []
 
@@ -161,12 +162,56 @@ def test_r_star_self_exchange_residual_equals_r_residual():
     @given(_matrix_pair(chained=False))
     def same(pair):
         m = pair[0]
-        (_, r), (_, r_star) = verify._table(verify._self_exchange(m))
+        relations = [verify._exchange([(1, (c, (1, m), (2, m)))]) for c in ("R", "R*")]
+        r, r_star = verify.evaluate(*relations)
         assert r == r_star
         nonzero.append(not r.is_zero())
 
     same()
     assert any(nonzero)
+
+
+def test_self_exchanges_route_each_product_once(monkeypatch):
+    """The R* rows reuse the R residual: half the self-exchange routing."""
+    b = _chain_blocks(2, 2, bridge=True)
+    loop = loop_generators(b)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ncmat.add_acted(*args)
+
+    monkeypatch.setattr(verify, "add_acted", counted)
+    counts = {}
+    for name, run in [
+        ("rtt", lambda: verify.check_rtt(b.matrix)),
+        ("blocks", lambda: verify.check_blocks(b)),
+        ("subalgebra", lambda: verify.check_subalgebra(loop)),
+    ]:
+        calls.clear()
+        assert run().passed, name
+        counts[name] = len(calls)
+    assert counts == {"rtt": 2, "blocks": 21, "subalgebra": 6}
+
+
+@pytest.mark.parametrize("side", ["rows", "cols"])
+def test_self_exchange_refuses_to_derive_r_star_without_the_skein(side, monkeypatch):
+    m = transport_matrix(build_triangle(2))  # 4 x 2: the two sizes differ
+    k = getattr(m, side)
+    const = verify.const
+
+    def broken(name, *dims):
+        c = const(name, *dims)
+        return c.scale(QScalar.q_power(2)) if name == "R*" and dims == (k,) else c
+
+    monkeypatch.setattr(verify, "const", broken)
+    verify._skein.cache_clear()
+    message = f"^R - R\\* is not \\(q - q\\^-1\\) P at size {k}$"
+    try:
+        with pytest.raises(RuntimeError, match=message):
+            verify.check_rtt(m)
+    finally:
+        verify._skein.cache_clear()  # drop the verdicts on the broken constant
 
 
 def test_blocks_on_builders():
