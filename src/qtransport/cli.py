@@ -27,6 +27,7 @@ from .network import (
     build_chain,
     build_composite_example,
     build_triangle,
+    check_split,
     f_rp,
     hat_blocks,
     load_network,
@@ -108,27 +109,30 @@ class _Source:
 
 
 def _resolve_source(args):
+    """The source the arguments name; a --split that does not fit it is refused."""
     if args.input and args.builder:
         raise ValueError("pass either --input or --builder, not both")
     split = _parse_ints(args.split, 3) if args.split else None
     if args.input:
-        net = load_network(args.input)
-        return _Source(transport_matrix(net), split)
-    if args.builder == "triangle":
+        m, default = transport_matrix(load_network(args.input)), None
+    elif args.builder == "triangle":
         (n,) = _parse_ints(args.n, 1) if args.n else (2,)
         m = transport_matrix(build_triangle(n))  # 2n x n
-        return _Source(m, split or ((1, n - 1, n + 1) if n > 1 else None))
-    if args.builder == "chain":
+        default = (1, n - 1, n + 1) if n > 1 else None
+    elif args.builder == "chain":
         n1, n2 = _parse_ints(args.n, 2) if args.n else (1, 1)
-        m = transport_matrix(build_chain(n1, n2, bridge=args.bridge))
-        return _Source(m, split or (n1, 1, n2))
-    if args.builder == "hat":
-        b = hat_blocks(_size(args, "r", 2, 1, MAX_HAT_R))
-        return _Source(b.matrix, split or b)
-    if args.builder == "composite":
-        b = build_composite_example()
-        return _Source(b.matrix, split or b)
-    raise ValueError("no input: pass --input FILE or --builder NAME")
+        m, default = transport_matrix(build_chain(n1, n2, bridge=args.bridge)), (n1, 1, n2)
+    elif args.builder == "hat":
+        default = hat_blocks(_size(args, "r", 2, 1, MAX_HAT_R))
+        m = default.matrix
+    elif args.builder == "composite":
+        default = build_composite_example()
+        m = default.matrix
+    else:
+        raise ValueError("no input: pass --input FILE or --builder NAME")
+    if split:
+        check_split(m, *split)
+    return _Source(m, split or default)
 
 
 def _frp_report(rmax, pmax):

@@ -52,6 +52,7 @@ Conventions, fixed once and used everywhere:
   Boundary endpoints contribute nothing.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
@@ -323,6 +324,10 @@ class Disc:
 
         grid = self._grid = {v: on_grid(p) for v, p in pos.items()}
         markers = [on_grid(m) for m in self.markers]
+        # Markers by grid x: only those in a segment's x-range [min, max)
+        # can cross it, and every other entry of its vector is 0.
+        order = sorted(range(len(markers)), key=lambda i: markers[i][0])
+        xs = [markers[i][0] for i in order]
         adj = self.adj = {v: set() for v in pos}
         crossing = self.crossing = {}
 
@@ -332,7 +337,10 @@ class Disc:
             adj[u].add(v)
             adj[v].add(u)
             gu, gv = grid[u], grid[v]
-            vec = [_segment_ray_crossing(gu, gv, m) for m in markers]
+            lo, hi = sorted((gu[0], gv[0]))
+            vec = [0] * len(markers)
+            for i in order[bisect_left(xs, lo):bisect_left(xs, hi)]:
+                vec[i] = _segment_ray_crossing(gu, gv, markers[i])
             crossing[(u, v)] = vec
             crossing[(v, u)] = [-x for x in vec]
 

@@ -374,38 +374,42 @@ def transport_matrix(net):
     check_span(span, "transport exponents")
     depth = net.longest_path if bound == inf else len(net.edges) * bound + 1
     _refuse_walk(depth, net.path_count)
-    code = {id(e): form.encode(e.exponent) for e in net.edges}
-
-    def sign(trail):
-        if coords is None:
-            return 1
-        crossings = geometry.path_self_crossings([coords[u] for u in trail])
-        return -1 if crossings % 2 else 1
-
+    # each vertex's out-steps, resolved once: (edge id, head, monomial code)
+    steps = {
+        v: [(id(e), e.to, form.encode(e.exponent)) for e in out]
+        for v, out in net.out_edges.items()
+    }
     row = {snk: c for c, snk in enumerate(net.sinks)}
-    uses = {id(e): 0 for e in net.edges}
-    trail = []
-    paths = 0
+    # Only a cyclic walk reads these: the vertices on the path so far, the
+    # times each edge is on it, and the paths that reached a sink.
+    trail, uses, paths = [], dict.fromkeys(map(id, net.edges), 0), 0
 
     def walk(v, t, column):
         nonlocal paths
-        trail.append(v)
         if v in row:
-            paths += 1
-            if paths > PATH_BUDGET:
-                raise ValueError(
-                    f"transport walked {paths} source-sink paths; "
-                    f"the limit is {PATH_BUDGET}"
-                )
+            sign = 1
+            if coords is not None:
+                paths += 1
+                if paths > PATH_BUDGET:
+                    raise ValueError(
+                        f"transport walked {paths} source-sink paths; "
+                        f"the limit is {PATH_BUDGET}"
+                    )
+                points = [coords[u] for u in trail] + [coords[v]]
+                sign = -1 if geometry.path_self_crossings(points) % 2 else 1
             cell = column[row[v]]
-            cell[t] = cell.get(t, 0) + sign(trail)
+            cell[t] = cell.get(t, 0) + sign
+        elif coords is None:
+            for _, w, c in steps[v]:
+                walk(w, t + c, column)
         else:
-            for e in net.out_edges[v]:
-                if uses[id(e)] < bound:
-                    uses[id(e)] += 1
-                    walk(e.to, t + code[id(e)], column)
-                    uses[id(e)] -= 1
-        trail.pop()
+            trail.append(v)
+            for k, w, c in steps[v]:
+                if uses[k] < bound:
+                    uses[k] += 1
+                    walk(w, t + c, column)
+                    uses[k] -= 1
+            trail.pop()
 
     columns = []
     for src in net.sources:
@@ -459,8 +463,8 @@ class BlockTransport:
         return self._powers[j]
 
 
-def block_split(m, n1, msize, n2):
-    """Split an (m+n2) x (n1+m) transport matrix into its four blocks."""
+def check_split(m, n1, msize, n2):
+    """Refuse a block split (n1, msize, n2) that does not fit the matrix m."""
     if n1 < 1 or msize < 1 or n2 < 1:
         raise ValueError("all block sizes must be at least 1")
     if m.rows != msize + n2 or m.cols != n1 + msize:
@@ -468,6 +472,11 @@ def block_split(m, n1, msize, n2):
             f"matrix is {m.rows}x{m.cols}, expected "
             f"{msize + n2}x{n1 + msize} for split ({n1},{msize},{n2})"
         )
+
+
+def block_split(m, n1, msize, n2):
+    """Split an (m+n2) x (n1+m) transport matrix into its four blocks."""
+    check_split(m, n1, msize, n2)
     return BlockTransport(
         n1=n1,
         m=msize,

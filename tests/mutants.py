@@ -271,6 +271,22 @@ MUTANTS = [
         "self.arc[b] = list(a)",
         ("test_geometry.py", "test_network.py"),
     ),
+    Mutant(
+        # bisect_right on the integer grid
+        "lower x bound drops a marker at a segment's start x",
+        "geometry.py",
+        "order[bisect_left(xs, lo):bisect_left(xs, hi)]",
+        "order[bisect_left(xs, lo + 1):bisect_left(xs, hi)]",
+        ("test_geometry.py", "test_network.py"),
+    ),
+    # the transport walk
+    Mutant(
+        "cyclic sign read from the trail without the sink",
+        "network.py",
+        "points = [coords[u] for u in trail] + [coords[v]]",
+        "points = [coords[u] for u in trail]",
+        ("test_network.py",),
+    ),
     # a drawn network completed in Network.__init__
     Mutant(
         "stored skew form not compared with the drawing",

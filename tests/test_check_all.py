@@ -10,6 +10,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -194,14 +195,18 @@ def test_uninvertible_m12_and_bad_splits_run_serially(monkeypatch, capsys):
     # triangle(2): M12 is the 1x1 zero matrix
     assert cli.main(["check", "all", "--builder", "triangle", "--n", "2"]) == 0
     assert "SKIP loop family (M12 is not invertible here)" in capsys.readouterr().out
-    # a split that does not fit: rtt passes, then blocks refuses the split
-    argv = [*CHAIN11, "--split", "1,1,5"]
-    args = cli._build_parser().parse_args(argv)
+    # a source whose split does not fit: rtt passes, then blocks refuses it
+    args = cli._build_parser().parse_args(CHAIN11)
+    src = cli._Source(cli._resolve_source(args).matrix, (1, 1, 5))
     with pytest.raises(ValueError) as serial:
-        serial_run_all(cli._resolve_source(args), args)
-    assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {serial.value}\n")
+        serial_run_all(src, args)
+    with pytest.raises(ValueError, match=re.escape(str(serial.value))):
+        cli._run_all(src, args)
     # and an error of rtt, which comes first in suite order, wins over it
     monkeypatch.setattr(verify, "check_rtt", _raising("rtt refused"))
+    with pytest.raises(ValueError, match="^rtt refused$"):
+        cli._run_all(src, args)
+    # a --split that does not fit is refused with the source, before any check
+    argv = [*CHAIN11, "--split", "1,1,5"]
     assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", "error: rtt refused\n")
+    assert capsys.readouterr() == ("", f"error: {serial.value}\n")

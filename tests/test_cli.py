@@ -470,8 +470,16 @@ def test_split_flag_overrides_default(capsys):
         capsys,
     )
     assert code == 0
-    for kind in ("blocks", "all"):
-        argv = ["check", kind, "--builder", "chain", "--n", "2,2", "--split", "9,9,9"]
+    # a split that does not fit is refused also where no block is read
+    commands = [["check", kind] for kind in ("blocks", "all", "rtt", "disc-reflection")]
+    for command in commands + [["export", "transport"]]:
+        argv = [*command, "--builder", "chain", "--n", "2,2", "--split", "9,9,9"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix is 3x3, expected 18x18 for split (9,9,9)\n"
+    for split in ("3,1,1", "0,1,1"):
+        argv = ["export", "transport", "--builder", "triangle", "--n", "2", "--split", split]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -198,20 +198,66 @@ def test_perturbed_corpus_has_valid_and_rejected_drawings():
     assert kinds == {False, True}
 
 
+def _grid_markers(disc):
+    """disc's markers on its integer grid, scaled as its vertices are."""
+    v, p = next((v, p) for v, p in disc.pos.items() if p[0])
+    scale = disc._grid[v][0] / p[0]
+    return [(int(m[0] * scale), int(m[1] * scale)) for m in disc.markers]
+
+
 def test_derivation_computes_each_segment_crossing_once(monkeypatch):
     # triangle(3): 18 edges, 9 spokes and a ring of 9 projections, 4
-    # corners and O give 41 segments, each tested against 10 markers once.
+    # corners and O give 41 segments and 41 * 10 (segment, marker) pairs.
+    # Only the 53 pairs whose marker x lies in the segment's half-open
+    # x-range [min x, max x) can cross, and each is tested once.
     drawing = _drawing(build_triangle(3))
+    disc = geometry.Disc(*drawing)
+    grid, markers = disc._grid, _grid_markers(disc)
+    segments = {frozenset((u, v)) for u in disc.adj for v in disc.adj[u]}
+    assert (len(segments), len(markers)) == (41, 10)
+    in_range = {
+        (seg, m)
+        for seg in segments
+        for m in markers
+        if min(grid[u][0] for u in seg) <= m[0] < max(grid[u][0] for u in seg)
+    }
+    assert len(in_range) == 53
+    point = {g: v for v, g in grid.items()}
     calls = []
     crossing = geometry._segment_ray_crossing
 
-    def counted(*args):
-        calls.append(args)
-        return crossing(*args)
+    def counted(p1, p2, marker):
+        calls.append((frozenset((point[p1], point[p2])), marker))
+        return crossing(p1, p2, marker)
 
     monkeypatch.setattr(geometry, "_segment_ray_crossing", counted)
     geometry.derive_network_data(*drawing)
-    assert len(calls) == 41 * 10
+    assert len(calls) == len(set(calls))
+    assert set(calls) == in_range
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["built", "shuffled"])
+def test_crossing_table_equals_the_all_markers_scan(shuffle):
+    # Every dart's vector, read off the markers in its x-range, equals the
+    # vector of testing every marker, on drawings that hold vertical
+    # segments and markers at either end's x.
+    kinds = set()
+    for net in [build_triangle(n) for n in range(2, 6)] + [build_chain(2, 2, bridge=True)]:
+        disc = geometry.Disc(*_drawing(_shuffled_reload(net) if shuffle else net))
+        grid, markers = disc._grid, _grid_markers(disc)
+        for (u, v), vec in disc.crossing.items():
+            p1, p2 = grid[u], grid[v]
+            assert vec == [geometry._segment_ray_crossing(p1, p2, m) for m in markers]
+            kinds.update(_crossing_kind(p1, p2, m) for m in markers)
+    assert kinds == {
+        "vertical",
+        "vertical, marker x on it",
+        "marker x at start, +x",
+        "marker x at start, -x",
+        "marker x at end, +x",
+        "marker x at end, -x",
+        "other",
+    }
 
 
 def _crossing_kind(p1, p2, marker):

@@ -354,11 +354,12 @@ def _oracle_entry(net, a, c):
 
 
 @pytest.mark.parametrize(
-    "net",
-    [build_triangle(2), build_triangle(3), build_chain(2, 2, bridge=True)],
+    "build",
+    [lambda: build_triangle(2), lambda: build_triangle(3), lambda: build_chain(2, 2, bridge=True)],
     ids=["triangle2", "triangle3", "chain22b"],
 )
-def test_transport_matches_bruteforce_dfs(net):
+def test_transport_matches_bruteforce_dfs(build):
+    net = build()
     m = transport_matrix(net)
     for a in range(len(net.sources)):
         for c in range(len(net.sinks)):
@@ -395,6 +396,7 @@ DIFFERENTIAL_NETWORKS = {
     "triangle2": lambda: build_triangle(2),
     "triangle3": lambda: build_triangle(3),
     "triangle4": lambda: build_triangle(4),
+    "triangle5": lambda: build_triangle(5),
     "chain12": lambda: build_chain(1, 2),
     "chain22": lambda: build_chain(2, 2),
     "chain22b": lambda: build_chain(2, 2, bridge=True),
@@ -417,11 +419,12 @@ def test_transport_matrix_matches_per_entry_oracle(name, shuffle):
 
 
 @pytest.mark.parametrize(
-    "net",
-    [build_triangle(2), build_chain(2, 1, bridge=True), build_chain(1, 2)],
+    "build",
+    [lambda: build_triangle(2), lambda: build_chain(2, 1, bridge=True), lambda: build_chain(1, 2)],
     ids=["triangle2", "chain21b", "chain12"],
 )
-def test_per_edge_exponents_match_loop_windings(net):
+def test_per_edge_exponents_match_loop_windings(build):
+    net = build()
     # The per-edge integer vectors must sum, along every path, to the winding
     # vector of the closed loop (path + clockwise return arc).
     for a in range(len(net.sources)):
@@ -595,6 +598,24 @@ def test_path_count_of_the_topological_pass_matches_a_walk():
 
 
 def test_path_walk_stops_past_its_budget(monkeypatch):
+    # a cyclic walk signs each path once, the whole path from its source to
+    # its sink; an acyclic walk signs none
+    signed = []
+
+    def crossings(points):
+        signed.append(points)
+        return 0
+
+    monkeypatch.setattr(geometry, "path_self_crossings", crossings)
+    transport_matrix(build_triangle(3))
+    assert signed == []
+    net = _cyclic2x2(3)
+    m = transport_matrix(net)  # every path signed +1, so the terms count them
+    paths = sum(n for i in range(m.rows) for j in range(m.cols) for n in m.entry(i, j).terms.values())
+    assert len(signed) == paths > 5
+    coords = net.geometry.coords
+    ends = {(coords[a], coords[c]) for a in net.sources for c in net.sinks}
+    assert {(p[0], p[-1]) for p in signed} <= ends
     # triangle(3) has 2^4 - 2 = 14 source-sink paths
     monkeypatch.setattr(network, "PATH_BUDGET", 14)
     assert transport_matrix(build_triangle(3)) == transport_matrix(build_triangle(3))
@@ -604,13 +625,7 @@ def test_path_walk_stops_past_its_budget(monkeypatch):
     with pytest.raises(ValueError, match="^transport has 14 source-sink paths; the limit is 13$"):
         transport_matrix(net)
     # a cyclic walk is cut at the same count: each arrival signs one path
-    signed = []
-
-    def crossings(points):
-        signed.append(points)
-        return 0
-
-    monkeypatch.setattr(geometry, "path_self_crossings", crossings)
+    signed.clear()
     monkeypatch.setattr(network, "PATH_BUDGET", 5)
     with pytest.raises(ValueError, match="walked 6 source-sink paths; the limit is 5"):
         transport_matrix(_cyclic2x2(100))
