@@ -95,9 +95,7 @@ class _Source:
     def blocks(self):
         if self.split is None:
             raise ValueError("this check needs a block split; pass --split n1,m,n2")
-        if isinstance(self.split, tuple):
-            return block_split(self.matrix, *self.split)
-        return self.split  # prebuilt blocks (composite)
+        return block_split(self.matrix, *self.split)
 
     @cached_property
     def loop(self):
@@ -109,9 +107,13 @@ class _Source:
 
 
 def _resolve_source(args):
-    """The source the arguments name; a --split that does not fit it is refused."""
+    """The source the arguments name; a --split that does not fit it is refused,
+    and so is a builder flag that the source does not read."""
     if args.input and args.builder:
         raise ValueError("pass either --input or --builder, not both")
+    for flag, builders in (("n", ("triangle", "chain")), ("bridge", ("chain",)), ("r", ("hat",))):
+        if getattr(args, flag) is not None and args.builder not in builders:
+            raise ValueError(f"--{flag} needs --builder " + " or --builder ".join(builders))
     split = _parse_ints(args.split, 3) if args.split else None
     if args.input:
         m, default = transport_matrix(load_network(args.input)), None
@@ -123,11 +125,11 @@ def _resolve_source(args):
         n1, n2 = _parse_ints(args.n, 2) if args.n else (1, 1)
         m, default = transport_matrix(build_chain(n1, n2, bridge=args.bridge)), (n1, 1, n2)
     elif args.builder == "hat":
-        default = hat_blocks(_size(args, "r", 2, 1, MAX_HAT_R))
-        m = default.matrix
+        r = _size(args, "r", 2, 1, MAX_HAT_R)
+        m, default = hat_blocks(r).matrix, (1, r, 1)
     elif args.builder == "composite":
-        default = build_composite_example()
-        m = default.matrix
+        b = build_composite_example()
+        m, default = b.matrix, (b.n1, b.m, b.n2)
     else:
         raise ValueError("no input: pass --input FILE or --builder NAME")
     if split:
@@ -224,9 +226,9 @@ def _run_all(src, args):
     The groupoid condition and the disc reflection both presume extra
     structure (a loopback-consistent network, a mirrored sink split), so
     they are property probes rather than identities; run them explicitly.
-    With the loop family present, FORKED runs in a child process beside the
-    rest (see _run_split); reports, skips and errors are those of running
-    SUITE in order.
+    With a split, FORKED runs in a child process beside the rest (see
+    _run_split); reports, skips and errors are those of running SUITE in
+    order, which skips the loop family where M12 is not invertible.
     """
     _loop_order(args)  # refuse a bad size before any check runs
     _affine_levels(args)
@@ -234,14 +236,14 @@ def _run_all(src, args):
         return [CHECKS["rtt"](src, args)], [("block checks", "no --split given")]
     try:
         src.blocks.M12_inverse  # every negative level reads it; both processes share it
-    except Exception as exc:
-        # In suite order this error comes after rtt, blocks and affine; they
-        # raise theirs first (a failed cached_property read is not cached).
-        reports = [CHECKS[kind](src, args) for kind in SUITE[:3]]
-        if isinstance(exc, NotInvertibleInSupportedClass):
-            return reports, [("loop family", "M12 is not invertible here")]
-        raise
-    return _run_split(src, args), []
+    except Exception:
+        pass  # a failed read is not cached: the first check that reads it raises it
+    reports, error = _run_split(src, args)
+    if isinstance(error, NotInvertibleInSupportedClass):
+        return reports, [("loop family", "M12 is not invertible here")]
+    if error is not None:
+        raise error
+    return reports, []
 
 
 def _run_share(kinds, src, args, catch):
@@ -259,17 +261,17 @@ def _run_share(kinds, src, args, catch):
 
 
 def _run_split(src, args):
-    """The reports of SUITE, with FORKED run in a forked child meanwhile.
+    """(reports, error): SUITE to its first error, FORKED run in a forked child.
 
     The command starts no thread, so the fork copies a consistent state.
     The child sends its share's outcome, an interrupt included, back
     pickled over a pipe, writes nothing else and leaves through os._exit,
     so no inherited buffer or exit hook runs twice.  Each side stops at its
-    first error; the error raised is the one earliest in SUITE, which is the
-    one a serial run raises.  A child that ends without a result is a
-    RuntimeError.  The parent always reads the pipe and reaps the child,
-    also when an interrupt stops its own share.  On one CPU the two shares
-    take turns, at about 4.5% more wall time than a serial run.
+    first error; the one earliest in SUITE is returned with the reports
+    before it, where a serial run stops.  A child that ends without a result
+    is a RuntimeError.  The parent always reads the pipe and reaps the
+    child, also when an interrupt stops its own share.  On one CPU the two
+    shares take turns, at about 4.5% more wall time than a serial run.
     """
     import pickle
 
@@ -299,10 +301,9 @@ def _run_split(src, args):
         )
     theirs = pickle.loads(data)
     errors = [error for _, error in (mine, theirs) if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: SUITE.index(error[0]))[1]
+    kind, error = min(errors, key=lambda error: SUITE.index(error[0]), default=(None, None))
     done = {**mine[0], **theirs[0]}
-    return [done[kind] for kind in SUITE]
+    return [done[k] for k in SUITE[:SUITE.index(kind) if errors else None]], error
 
 
 def _report_lines(reports, skips):
@@ -333,6 +334,10 @@ def _emit(args, doc, text_lines):
 
 def cmd_check(args):
     extra, skips = [], []
+    if args.kind in ("rmatrix", "frp"):  # no source; frp reads --r as its row bound
+        for flag in ("input", "builder", "split", "n", "bridge", "r"):
+            if getattr(args, flag) is not None and (flag, args.kind) != ("r", "frp"):
+                raise ValueError(f"check {args.kind} takes no --{flag}")
     if args.kind == "rmatrix":
         reports = [verify.check_rmatrix(_size(args, "k", 2, 1, MAX_K))]
     elif args.kind == "frp":
@@ -397,7 +402,9 @@ def _build_parser():
         "classical/generic block systems, not planar networks)",
     )
     common.add_argument("--n", help="builder size: N for triangle, N1,N2 for chain")
-    common.add_argument("--bridge", action="store_true", help="chain: add the parallel route")
+    common.add_argument(
+        "--bridge", action="store_true", default=None, help="chain: add the parallel route"
+    )
     common.add_argument("--r", type=int, help="hat size / frp table row bound")
     common.add_argument("--k", type=int, help="rmatrix size")
     common.add_argument("--p", type=int, help="frp table column bound")

@@ -17,7 +17,7 @@ import json
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, inf
+from math import comb
 
 from .qalg import QElem, QScalar, SkewForm, check_span, from_sums, weyl
 from .ncmat import NotInvertibleInSupportedClass, QMatrix, invert_restricted, matmul
@@ -47,8 +47,8 @@ class Network:
     stored form or exponent must agree with it, and missing exponents are
     filled in.  A cyclic network that stores its form and every exponent
     uses its drawing only for path signs; such a drawing may cross edges, so
-    nothing is derived from it.  A drawn acyclic network whose paths
-    transport_matrix would refuse to walk is refused before the derivation.
+    nothing is derived from it.  An acyclic network whose paths are too deep
+    or too many to walk is refused here, drawn or not, before any derivation.
     """
 
     def __init__(
@@ -122,7 +122,7 @@ class Network:
             raise CyclicWithoutGeometry(
                 "cyclic network without a drawing to derive exponents from"
             )
-        if geometry is not None and self.is_acyclic:
+        if self.is_acyclic:
             _refuse_walk(self.longest_path, self.path_count)  # before deriving
         if geometry is not None and (form is None or self.is_acyclic or not stored):
             e_mat, exps = derive_network_data(
@@ -348,13 +348,13 @@ def transport_matrix(net):
     the path's monomial to the entry of the sink where the path ends.  In a
     cyclic network each edge may be used at most max_cycle_uses times on a
     path, and a path is signed by the parity of its self-crossings in the
-    drawing; an acyclic network needs neither.  A network whose paths may
-    visit more than MAX_PATH_DEPTH vertices, or an acyclic one with more
-    than PATH_BUDGET source-sink paths, is refused before the walk; a cyclic
-    network's walks stop with ValueError once more than PATH_BUDGET paths
+    drawing; an acyclic network needs neither.  An acyclic network's walk
+    bounds were checked when it was built.  A cyclic network whose paths
+    may visit more than MAX_PATH_DEPTH vertices is refused before the walk,
+    and its walks stop with ValueError once more than PATH_BUDGET paths
     have reached a sink.
     """
-    bound, coords = inf, None
+    bound, coords = 1, None
     if not net.is_acyclic:
         if net.geometry is None:
             raise CyclicWithoutGeometry(
@@ -369,11 +369,10 @@ def transport_matrix(net):
     # A path takes each edge at most bound times (once if acyclic), so no
     # exponent of an entry exceeds span in size; refused before the walk.
     form = net.form
-    span = sum(max(map(abs, e.exponent), default=0) for e in net.edges)
-    span *= 1 if bound == inf else bound
+    span = bound * sum(max(map(abs, e.exponent), default=0) for e in net.edges)
     check_span(span, "transport exponents")
-    depth = net.longest_path if bound == inf else len(net.edges) * bound + 1
-    _refuse_walk(depth, net.path_count)
+    if coords is not None:
+        _refuse_walk(len(net.edges) * bound + 1, None)
     # each vertex's out-steps, resolved once: (edge id, head, monomial code)
     steps = {
         v: [(id(e), e.to, form.encode(e.exponent)) for e in out]

@@ -12,8 +12,9 @@ change in what the command line prints.  The corpus holds:
   example, cyclic2x2 and perturbed network files;
 - every MALFORMED edit of tests/test_cli.py, with and without a drawing;
 - drawn documents that disagree with their drawing;
+- source flags that the command does not read;
 - undrawn one-path lines at and one past the path-depth bound of
-  network.transport_matrix;
+  an acyclic network's walk, which its constructor checks;
 - sizes at and past each bound of the command line and of verify.evaluate,
   a network past the path budget, a drawn one past the path-depth bound, and check disc-reflection on triangle(7)
   and, perturbed, on triangle(5).
@@ -173,6 +174,17 @@ def commands(paths):
             continue
         for argv in (["check", "rtt"], ["export", "transport"], ["check", "all"]):
             out.append((f"{'-'.join(argv)}-{name}", [*argv, "--input", path]))
+    # source flags that the command does not read, each refused
+    unread = {
+        "bridge-triangle2": ["check", "rtt", "--builder", "triangle", "--n", "2", "--bridge"],
+        "n-hat": ["check", "rtt", "--builder", "hat", "--n", "7"],
+        "r-chain11": ["check", "rtt", "--builder", "chain", "--n", "1,1", "--r", "5"],
+        "n-bridge-export-composite": [
+            "export", "transport", "--builder", "composite", "--n", "3", "--bridge",
+        ],
+        "builder-rmatrix": ["check", "rmatrix", "--k", "2", "--builder", "triangle"],
+    }
+    out += [(f"unread-flag-{name}", argv) for name, argv in unread.items()]
     # sizes at and one past each bound, written out so that the corpus also
     # runs on a checkout without these bounds
     chain = ["--builder", "chain", "--n", "2,2", "--bridge"]

@@ -9,8 +9,10 @@ copies src/, tests/, perfbench/, pyproject.toml and README.md into a temporary
 directory, runs every named test file once on the clean copy (each must
 pass), then, one mutant at a time, applies the mutant and runs each of its
 test files with ``-x``.  A
-mutant survives when one of its test files still passes; the runner prints a
-line per mutant and test file and exits 1 if any mutant survives.  It is not
+mutant survives when one of its test files still passes.  A test file that
+pytest stops before any test fails (a collection error, exit 2) is NOT RUN,
+which kills nothing either.  The runner prints a line per mutant and test
+file and exits 1 if any mutant survives, is not run or is stale.  It is not
 part of the tier-1 suite; tests/test_mutants.py checks there that every
 snippet still occurs exactly once, so the list cannot rot when code moves.
 """
@@ -277,7 +279,7 @@ MUTANTS = [
         "geometry.py",
         "order[bisect_left(xs, lo):bisect_left(xs, hi)]",
         "order[bisect_left(xs, lo + 1):bisect_left(xs, hi)]",
-        ("test_geometry.py", "test_network.py"),
+        ("test_geometry.py", "test_network.py", "test_cli.py", "test_evaluate_oracle.py"),
     ),
     # the transport walk
     Mutant(
@@ -307,7 +309,14 @@ MUTANTS = [
         "network.py",
         "Edge(e.frm, e.to, vec) for e, vec in zip(self.edges, exps)",
         "e for e, vec in zip(self.edges, exps)",
-        ("test_network.py",),  # test_cli.py fails to collect, exit 2
+        ("test_network.py", "test_cli.py", "test_evaluate_oracle.py"),
+    ),
+    Mutant(
+        "walk bounds checked for drawn acyclic networks only",
+        "network.py",
+        "        if self.is_acyclic:\n            _refuse_walk(",
+        "        if geometry is not None and self.is_acyclic:\n            _refuse_walk(",
+        ("test_network.py",),
     ),
     # the path count of the topological pass
     Mutant(
@@ -328,8 +337,8 @@ MUTANTS = [
     Mutant(
         "check all: the child's reports placed after the parent's",
         "cli.py",
-        "return [done[kind] for kind in SUITE]",
-        "return list(done.values())",
+        "[done[k] for k in SUITE[:SUITE.index(kind) if errors else None]]",
+        "list(done.values())[:SUITE.index(kind) if errors else None]",
         ("test_check_all.py",),
     ),
     Mutant(
@@ -342,9 +351,23 @@ MUTANTS = [
     Mutant(
         "check all: the parent's later error raised ahead of the child's",
         "cli.py",
-        "raise min(errors, key=lambda error: SUITE.index(error[0]))[1]",
-        "raise errors[0][1]",
+        "min(errors, key=lambda error: SUITE.index(error[0]), default=(None, None))",
+        "(errors or [(None, None)])[0]",
         ("test_check_all.py",),
+    ),
+    Mutant(
+        "check all: an unreachable M12 raised instead of skipped",
+        "cli.py",
+        "if isinstance(error, NotInvertibleInSupportedClass):",
+        "if False:",
+        ("test_check_all.py", "test_cli.py"),
+    ),
+    Mutant(
+        "--bridge read with any builder",
+        "cli.py",
+        '("bridge", ("chain",)), ',
+        "",
+        ("test_cli.py", "test_cli_corpus.py"),
     ),
 ]
 
@@ -387,13 +410,14 @@ def main(patterns):
             try:
                 for f in m.tests:
                     code = _pytest(work, f)
-                    # 1: some test failed; anything else is not a kill
-                    verdict = "killed " if code == 1 else "SURVIVED"
+                    # 1: some test failed; 0: every test passed; any other
+                    # exit means pytest ran no test, which is no kill either
+                    verdict = {0: "SURVIVED", 1: "killed "}.get(code, "NOT RUN")
                     survivors += code != 1
                     print(f"{verdict} {m.name}: {f} (pytest exit {code})")
             finally:
                 target.write_text(clean)
-        print(f"{len(mutants)} mutants, {survivors} survived or stale")
+        print(f"{len(mutants)} mutants, {survivors} survived, not run or stale")
         return 1 if survivors else 0
 
 

@@ -187,14 +187,11 @@ def test_the_child_flushes_no_buffer_and_runs_no_exit_hook(tmp_path):
     assert done.stderr == "exit hook\n"
 
 
-def test_uninvertible_m12_and_bad_splits_run_serially(monkeypatch, capsys):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+def test_uninvertible_m12_skips_and_bad_splits_keep_suite_order(monkeypatch, capsys):
     # triangle(2): M12 is the 1x1 zero matrix
     assert cli.main(["check", "all", "--builder", "triangle", "--n", "2"]) == 0
     assert "SKIP loop family (M12 is not invertible here)" in capsys.readouterr().out
+    _no_child_left()
     # a source whose split does not fit: rtt passes, then blocks refuses it
     args = cli._build_parser().parse_args(CHAIN11)
     src = cli._Source(cli._resolve_source(args).matrix, (1, 1, 5))
@@ -206,7 +203,54 @@ def test_uninvertible_m12_and_bad_splits_run_serially(monkeypatch, capsys):
     monkeypatch.setattr(verify, "check_rtt", _raising("rtt refused"))
     with pytest.raises(ValueError, match="^rtt refused$"):
         cli._run_all(src, args)
+    _no_child_left()
     # a --split that does not fit is refused with the source, before any check
     argv = [*CHAIN11, "--split", "1,1,5"]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {serial.value}\n")
+
+
+# triangle(3): M12 is not invertible, so the parent's aux-inverse raises
+# NotInvertibleInSupportedClass while the child runs affine.
+TRIANGLE3 = ["check", "all", "--builder", "triangle", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "failing, first",
+    [
+        (("affine",), "affine"),  # the child's error beats the parent's M12 error
+        (("blocks", "affine"), "blocks"),  # the parent's error beats the child's
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else v,
+)
+def test_errors_beside_an_uninvertible_m12_keep_suite_order(
+    failing, first, monkeypatch, capsys
+):
+    run_split, outcomes = cli._run_split, []
+
+    def spied(*args):
+        outcomes.append(run_split(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "_run_split", spied)
+    assert cli.main(TRIANGLE3) == 0
+    assert "SKIP loop family (M12 is not invertible here)" in capsys.readouterr().out
+    reports, error = outcomes[-1]
+    assert [r.name for r in reports] == ["rtt", "blocks", "affine"]
+    assert isinstance(error, NotInvertibleInSupportedClass)
+    for kind in failing:
+        monkeypatch.setattr(verify, _checker(kind), _raising(f"{kind} refused"))
+    assert cli.main(TRIANGLE3) == 2
+    assert capsys.readouterr() == ("", f"error: {first} refused\n")
+    _no_child_left()
+
+
+def test_an_interrupt_beside_an_uninvertible_m12_stops_the_command(monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "check_affine", interrupted)  # run by the child
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(TRIANGLE3)
+    assert capsys.readouterr() == ("", "")
+    _no_child_left()

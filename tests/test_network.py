@@ -561,7 +561,7 @@ def test_deep_paths_are_refused_before_walking(monkeypatch):
     assert _line(799).longest_path == network.MAX_PATH_DEPTH == 800
     assert transport_matrix(_line(799)) == QMatrix.identity(1, SkewForm([[0]]))
     with pytest.raises(ValueError, match="may visit 801 vertices; the limit is 800"):
-        transport_matrix(_line(800))
+        _line(800)  # refused by its constructor, though it has no drawing
 
     def walked(points):
         raise AssertionError("the walk started")
@@ -616,20 +616,38 @@ def test_path_walk_stops_past_its_budget(monkeypatch):
     coords = net.geometry.coords
     ends = {(coords[a], coords[c]) for a in net.sources for c in net.sinks}
     assert {(p[0], p[-1]) for p in signed} <= ends
-    # triangle(3) has 2^4 - 2 = 14 source-sink paths
+    # triangle(3) has 2^4 - 2 = 14 source-sink paths; an acyclic network's
+    # walk bounds are checked when it is built, not when it is walked
     monkeypatch.setattr(network, "PATH_BUDGET", 14)
-    assert transport_matrix(build_triangle(3)) == transport_matrix(build_triangle(3))
-    net = build_triangle(3)  # built while the budget admits it
+    net = build_triangle(3)
+    doc = network_to_dict(net)
+    full = transport_matrix(net)
     monkeypatch.setattr(network, "PATH_BUDGET", 13)
-    net.out_edges = None  # the refusal comes before any walk
+    assert transport_matrix(net) == full
     with pytest.raises(ValueError, match="^transport has 14 source-sink paths; the limit is 13$"):
-        transport_matrix(net)
+        network_from_dict(doc)
     # a cyclic walk is cut at the same count: each arrival signs one path
     signed.clear()
     monkeypatch.setattr(network, "PATH_BUDGET", 5)
     with pytest.raises(ValueError, match="walked 6 source-sink paths; the limit is 5"):
         transport_matrix(_cyclic2x2(100))
     assert len(signed) == 5
+
+
+def test_an_acyclic_walk_is_bounded_once_per_load_and_not_in_the_walk(monkeypatch):
+    doc = network_to_dict(build_triangle(3))
+    refuse, bounded = network._refuse_walk, []
+
+    def spied(depth, path_count):
+        bounded.append((depth, path_count))
+        refuse(depth, path_count)
+
+    monkeypatch.setattr(network, "_refuse_walk", spied)
+    nets = [network_from_dict(doc) for _ in range(2)]
+    assert bounded == [(7, 14)] * 2  # triangle(3): 2n + 1 vertices, 2^(n+1) - 2 paths
+    for net in nets:
+        transport_matrix(net)
+    assert bounded == [(7, 14)] * 2
 
 
 def test_drawn_network_past_a_walk_bound_is_refused_before_deriving(monkeypatch):
