@@ -63,22 +63,58 @@ MAX_LEVEL = 24
 MAX_REFLECTION_ORDER = 8
 
 
-def _size(args, name, default, least, most=None):
-    """The value of --name, or default when it is absent; out of range is refused.
+# Command -> the sizes it reads, each flag -> (default, least, most).  A size
+# below least would crash, fail an identity that holds, or leave a checker an
+# empty window that passes without checking anything; one above most would
+# not finish.  A default that names a flag is that flag's value.
+LEVELS = {"kmax": (2, 0, MAX_LEVEL), "pmax": ("kmax", 0, MAX_LEVEL)}
+SIZES = {
+    "check rmatrix": {"k": (2, 1, MAX_K)},
+    "check frp": {"r": (8, 1, MAX_FRP), "p": (8, 1, MAX_FRP)},
+    "check affine": LEVELS,
+    "check loop": {"order": (2, 1, MAX_LOOP_ORDER)},
+    "check reflection-affine": {"order": (1, 0, MAX_REFLECTION_ORDER)},
+    "check all": {"order": (2, 1, MAX_LOOP_ORDER), **LEVELS},
+    "export levels": {"order": (2, 0, MAX_EXPORT_ORDER)},
+    "export reflection": {"order": (1, 0, MAX_EXPORT_ORDER)},
+}
+SOURCELESS = ("check rmatrix", "check frp")
+# Builder -> the flags it reads; hat reads --r as a size.
+BUILDER_FLAGS = {"triangle": ("n",), "chain": ("n", "bridge"), "hat": ("r",)}
+BUILDER_SIZES = {"hat": {"r": (2, 1, MAX_HAT_R)}}
+# Every flag but --out and --json, which every command reads, in refusal order.
+FLAGS = ("input", "builder", "split", "n", "bridge", "r", "k", "p", "kmax", "pmax", "order")
 
-    A size below least would crash, fail an identity that holds, or leave a
-    checker an empty window that passes without checking anything; one
-    above most would not finish.  Checks read their sizes before the
-    blocks, so a bad size is refused even where no block split exists.
+
+def _read_flags(args, command):
+    """Refuse each flag that command does not read; check and set each size it reads.
+
+    command is "check KIND" or "export WHAT".  A command with a source reads
+    --input, --builder, --split and the flags of its builder.  Nothing is
+    built or read before this returns.  An absent size is set to its default.
     """
-    value = getattr(args, name)
-    if value is None:
-        return default
-    if value < least:
-        raise ValueError(f"--{name} must be at least {least}, got {value}")
-    if most is not None and value > most:
-        raise ValueError(f"--{name} must be at most {most}, got {value}")
-    return value
+    sizes, reads = SIZES.get(command, {}), ()
+    if command not in SOURCELESS:
+        if args.input is not None and args.builder:
+            raise ValueError("pass either --input or --builder, not both")
+        sizes = {**BUILDER_SIZES.get(args.builder, {}), **sizes}
+        reads = ("input", "builder", "split", *BUILDER_FLAGS.get(args.builder, ()))
+    for flag in FLAGS:
+        if getattr(args, flag) is None or flag in reads or flag in sizes:
+            continue
+        builders = [b for b, flags in BUILDER_FLAGS.items() if flag in flags]
+        if reads and builders:  # a builder flag of a command with a source
+            raise ValueError(f"--{flag} needs --builder " + " or --builder ".join(builders))
+        raise ValueError(f"{command} takes no --{flag}")
+    for flag, (default, least, most) in sizes.items():
+        value = getattr(args, flag)
+        if value is None:
+            value = getattr(args, default) if isinstance(default, str) else default
+        elif value < least:
+            raise ValueError(f"--{flag} must be at least {least}, got {value}")
+        elif value > most:
+            raise ValueError(f"--{flag} must be at most {most}, got {value}")
+        setattr(args, flag, value)
 
 
 class _Source:
@@ -107,32 +143,25 @@ class _Source:
 
 
 def _resolve_source(args):
-    """The source the arguments name; a --split that does not fit it is refused,
-    and so is a builder flag that the source does not read."""
-    if args.input and args.builder:
-        raise ValueError("pass either --input or --builder, not both")
-    for flag, builders in (("n", ("triangle", "chain")), ("bridge", ("chain",)), ("r", ("hat",))):
-        if getattr(args, flag) is not None and args.builder not in builders:
-            raise ValueError(f"--{flag} needs --builder " + " or --builder ".join(builders))
-    split = _parse_ints(args.split, 3) if args.split else None
-    if args.input:
+    """The source the checked flags name; a --split that does not fit it is refused."""
+    split = _parse_ints(args.split, 3) if args.split is not None else None
+    if args.input is not None:
         m, default = transport_matrix(load_network(args.input)), None
     elif args.builder == "triangle":
-        (n,) = _parse_ints(args.n, 1) if args.n else (2,)
+        (n,) = _parse_ints(args.n, 1) if args.n is not None else (2,)
         m = transport_matrix(build_triangle(n))  # 2n x n
         default = (1, n - 1, n + 1) if n > 1 else None
     elif args.builder == "chain":
-        n1, n2 = _parse_ints(args.n, 2) if args.n else (1, 1)
+        n1, n2 = _parse_ints(args.n, 2) if args.n is not None else (1, 1)
         m, default = transport_matrix(build_chain(n1, n2, bridge=args.bridge)), (n1, 1, n2)
     elif args.builder == "hat":
-        r = _size(args, "r", 2, 1, MAX_HAT_R)
-        m, default = hat_blocks(r).matrix, (1, r, 1)
+        m, default = hat_blocks(args.r).matrix, (1, args.r, 1)
     elif args.builder == "composite":
         b = build_composite_example()
         m, default = b.matrix, (b.n1, b.m, b.n2)
     else:
         raise ValueError("no input: pass --input FILE or --builder NAME")
-    if split:
+    if split is not None:
         check_split(m, *split)
     return _Source(m, split or default)
 
@@ -164,41 +193,19 @@ def _frp_report(rmax, pmax):
     return rep, lines
 
 
-def _loop_order(args):
-    return _size(args, "order", 2, 1, MAX_LOOP_ORDER)
-
-
-def _affine_levels(args):
-    kmax = _size(args, "kmax", 2, 0, MAX_LEVEL)
-    return kmax, _size(args, "pmax", kmax, 0, MAX_LEVEL)
-
-
-def _check_affine(src, args):
-    kmax, pmax = _affine_levels(args)
-    return verify.check_affine(levels_T(src.blocks), kmax, pmax)
-
-
-def _check_loop(src, args):
-    order = _loop_order(args)
-    return verify.check_loop(src.loop, -order, order - 1)
-
-
-def _check_reflection_affine(src, args):
-    order = _size(args, "order", 1, 0, MAX_REFLECTION_ORDER)
-    return verify.check_reflection_affine(src.reflection, order)
-
-
 # Check kind -> its report on a resolved source.  "aux-inverse" runs only
 # inside "check all"; every other kind is also a `check` choice.
 CHECKS = {
     "rtt": lambda src, args: verify.check_rtt(src.matrix),
     "blocks": lambda src, args: verify.check_blocks(src.blocks),
-    "affine": _check_affine,
-    "loop": _check_loop,
+    "affine": lambda src, args: verify.check_affine(levels_T(src.blocks), args.kmax, args.pmax),
+    "loop": lambda src, args: verify.check_loop(src.loop, -args.order, args.order - 1),
     "subalgebra": lambda src, args: verify.check_subalgebra(src.loop),
     "groupoid": lambda src, args: verify.check_groupoid(src.blocks),
     "reflection": lambda src, args: verify.check_reflection_constant(src.reflection.get(1)),
-    "reflection-affine": _check_reflection_affine,
+    "reflection-affine": lambda src, args: verify.check_reflection_affine(
+        src.reflection, args.order
+    ),
     "disc-reflection": lambda src, args: verify.check_disc_reflection(src.matrix),
     "appendix": lambda src, args: verify.check_appendix(src.blocks),
     "aux-inverse": lambda src, args: verify.check_aux_inverse(src.blocks),
@@ -230,8 +237,6 @@ def _run_all(src, args):
     _run_split); reports, skips and errors are those of running SUITE in
     order, which skips the loop family where M12 is not invertible.
     """
-    _loop_order(args)  # refuse a bad size before any check runs
-    _affine_levels(args)
     if src.split is None:
         return [CHECKS["rtt"](src, args)], [("block checks", "no --split given")]
     try:
@@ -325,7 +330,7 @@ def _emit(args, doc, text_lines):
         text = json.dumps(doc, indent=2, sort_keys=True)
     else:
         text = "\n".join(text_lines())
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -333,17 +338,12 @@ def _emit(args, doc, text_lines):
 
 
 def cmd_check(args):
+    _read_flags(args, f"check {args.kind}")
     extra, skips = [], []
-    if args.kind in ("rmatrix", "frp"):  # no source; frp reads --r as its row bound
-        for flag in ("input", "builder", "split", "n", "bridge", "r"):
-            if getattr(args, flag) is not None and (flag, args.kind) != ("r", "frp"):
-                raise ValueError(f"check {args.kind} takes no --{flag}")
     if args.kind == "rmatrix":
-        reports = [verify.check_rmatrix(_size(args, "k", 2, 1, MAX_K))]
+        reports = [verify.check_rmatrix(args.k)]
     elif args.kind == "frp":
-        rep, extra = _frp_report(
-            _size(args, "r", 8, 1, MAX_FRP), _size(args, "p", 8, 1, MAX_FRP)
-        )
+        rep, extra = _frp_report(args.r, args.p)
         reports = [rep]
     elif args.kind == "all":
         reports, skips = _run_all(_resolve_source(args), args)
@@ -356,16 +356,15 @@ def cmd_check(args):
 
 
 def cmd_export(args):
+    _read_flags(args, f"export {args.what}")
     src = _resolve_source(args)
-    what = args.what
+    what, order = args.what, args.order
     if what == "transport":
         labeled = [("transport", src.matrix)]
     elif what == "levels":
-        order = _size(args, "order", 2, 0, MAX_EXPORT_ORDER)
         t = levels_T(src.blocks)
         labeled = [(f"T_{k}", t.get(k)) for k in range(order + 1)]
     else:
-        order = _size(args, "order", 1, 0, MAX_EXPORT_ORDER)
         labeled = [(f"A^({k})", src.reflection.get(k + 1)) for k in range(order + 1)]
     # each matrix is rendered once; both output forms read that rendering
     grids = {

@@ -12,7 +12,8 @@ change in what the command line prints.  The corpus holds:
   example, cyclic2x2 and perturbed network files;
 - every MALFORMED edit of tests/test_cli.py, with and without a drawing;
 - drawn documents that disagree with their drawing;
-- source flags that the command does not read;
+- source and size flags that the command does not read, and empty flag
+  values;
 - undrawn one-path lines at and one past the path-depth bound of
   an acyclic network's walk, which its constructor checks;
 - sizes at and past each bound of the command line and of verify.evaluate,
@@ -174,7 +175,7 @@ def commands(paths):
             continue
         for argv in (["check", "rtt"], ["export", "transport"], ["check", "all"]):
             out.append((f"{'-'.join(argv)}-{name}", [*argv, "--input", path]))
-    # source flags that the command does not read, each refused
+    # flags that the command does not read, each refused
     unread = {
         "bridge-triangle2": ["check", "rtt", "--builder", "triangle", "--n", "2", "--bridge"],
         "n-hat": ["check", "rtt", "--builder", "hat", "--n", "7"],
@@ -183,8 +184,26 @@ def commands(paths):
             "export", "transport", "--builder", "composite", "--n", "3", "--bridge",
         ],
         "builder-rmatrix": ["check", "rmatrix", "--k", "2", "--builder", "triangle"],
+        "k-rtt-triangle2": ["check", "rtt", "--builder", "triangle", "--n", "2", "--k", "5"],
+        "order-export-transport-triangle2": [
+            "export", "transport", "--builder", "triangle", "--n", "2", "--order", "3",
+        ],
+        "kmax-loop-chain22b": [
+            "check", "loop", "--builder", "chain", "--n", "2,2", "--bridge", "--kmax", "2",
+        ],
+        "order-rmatrix": ["check", "rmatrix", "--k", "2", "--order", "4"],
+        "kmax-frp": ["check", "frp", "--r", "2", "--p", "2", "--kmax", "1"],
     }
     out += [(f"unread-flag-{name}", argv) for name, argv in unread.items()]
+    # an empty value is refused, not read as an absent flag
+    out += [
+        ("empty-value-n-triangle", ["check", "rtt", "--builder", "triangle", "--n", ""]),
+        ("empty-value-split-chain22b",
+         ["check", "all", "--builder", "chain", "--n", "2,2", "--bridge", "--split", ""]),
+        ("empty-value-input-triangle", ["check", "rtt", "--input", "", "--builder", "triangle"]),
+        ("empty-value-out-triangle2",
+         ["check", "rtt", "--builder", "triangle", "--n", "2", "--out", ""]),
+    ]
     # sizes at and one past each bound, written out so that the corpus also
     # runs on a checkout without these bounds
     chain = ["--builder", "chain", "--n", "2,2", "--bridge"]

@@ -365,9 +365,30 @@ MUTANTS = [
     Mutant(
         "--bridge read with any builder",
         "cli.py",
-        '("bridge", ("chain",)), ',
-        "",
+        '"split", "n", "bridge", "r",',
+        '"split", "n", "r",',
         ("test_cli.py", "test_cli_corpus.py"),
+    ),
+    Mutant(
+        "an unread size flag accepted",
+        "cli.py",
+        '"r", "k", "p", "kmax", "pmax", "order")',
+        '"r")',
+        ("test_cli.py", "test_cli_corpus.py"),
+    ),
+    Mutant(
+        "--pmax not defaulting to --kmax",
+        "cli.py",
+        '"pmax": ("kmax", 0, MAX_LEVEL)',
+        '"pmax": (2, 0, MAX_LEVEL)',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "hat's --r bound skipped",
+        "cli.py",
+        '{"r": (2, 1, MAX_HAT_R)}',
+        '{"r": (2, 1, 10**9)}',
+        ("test_cli.py",),
     ),
 ]
 

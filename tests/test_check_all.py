@@ -27,8 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def serial_run_all(src, args):
     """The suite run in one process, in order: the oracle of cli._run_all."""
-    cli._loop_order(args)  # refuse a bad size before any check runs
-    cli._affine_levels(args)
+    cli._read_flags(args, "check all")  # as cmd_check: refuse bad flags, fill in sizes
     reports = [cli.CHECKS["rtt"](src, args)]
     if src.split is None:
         return reports, [("block checks", "no --split given")]
@@ -88,6 +87,7 @@ def _argv(name, tmp_path):
 def test_check_all_matches_the_serial_suite(name, tmp_path, monkeypatch, capsys):
     argv = _argv(name, tmp_path)
     args = cli._build_parser().parse_args(argv)
+    cli._read_flags(args, "check all")
     reports, skips = cli._run_all(cli._resolve_source(args), args)
     _no_child_left()
     expected, expected_skips = serial_run_all(cli._resolve_source(args), args)
@@ -194,6 +194,7 @@ def test_uninvertible_m12_skips_and_bad_splits_keep_suite_order(monkeypatch, cap
     _no_child_left()
     # a source whose split does not fit: rtt passes, then blocks refuses it
     args = cli._build_parser().parse_args(CHAIN11)
+    cli._read_flags(args, "check all")
     src = cli._Source(cli._resolve_source(args).matrix, (1, 1, 5))
     with pytest.raises(ValueError) as serial:
         serial_run_all(src, args)

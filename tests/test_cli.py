@@ -171,6 +171,88 @@ def test_rmatrix_and_frp_take_no_source_flag(kind, size, capsys):
     assert cli.main(["check", kind, *size]) == 0
 
 
+class _Accepted(Exception):
+    """Raised with args once cli._read_flags has accepted a command's flags."""
+
+
+# A value for every flag of the parser, and for each builder flag the
+# builder that reads it.
+FLAG_VALUES = {
+    "--input": ["missing.json"], "--builder": ["composite"], "--n": ["7"], "--bridge": [],
+    "--r": ["3"], "--k": ["2"], "--p": ["2"], "--split": ["1,1,1"], "--kmax": ["1"],
+    "--pmax": ["1"], "--order": ["1"], "--out": ["out.txt"], "--json": [],
+}
+READERS = {"--n": "triangle", "--bridge": "chain", "--r": "hat"}
+SOURCE_FLAGS = ("--input", "--builder", "--split", *READERS)
+
+
+def _subparsers():
+    return next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+
+
+def _commands():
+    return [
+        f"{name} {choice}"
+        for name, sub in _subparsers().items()
+        for action in sub._actions
+        if action.dest in ("kind", "what")
+        for choice in action.choices
+    ]
+
+
+@pytest.mark.parametrize("command", _commands())
+def test_each_command_refuses_every_flag_it_does_not_read(command, monkeypatch, capsys):
+    sub = _subparsers()[command.split()[0]]
+    flags = [a.option_strings[0] for a in sub._actions if a.option_strings and a.dest != "help"]
+    read_flags = cli._read_flags
+
+    def accepted(args, name):
+        read_flags(args, name)
+        raise _Accepted(args)
+
+    monkeypatch.setattr(cli, "_read_flags", accepted)
+    sourced = command not in ("check rmatrix", "check frp")
+    sizes = cli.SIZES.get(command, {})
+    for flag in flags:
+        value = FLAG_VALUES[flag]
+        builder = ["--builder", READERS[flag]] if sourced and flag in READERS else []
+        argv = [*command.split(), *builder, flag, *value]
+        if flag in ("--out", "--json") or flag[2:] in sizes or sourced and flag in SOURCE_FLAGS:
+            with pytest.raises(_Accepted) as read:
+                cli.main(argv)
+            assert all(isinstance(getattr(read.value.args[0], s), int) for s in sizes), argv
+        else:
+            _refused(argv, f"{command} takes no {flag}", capsys)
+
+
+def _no_source(*args, **kwargs):
+    raise AssertionError("a source was built")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "loop", "--builder", "chain", "--n", "300,300", "--order", "99"],
+         "--order must be at most 32, got 99"),
+        (["export", "levels", "--builder", "triangle", "--n", "17", "--order", "99"],
+         "--order must be at most 8, got 99"),
+        (["check", "rtt", "--builder", "hat", "--r", "257"], "--r must be at most 256, got 257"),
+        (["check", "rtt", "--builder", "triangle", "--n", "2", "--order", "1"],
+         "check rtt takes no --order"),
+        (["check", "rtt", "--input", "net.json", "--n", "2"],
+         "--n needs --builder triangle or --builder chain"),
+    ],
+    ids=["loop-order", "export-levels-order", "hat-r", "unread-order", "unread-n"],
+)
+def test_a_refused_flag_builds_no_source(argv, message, monkeypatch, capsys):
+    for name in ("build_chain", "build_triangle", "load_network", "hat_blocks",
+                 "transport_matrix"):
+        monkeypatch.setattr(cli, name, _no_source)
+    _refused(argv, message, capsys)
+    with pytest.raises(AssertionError, match="a source was built"):
+        cli.main(argv[:-2])
+
+
 def test_rmatrix_k_past_its_bound_builds_no_constant(monkeypatch, capsys):
     def no_constant(*args):
         raise AssertionError("a constant was built")
@@ -865,17 +947,9 @@ def test_cli_corpus_names_every_check_kind_and_export():
     paths = dict.fromkeys(cli_corpus.documents(), "net.json")
     for _, argv in cli_corpus.commands(paths):
         args = parser.parse_args(argv)
-        named.add((args.command, getattr(args, "kind", None) or args.what))
-    subcommands = next(a for a in parser._actions if a.dest == "command").choices
-    choices = {
-        (command, choice)
-        for command, sub in subcommands.items()
-        for action in sub._actions
-        if action.dest in ("kind", "what")
-        for choice in action.choices
-    }
-    assert choices <= named
-    assert {("check", kind) for kind in cli.CHECKS if kind != "aux-inverse"} <= named
+        named.add(f"{args.command} {getattr(args, 'kind', None) or args.what}")
+    assert set(_commands()) <= named
+    assert {f"check {kind}" for kind in cli.CHECKS if kind != "aux-inverse"} <= named
 
 
 def _readme_commands():
