@@ -324,6 +324,18 @@ def _report_lines(reports, skips):
     return lines
 
 
+def _check_out(path):
+    """Refuse an --out that cannot be opened for writing; leave the file as found."""
+    if path is None:
+        return
+    try:
+        open(path, "x").close()
+    except FileExistsError:
+        open(path, "a").close()
+    else:
+        os.remove(path)
+
+
 def _emit(args, doc, text_lines):
     """Write doc as JSON under --json, else text_lines(); to --out or stdout."""
     if args.as_json:
@@ -339,6 +351,7 @@ def _emit(args, doc, text_lines):
 
 def cmd_check(args):
     _read_flags(args, f"check {args.kind}")
+    _check_out(args.out)
     extra, skips = [], []
     if args.kind == "rmatrix":
         reports = [verify.check_rmatrix(args.k)]
@@ -357,6 +370,7 @@ def cmd_check(args):
 
 def cmd_export(args):
     _read_flags(args, f"export {args.what}")
+    _check_out(args.out)
     src = _resolve_source(args)
     what, order = args.what, args.order
     if what == "transport":

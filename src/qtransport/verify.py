@@ -159,8 +159,7 @@ def _read(core, value):
     return value
 
 
-PAIR_BUDGET = 10**6  # term pairs one evaluate call may multiply, ~1 KB each
-CELL_BUDGET = 10**5  # composite cells its distinct products may hold, ~1 KB each
+BUDGET = 10**6  # term pairs plus product cells of one evaluate call, 0.7-1.25 KB each
 
 
 def evaluate(*relations):
@@ -182,10 +181,12 @@ def evaluate(*relations):
     (1)X (2)Y at swapped composite indices.  The products of one unordered
     pair of matrices {X, Y} read their entry products from one table
     (ncmat.entry_products), which holds x y and y x, built before the
-    pair's first product and dropped after its last.  A call whose tables
-    would pair more than PAIR_BUDGET torus terms (ncmat.table_term_pairs),
-    or whose products would hold more than CELL_BUDGET composite cells,
-    raises ValueError before it builds any.
+    pair's first product and dropped after its last.  A call whose torus
+    term pairs (ncmat.table_term_pairs over its tables) plus composite
+    cells of its distinct products exceed BUDGET raises ValueError before
+    it builds any table or product.  Measured at peak RSS, a cell costs about
+    0.7 KB on chain relations and a pair up to 1.25 KB on sandwich-heavy
+    ones, so a call at the limit holds at most about 1.25 GB.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
@@ -197,15 +198,12 @@ def evaluate(*relations):
         if pair not in todo:
             pairs += table_term_pairs(x, y)
         todo[pair] += 1
-    if pairs > PAIR_BUDGET:
-        raise ValueError(
-            f"these relations need {pairs} torus term pairs; the limit is {PAIR_BUDGET}"
-        )
     cells = sum(x.rows * x.cols * y.rows * y.cols
                 for (_, x), *_, (_, y) in cores.values())
-    if cells > CELL_BUDGET:
+    if pairs + cells > BUDGET:
         raise ValueError(
-            f"these relations need {cells} product cells; the limit is {CELL_BUDGET}"
+            f"these relations need {pairs} torus term pairs and {cells} product cells, "
+            f"{pairs + cells} in all; the limit is {BUDGET}"
         )
     tables = {}
     kept = {}

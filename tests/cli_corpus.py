@@ -10,15 +10,17 @@ change in what the command line prints.  The corpus holds:
 - every check kind and export, as text and with --json, on triangle(2),
   triangle(3), chain(2,2,bridge), chain(2,3,bridge), hat(3), the composite
   example, cyclic2x2 and perturbed network files;
-- every MALFORMED edit of tests/test_cli.py, with and without a drawing;
+- every MALFORMED edit of tests/malformed.py, with and without a drawing;
 - drawn documents that disagree with their drawing;
-- source and size flags that the command does not read, and empty flag
-  values;
+- source and size flags that the command does not read, empty flag
+  values, and an --out in a missing directory;
 - undrawn one-path lines at and one past the path-depth bound of
   an acyclic network's walk, which its constructor checks;
 - sizes at and past each bound of the command line and of verify.evaluate,
-  a network past the path budget, a drawn one past the path-depth bound, and check disc-reflection on triangle(7)
-  and, perturbed, on triangle(5).
+  check all and check loop --order 4 on chain(8,8,bridge) inside the
+  evaluate budget, a network past the path budget, a drawn one past the
+  path-depth bound, and check disc-reflection on triangle(7) and,
+  perturbed, on triangle(5).
 
 tests/golden/cli_corpus.txt holds its output.  tests/test_cli_corpus.py
 reruns every command but the sized bound-* ones and compares each line
@@ -44,6 +46,8 @@ from qtransport.network import (  # noqa: E402
     build_triangle,
     network_to_dict,
 )
+
+from malformed import MALFORMED  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 CHECK_KINDS = ["rmatrix", *(k for k in cli.CHECKS if k != "aux-inverse"), "frp", "all"]
@@ -119,8 +123,6 @@ def _line(edges):
 
 def documents():
     """name -> network document written to a file for --input."""
-    from test_cli import MALFORMED
-
     docs = {
         "perturbed-triangle3": _perturbed(build_triangle(3)),
         "perturbed-chain22b": _perturbed(build_chain(2, 2, bridge=True)),
@@ -204,6 +206,11 @@ def commands(paths):
         ("empty-value-out-triangle2",
          ["check", "rtt", "--builder", "triangle", "--n", "2", "--out", ""]),
     ]
+    # an --out that cannot be opened is refused before the command runs
+    out.append((
+        "missing-dir-out-triangle2",
+        ["check", "rtt", "--builder", "triangle", "--n", "2", "--out", "/no/such/dir/x"],
+    ))
     # sizes at and one past each bound, written out so that the corpus also
     # runs on a checkout without these bounds
     chain = ["--builder", "chain", "--n", "2,2", "--bridge"]
@@ -229,9 +236,14 @@ def commands(paths):
     for r in (256, 257):
         argv = ["check", "groupoid", "--builder", "hat", "--r", str(r)]
         out.append((f"bound-hat-r-{r}", argv))
-    for n in ("16,16", "17,17"):  # 83521 and 104976 product cells
+    # check rtt on chain(n,n) needs (n+1)^4 product cells; past 27,27 its
+    # term pairs and cells exceed the evaluate budget
+    for n in ("16,16", "17,17", "28,28"):
         argv = ["check", "rtt", "--builder", "chain", "--n", n]
         out.append((f"bound-cells-chain{n}", argv))
+    chain88 = ["--builder", "chain", "--n", "8,8", "--bridge"]
+    out.append(("bound-budget-all-chain88b", ["check", "all", *chain88, "--split", "8,1,8"]))
+    out.append(("bound-budget-loop-chain88b", ["check", "loop", *chain88, "--order", "4"]))
     out.append((
         "bound-pairs-composite",
         ["check", "reflection-affine", "--builder", "composite", "--order", "3"],

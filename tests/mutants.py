@@ -229,6 +229,21 @@ MUTANTS = [
         "if todo[pair] <= 1:",
         ("test_verify.py",),
     ),
+    # one evaluate budget: term pairs plus product cells
+    Mutant(
+        "budget sum drops the product cells",
+        "verify.py",
+        "if pairs + cells > BUDGET:",
+        "if pairs > BUDGET:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "budget sum drops the term pairs",
+        "verify.py",
+        "if pairs + cells > BUDGET:",
+        "if cells > BUDGET:",
+        ("test_cli.py",),
+    ),
     Mutant(
         "sandwich pairs row r of a",
         "ncmat.py",
@@ -388,6 +403,13 @@ MUTANTS = [
         "cli.py",
         '{"r": (2, 1, MAX_HAT_R)}',
         '{"r": (2, 1, 10**9)}',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "out check keeps the file it made",
+        "cli.py",
+        "os.remove(path)",
+        "pass",
         ("test_cli.py",),
     ),
 ]

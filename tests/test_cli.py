@@ -30,6 +30,8 @@ from qtransport.network import (
 )
 from qtransport.qalg import SkewForm
 
+from malformed import MALFORMED, coincident_edge_ends, drawn_triangle2
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -644,81 +646,6 @@ def test_stored_skew_form_is_checked_against_the_drawing(tmp_path, capsys):
     assert captured.err == "error: drawing disagrees with the stored skew form\n"
 
 
-_DROP = object()
-
-
-def _edit(*path, value=_DROP):
-    """A document edit that sets the item at path to value, or drops it."""
-    def edit(doc):
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        if value is _DROP:
-            del target[path[-1]]
-        else:
-            target[path[-1]] = value
-        return doc
-    return edit
-
-
-def _drawn_triangle2():
-    """The triangle(2) document with every exponent left to its drawing."""
-    doc = network_to_dict(build_triangle(2))
-    for edge in doc["edges"]:
-        edge["exponent"] = None
-    return doc
-
-
-def _coincident_edge_ends():
-    """The drawn triangle(2) with vertex g1_1 moved onto its neighbour b1_1."""
-    doc = _drawn_triangle2()
-    coords = doc["geometry"]["coords"]
-    coords["g1_1"] = coords["b1_1"]
-    return doc
-
-
-MALFORMED = {
-    "float-exponent": _edit("edges", 3, "exponent", 0, value=0.5),
-    "bool-exponent": _edit("edges", 3, "exponent", 0, value=True),
-    "str-exponent": _edit("edges", 3, "exponent", 0, value="1"),
-    "no-from": _edit("edges", 3, "from"),
-    "no-to": _edit("edges", 3, "to"),
-    "list-endpoint": _edit("edges", 3, "from", value=["g0_1"]),
-    "not-an-object": lambda doc: [doc],
-    "int-epsilon2": _edit("epsilon2", value=5),
-    "int-vertices": _edit("vertices", value=3),
-    "int-edges": _edit("edges", value=7),
-    "int-generators": _edit("generators", value=4),
-    "str-sources": _edit("sources", value="12"),
-    "str-max-cycle-uses": _edit("max_cycle_uses", value="2"),
-    # a bound below one would silently drop every path of a cyclic network
-    "zero-max-cycle-uses": _edit("max_cycle_uses", value=0),
-    "negative-max-cycle-uses": _edit("max_cycle_uses", value=-1),
-    "geometry-without-coords": _edit("geometry", value={"face_markers": []}),
-    "one-element-coordinate": _edit(
-        "geometry", value={"coords": {"1": [0]}, "face_markers": []}
-    ),
-    "one-element-face-marker": _edit(
-        "geometry", value={"coords": {}, "face_markers": [[0]]}
-    ),
-    "zero-denominator": _edit(
-        "geometry", value={"coords": {"1": [[1, 0], 0]}, "face_markers": []}
-    ),
-    # a path walk stops at the first sink it reaches, so sinks have no exits
-    "edge-leaving-a-sink": lambda doc: {
-        **doc,
-        "edges": doc["edges"] + [{"from": "1'", "to": "2'", "exponent": [0] * 6}],
-    },
-    # a zero-length edge has no direction to order around its ends
-    "coincident-edge-ends": lambda doc: _coincident_edge_ends(),
-    # packed torus terms hold exponents below 2^14 in size
-    "exponent-past-packed-limit": _edit("edges", 3, "exponent", 0, value=16384),
-    # a repeated source adds a column; a repeated sink empties a row
-    "repeated-source": _edit("sources", value=["1", "2", "1"]),
-    "repeated-sink": lambda doc: {**doc, "sinks": doc["sinks"] + doc["sinks"][:1]},
-}
-
-
 @pytest.mark.parametrize("edit", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_network_exits_2_with_one_line(edit, tmp_path, capsys):
     doc = network_to_dict(build_triangle(2))
@@ -770,7 +697,7 @@ def test_import_loads_no_dataclasses_or_inspect():
 
 def test_coincident_edge_ends_name_both_vertices(tmp_path, capsys):
     path = tmp_path / "net.json"
-    path.write_text(json.dumps(_coincident_edge_ends()))
+    path.write_text(json.dumps(coincident_edge_ends()))
     assert cli.main(["check", "rtt", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: edge 'g1_1'->'b1_1' has both ends drawn at one point\n"
@@ -779,7 +706,7 @@ def test_coincident_edge_ends_name_both_vertices(tmp_path, capsys):
 @pytest.mark.parametrize("drawn", [False, True], ids=["no-drawing", "drawn"])
 @pytest.mark.parametrize("kind", ["sources", "sinks"])
 def test_boundary_vertex_listed_twice_is_named(kind, drawn, tmp_path, capsys):
-    doc = _drawn_triangle2() if drawn else network_to_dict(build_triangle(2))
+    doc = drawn_triangle2() if drawn else network_to_dict(build_triangle(2))
     if not drawn:
         doc["geometry"] = None
     name = doc[kind][0]
@@ -805,41 +732,58 @@ def _no_products(monkeypatch):
     monkeypatch.setattr(verify, "_product", no_product)
 
 
-def test_term_pair_budget_refuses_before_any_product(monkeypatch, capsys):
+# Each command past the evaluate budget with its refusal, then the size just
+# inside it.  check rtt on chain(n,n) reads (n+1)^2 one-monomial entries, so
+# it needs (n+1)^4 product cells.
+@pytest.mark.parametrize(
+    "argv, past, message, inside",
+    [
+        (["check", "rtt", "--builder", "triangle", "--n"], "10",
+         "these relations need 2159255 torus term pairs and 40000 product cells, "
+         "2199255 in all; the limit is 1000000", "9"),
+        (["check", "rtt", "--builder", "chain", "--n"], "28,28",
+         "these relations need 354061 torus term pairs and 707281 product cells, "
+         "1061342 in all; the limit is 1000000", "27,27"),
+        (["check", "reflection-affine", "--builder", "composite", "--order"], "3",
+         "these relations need 9308160 torus term pairs and 1472 product cells, "
+         "9309632 in all; the limit is 1000000", "2"),
+    ],
+    ids=["triangle", "chain", "composite"],
+)
+def test_evaluate_budget_refuses_before_any_product(
+    argv, past, message, inside, monkeypatch, capsys
+):
     _no_products(monkeypatch)
-    argv = ["check", "reflection-affine", "--builder", "composite", "--order", "3"]
-    assert cli.main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        "error: these relations need 9308160 torus term pairs; "
-        "the limit is 1000000\n"
-    )
-    # --order 2 passes the budget and goes on to build its products
+    assert cli.main([*argv, past]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     with pytest.raises(AssertionError, match="a product was started"):
-        cli.main(argv[:-1] + ["2"])
-    argv = ["check", "rtt", "--builder", "triangle", "--n"]
-    assert cli.main([*argv, "10"]) == 2
+        cli.main([*argv, inside])
+
+
+def test_unwritable_out_is_refused_before_any_source(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "transport_matrix", _no_source)
+    out = tmp_path / "no" / "x"
+    argv = ["check", "disc-reflection", "--builder", "triangle", "--n", "7"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr() == (
-        "", "error: these relations need 2159255 torus term pairs; the limit is 1000000\n"
+        "", f"error: [Errno 2] No such file or directory: '{out}'\n"
     )
-    with pytest.raises(AssertionError, match="a product was started"):
-        cli.main([*argv, "9"])
+    with pytest.raises(AssertionError, match="a source was built"):
+        cli.main([*argv, "--out", str(tmp_path / "x")])
 
 
-def test_cell_budget_refuses_before_any_product(monkeypatch, capsys):
-    # chain(n,n) has (n+1)^2 one-monomial entries, so check rtt needs
-    # (n+1)^4 product cells
-    _no_products(monkeypatch)
-    argv = ["check", "rtt", "--builder", "chain", "--n"]
-    assert cli.main([*argv, "17,17"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        "error: these relations need 104976 product cells; the limit is 100000\n"
-    )
-    with pytest.raises(AssertionError, match="a product was started"):
-        cli.main([*argv, "16,16"])
+def test_a_refusal_after_the_out_check_leaves_out_as_found(tmp_path, capsys):
+    # the split does not fit chain(2,2), so the command exits 2 after --out is checked
+    argv = ["check", "all", "--builder", "chain", "--n", "2,2", "--bridge", "--split", "2,2,2"]
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    new = tmp_path / "new.txt"
+    for out in (kept, new):
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert kept.read_text() == "earlier output\n"
+    assert not new.exists()
 
 
 def test_path_budget_exits_2_with_one_line(monkeypatch, capsys, tmp_path):
@@ -869,7 +813,7 @@ def test_huge_triangle_exits_2_with_one_line(capsys):
 def test_face_error_does_not_depend_on_hash_seed(tmp_path):
     # Face marker 1 moved onto marker 0: one face holds two markers and one
     # none, and the error names whichever the face walk meets first.
-    doc = _drawn_triangle2()
+    doc = drawn_triangle2()
     markers = doc["geometry"]["face_markers"]
     markers[1] = markers[0]
     path = tmp_path / "net.json"
