@@ -25,14 +25,6 @@ from . import geometry
 from .geometry import check_boundary, check_edge_ends, derive_network_data
 
 
-class CyclicWithoutGeometry(ValueError):
-    """Transport through a cyclic network needs a drawing for path signs."""
-
-
-class TruncationRequired(ValueError):
-    """A cyclic network needs max_cycle_uses to bound path enumeration."""
-
-
 # An edge's exponent is a tuple, or None until a drawing derives it.
 Edge = namedtuple("Edge", "frm to exponent", defaults=(None,))
 # coords: vertex -> (x, y); face_markers: one (x, y) point per face.
@@ -47,8 +39,11 @@ class Network:
     stored form or exponent must agree with it, and missing exponents are
     filled in.  A cyclic network that stores its form and every exponent
     uses its drawing only for path signs; such a drawing may cross edges, so
-    nothing is derived from it.  An acyclic network whose paths are too deep
-    or too many to walk is refused here, drawn or not, before any derivation.
+    nothing is derived from it.  Every bound of the transport walk is
+    checked here, so transport_matrix only walks: an acyclic network whose
+    paths are too deep or too many is refused, drawn or not, before any
+    derivation; a cyclic one needs a drawing and max_cycle_uses; and no
+    network's exponents may outgrow packed terms.
     """
 
     def __init__(
@@ -116,14 +111,14 @@ class Network:
         # source-sink paths, counted only when there is no cycle
         self.longest_path, self.path_count = acyclic or (None, None)
         stored = all(e.exponent is not None for e in self.edges)
-        if geometry is None and not stored:
-            if self.is_acyclic:
-                raise ValueError("edges lack exponents and there is no drawing")
-            raise CyclicWithoutGeometry(
-                "cyclic network without a drawing to derive exponents from"
-            )
         if self.is_acyclic:
+            if geometry is None and not stored:
+                raise ValueError("edges lack exponents and there is no drawing")
             _refuse_walk(self.longest_path, self.path_count)  # before deriving
+        elif geometry is None:
+            raise ValueError("path signs in a cyclic network require a drawing")
+        elif max_cycle_uses is None:
+            raise ValueError("cyclic network: set max_cycle_uses to bound path enumeration")
         if geometry is not None and (form is None or self.is_acyclic or not stored):
             e_mat, exps = derive_network_data(
                 self.vertices,
@@ -143,6 +138,13 @@ class Network:
             ):
                 raise ValueError("drawing disagrees with stored edge exponents")
             self.edges = [Edge(e.frm, e.to, vec) for e, vec in zip(self.edges, exps)]
+        # A path takes each edge at most max_cycle_uses times (once if
+        # acyclic), so no exponent of a transport entry exceeds span in size.
+        uses = 1 if self.is_acyclic else max_cycle_uses
+        self.span = uses * sum(max(map(abs, e.exponent), default=0) for e in self.edges)
+        check_span(self.span, "transport exponents")
+        if not self.is_acyclic:
+            _refuse_walk(len(self.edges) * uses + 1, None)
         self.form = form
         self.out_edges = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -348,31 +350,15 @@ def transport_matrix(net):
     the path's monomial to the entry of the sink where the path ends.  In a
     cyclic network each edge may be used at most max_cycle_uses times on a
     path, and a path is signed by the parity of its self-crossings in the
-    drawing; an acyclic network needs neither.  An acyclic network's walk
-    bounds were checked when it was built.  A cyclic network whose paths
-    may visit more than MAX_PATH_DEPTH vertices is refused before the walk,
-    and its walks stop with ValueError once more than PATH_BUDGET paths
-    have reached a sink.
+    drawing; an acyclic network needs neither.  Every bound of the walk was
+    checked when net was built, but for the paths of a cyclic network, which
+    only its walk can count: it stops with ValueError once more than
+    PATH_BUDGET paths have reached a sink.
     """
+    form, span = net.form, net.span
     bound, coords = 1, None
     if not net.is_acyclic:
-        if net.geometry is None:
-            raise CyclicWithoutGeometry(
-                "path signs in a cyclic network require a drawing"
-            )
-        if net.max_cycle_uses is None:
-            raise TruncationRequired(
-                "cyclic network: set max_cycle_uses to bound path enumeration"
-            )
         bound, coords = net.max_cycle_uses, net.geometry.coords
-
-    # A path takes each edge at most bound times (once if acyclic), so no
-    # exponent of an entry exceeds span in size; refused before the walk.
-    form = net.form
-    span = bound * sum(max(map(abs, e.exponent), default=0) for e in net.edges)
-    check_span(span, "transport exponents")
-    if coords is not None:
-        _refuse_walk(len(net.edges) * bound + 1, None)
     # each vertex's out-steps, resolved once: (edge id, head, monomial code)
     steps = {
         v: [(id(e), e.to, form.encode(e.exponent)) for e in out]
@@ -577,6 +563,11 @@ def build_chain(n1, n2, bridge=False):
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be at least 1")
+    # Its longest path runs from the east entry along the backbone to c1,
+    # or, bridged, through V when n2 = 1; its source-sink paths number
+    # below 10^6 whenever that depth fits.  So a walk Network.__init__
+    # would refuse is refused here, before the drawing is built.
+    _refuse_walk(n1 + max(n2, 2) + 3 if bridge else n1 + n2 + 2, None)
     half = Fraction(1, 2)
     coords = {}
     vertices = []

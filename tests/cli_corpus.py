@@ -12,6 +12,7 @@ change in what the command line prints.  The corpus holds:
   example, cyclic2x2 and perturbed network files;
 - every MALFORMED edit of tests/malformed.py, with and without a drawing;
 - drawn documents that disagree with their drawing;
+- cyclic2x2 without its max_cycle_uses or without its drawing;
 - source and size flags that the command does not read, empty flag
   values, and an --out in a missing directory;
 - undrawn one-path lines at and one past the path-depth bound of
@@ -19,8 +20,8 @@ change in what the command line prints.  The corpus holds:
 - sizes at and past each bound of the command line and of verify.evaluate,
   check all and check loop --order 4 on chain(8,8,bridge) inside the
   evaluate budget, a network past the path budget, a drawn one past the
-  path-depth bound, and check disc-reflection on triangle(7) and,
-  perturbed, on triangle(5).
+  path-depth bound, chain(100000,1), refused before it is drawn, and
+  check disc-reflection on triangle(7) and, perturbed, on triangle(5).
 
 tests/golden/cli_corpus.txt holds its output.  tests/test_cli_corpus.py
 reruns every command but the sized bound-* ones and compares each line
@@ -136,6 +137,9 @@ def documents():
     docs.update({f"drawn-{k}": doc for k, doc in _drawn_edits().items()})
     for edges in (799, 800):  # paths of 800 and 801 vertices
         docs[f"line{edges}"] = _line(edges)
+    cyclic = json.loads((GOLDEN / "cyclic2x2.json").read_text())
+    for key, tag in (("max_cycle_uses", "unbounded"), ("geometry", "undrawn")):
+        docs[f"cyclic2x2-{tag}"] = {**cyclic, key: None}
     return docs
 
 
@@ -172,10 +176,16 @@ def commands(paths):
         "check-disc-reflection-perturbed-triangle5",
         ["check", "disc-reflection", "--input", paths["perturbed-triangle5"]],
     ))
+    # cyclic2x2 without its bound or its drawing, each refused when loaded
+    cyclic = {
+        "cyclic2x2-unbounded": (["check", "rtt"], ["export", "transport"]),
+        "cyclic2x2-undrawn": (["export", "transport"],),
+    }
     for name, path in paths.items():
         if name in sources or name == "perturbed-triangle5":
             continue
-        for argv in (["check", "rtt"], ["export", "transport"], ["check", "all"]):
+        argvs = cyclic.get(name, (["check", "rtt"], ["export", "transport"], ["check", "all"]))
+        for argv in argvs:
             out.append((f"{'-'.join(argv)}-{name}", [*argv, "--input", path]))
     # flags that the command does not read, each refused
     unread = {
@@ -255,6 +265,11 @@ def commands(paths):
     out.append((
         "bound-paths-chain500",
         ["export", "transport", "--builder", "chain", "--n", "500,500"],
+    ))
+    # paths of 100003 vertices, refused before the chain is drawn
+    out.append((
+        "bound-depth-chain100000",
+        ["export", "transport", "--builder", "chain", "--n", "100000,1"],
     ))
     out.append(("bound-disc-reflection-triangle7", ["check", "disc-reflection", *triangle, "7"]))
     return out

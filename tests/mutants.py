@@ -329,8 +329,29 @@ MUTANTS = [
     Mutant(
         "walk bounds checked for drawn acyclic networks only",
         "network.py",
-        "        if self.is_acyclic:\n            _refuse_walk(",
-        "        if geometry is not None and self.is_acyclic:\n            _refuse_walk(",
+        "            _refuse_walk(self.longest_path, self.path_count)",
+        "            if geometry is not None:\n                _refuse_walk(self.longest_path, self.path_count)",
+        ("test_network.py",),
+    ),
+    Mutant(
+        "cyclic network built without max_cycle_uses",
+        "network.py",
+        "        elif max_cycle_uses is None:",
+        "        elif False:",
+        ("test_network.py", "test_cli.py"),
+    ),
+    Mutant(
+        "cyclic walk depth not checked",
+        "network.py",
+        "            _refuse_walk(len(self.edges) * uses + 1, None)",
+        "            pass",
+        ("test_network.py",),
+    ),
+    Mutant(
+        "build_chain skips its depth refusal",
+        "network.py",
+        "    _refuse_walk(n1 + max(n2, 2) + 3 if bridge else n1 + n2 + 2, None)",
+        "    pass",
         ("test_network.py",),
     ),
     # the path count of the topological pass
@@ -404,6 +425,13 @@ MUTANTS = [
         '{"r": (2, 1, MAX_HAT_R)}',
         '{"r": (2, 1, 10**9)}',
         ("test_cli.py",),
+    ),
+    Mutant(
+        "check lets a cyclic --input through",
+        "cli.py",
+        'if args.command == "check" and not net.is_acyclic:',
+        "if False:",
+        ("test_cli.py", "test_cli_corpus.py"),
     ),
     Mutant(
         "out check keeps the file it made",

@@ -9,8 +9,6 @@ import shlex
 import subprocess
 import sys
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,17 +16,12 @@ from hypothesis import strategies as st
 from qtransport import cli, network, verify
 from qtransport.affine import TSeries
 from qtransport.network import (
-    Edge,
-    Geometry,
-    Network,
     build_chain,
     build_triangle,
     network_from_dict,
     network_to_dict,
-    save_network,
     transport_matrix,
 )
-from qtransport.qalg import SkewForm
 
 from malformed import MALFORMED, coincident_edge_ends, drawn_triangle2
 
@@ -422,40 +415,37 @@ def test_unreadable_file_exits_2(tmp_path, capsys):
     assert cli.main(["check", "rtt", "--input", str(tmp_path / "missing.json")]) == 2
 
 
-def _cyclic_without_bound(path):
-    """Write a cyclic network with no max_cycle_uses to path."""
-    form = SkewForm([[0, -1], [1, 0]])
-    net = Network(
-        form,
-        vertices=["a", "P", "Q", "R", "c"],
-        edges=[
-            Edge("a", "P", (0, 0)),
-            Edge("P", "Q", (1, 0)),
-            Edge("Q", "R", (0, 0)),
-            Edge("R", "P", (0, 1)),
-            Edge("R", "c", (0, 0)),
-        ],
-        sources=["a"],
-        sinks=["c"],
-        geometry=Geometry(
-            coords={
-                "a": (0, 2),
-                "P": (0, 0),
-                "Q": (-1, -1),
-                "R": (1, -1),
-                "c": (-2, 1),
-            },
-            face_markers=[(0, Fraction(-2, 3)), (Fraction(3, 2), 0)],
-        ),
-        max_cycle_uses=None,
-    )
-    save_network(net, str(path))
-    return path
+def test_cyclic_without_bound_or_drawing_exits_2_at_load(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "transport_matrix", _no_source)
+    doc = json.loads((GOLDEN / "cyclic2x2.json").read_text())
+    path = tmp_path / "cyclic.json"
+    cases = [
+        ("max_cycle_uses", "cyclic network: set max_cycle_uses to bound path enumeration"),
+        ("geometry", "path signs in a cyclic network require a drawing"),
+    ]
+    for key, message in cases:
+        path.write_text(json.dumps({**doc, key: None}))
+        for command in (["check", "rtt"], ["export", "transport"]):
+            assert cli.main([*command, "--input", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_cyclic_without_bound_exits_3(tmp_path, capsys):
-    path = _cyclic_without_bound(tmp_path / "cyclic.json")
-    assert cli.main(["check", "rtt", "--input", str(path)]) == 3
+def test_check_refuses_a_truncated_cyclic_transport(tmp_path, monkeypatch, capsys):
+    # every check kind on cyclic2x2 (max_cycle_uses 2) is refused before the
+    # walk; export transport still walks it
+    path = str(GOLDEN / "cyclic2x2.json")
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "transport_matrix", _no_source)
+        kinds = [k for k in cli.CHECKS if k != "aux-inverse"] + ["all"]
+        for kind in kinds:
+            assert cli.main(["check", kind, "--input", path]) == 2, kind
+            assert capsys.readouterr() == ("", (
+                "error: a cyclic network's transport is truncated at max_cycle_uses 2, "
+                "so its identities cannot be checked\n"
+            ))
+    out = tmp_path / "transport.txt"
+    assert cli.main(["export", "transport", "--input", path, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "cyclic2x2_transport.txt").read_bytes()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -464,13 +454,11 @@ def test_main_leaves_the_collector_as_it_found_it(
 ):
     # main turns the cyclic collector off while a command runs, and back to
     # the caller's state after every exit code, argparse's exit 2 included
-    cyclic = _cyclic_without_bound(tmp_path / "cyclic.json")
     commands = [
         (0, ["check", "rtt", "--builder", "triangle", "--n", "2"]),
         (1, ["check", "groupoid", "--builder", "chain", "--n", "1,1", "--bridge"]),
         (2, ["check", "rtt", "--input", str(tmp_path / "missing.json")]),
         (2, ["check", "no-such-kind"]),
-        (3, ["check", "rtt", "--input", str(cyclic)]),
     ]
     during = []
     check_rtt = verify.check_rtt

@@ -21,11 +21,9 @@ from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import QMatrix, invert_restricted, matmul
 from qtransport import geometry, network
 from qtransport.network import (
-    CyclicWithoutGeometry,
     Edge,
     Geometry,
     Network,
-    TruncationRequired,
     assemble_composite,
     block_split,
     build_chain,
@@ -313,14 +311,6 @@ def transport_entry(net, a, c):
         walk(src, [0] * n)
         return total
 
-    if net.geometry is None:
-        raise CyclicWithoutGeometry(
-            "path signs in a cyclic network require a drawing"
-        )
-    if net.max_cycle_uses is None:
-        raise TruncationRequired(
-            "cyclic network: set max_cycle_uses to bound path enumeration"
-        )
     coords = net.geometry.coords
     uses = {id(e): 0 for e in net.edges}
 
@@ -371,9 +361,9 @@ CYCLIC2X2 = pathlib.Path(__file__).parent / "golden" / "cyclic2x2.json"
 
 def _cyclic2x2(max_cycle_uses):
     """A drawn cyclic network with two sources and two sinks around one loop."""
-    net = load_network(CYCLIC2X2)
-    net.max_cycle_uses = max_cycle_uses
-    return net
+    doc = json.loads(CYCLIC2X2.read_text())
+    doc["max_cycle_uses"] = max_cycle_uses
+    return network_from_dict(doc)
 
 
 def _shuffled(net, seed=7):
@@ -516,28 +506,34 @@ def test_cyclic_truncation_bound_one():
 
 
 def test_cyclic_requires_truncation():
-    net = _cyclic_fixture(max_cycle_uses=None)
-    with pytest.raises(TruncationRequired):
-        transport_matrix(net).entry(0, 0)
+    with pytest.raises(ValueError, match="^cyclic network: set max_cycle_uses to bound"):
+        _cyclic_fixture(max_cycle_uses=None)
 
 
 def test_cyclic_requires_geometry():
-    net = _cyclic_fixture(with_geometry=False)
-    with pytest.raises(CyclicWithoutGeometry):
-        transport_matrix(net).entry(0, 0)
+    # refused whether or not its exponents are stored
+    with pytest.raises(ValueError, match="^path signs in a cyclic network require a drawing$"):
+        _cyclic_fixture(with_geometry=False)
+    doc = network_to_dict(_cyclic_fixture())
+    doc["geometry"] = None
+    for edge in doc["edges"]:
+        edge["exponent"] = None
+    with pytest.raises(ValueError, match="^path signs in a cyclic network require a drawing$"):
+        network_from_dict(doc)
 
 
 def test_cyclic_path_bound_at_the_packed_limit_is_refused_before_walking(
     monkeypatch,
 ):
     # The edge spans of cyclic2x2 sum to 4, so 4096 uses per edge could
-    # reach exponent 16384, one past what a packed term holds.
+    # reach exponent 16384, one past what a packed term holds; refused
+    # when the network is built.
     def walked(points):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(geometry, "path_self_crossings", walked)
     with pytest.raises(ValueError, match="may reach 16384 in size"):
-        transport_matrix(_cyclic2x2(4096))
+        _cyclic2x2(4096)
     with pytest.raises(AssertionError, match="the walk started"):
         transport_matrix(_cyclic2x2(1))
 
@@ -557,7 +553,7 @@ def _line(edges):
 def test_deep_paths_are_refused_before_walking(monkeypatch):
     # The walk recurses once per vertex of a path.  An acyclic network is
     # bounded by its longest path; a path in cyclic2x2 (7 edges) may visit
-    # 7 uses + 1 vertices.
+    # 7 uses + 1 vertices.  Both are refused when the network is built.
     assert _line(799).longest_path == network.MAX_PATH_DEPTH == 800
     assert transport_matrix(_line(799)) == QMatrix.identity(1, SkewForm([[0]]))
     with pytest.raises(ValueError, match="may visit 801 vertices; the limit is 800"):
@@ -568,7 +564,7 @@ def test_deep_paths_are_refused_before_walking(monkeypatch):
 
     monkeypatch.setattr(geometry, "path_self_crossings", walked)
     with pytest.raises(ValueError, match="may visit 806 vertices; the limit is 800"):
-        transport_matrix(_cyclic2x2(115))
+        _cyclic2x2(115)
     with pytest.raises(AssertionError, match="the walk started"):
         transport_matrix(_cyclic2x2(114))
 
@@ -673,6 +669,28 @@ def test_triangle_walk_bounds_have_a_closed_form():
         net = build_triangle(n)
         walk = network._longest_path(net.vertices, net.edges, net.sources, net.sinks)
         assert walk == (2 * n + 1, 2 ** (n + 1) - 2)
+
+
+def test_chain_walk_depth_has_a_closed_form(monkeypatch):
+    # build_chain refuses from n1 + n2 + 2 vertices, or bridged from
+    # n1 + max(n2, 2) + 3, where a path through V outgrows the backbone
+    for bridge in (False, True):
+        for n1 in range(1, 8):
+            for n2 in range(1, 8):
+                net = build_chain(n1, n2, bridge=bridge)
+                depth = n1 + max(n2, 2) + 3 if bridge else n1 + n2 + 2
+                assert net.longest_path == depth, (n1, n2, bridge)
+
+    def built(*args, **kwargs):
+        raise AssertionError("the network was built")
+
+    monkeypatch.setattr(network, "Network", built)
+    with pytest.raises(ValueError, match="^transport paths may visit 1003 vertices; the limit is 800$"):
+        build_chain(1000, 1)
+    with pytest.raises(ValueError, match="^transport paths may visit 801 vertices; the limit is 800$"):
+        build_chain(796, 2, bridge=True)
+    with pytest.raises(AssertionError, match="the network was built"):
+        build_chain(795, 2, bridge=True)
 
 
 def test_huge_triangle_is_refused_before_it_is_drawn(monkeypatch):
