@@ -404,8 +404,13 @@ def cmd_export(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage block; subparsers inherit it
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtransport",
         description="exact identity checks for quantum transport matrices",
     )

@@ -159,7 +159,7 @@ def _read(core, value):
     return value
 
 
-BUDGET = 10**6  # term pairs plus product cells of one evaluate call, 0.7-1.25 KB each
+BUDGET = 10**6  # term pairs plus product cells of one evaluate call, 0.6-1.2 KB each
 
 
 def evaluate(*relations):
@@ -184,11 +184,18 @@ def evaluate(*relations):
     pair's first product and dropped after its last.  A call whose torus
     term pairs (ncmat.table_term_pairs over its tables) plus composite
     cells of its distinct products exceed BUDGET raises ValueError before
-    it builds any table or product.  Measured at peak RSS, a cell costs about
-    0.7 KB on chain relations and a pair up to 1.25 KB on sandwich-heavy
-    ones, so a call at the limit holds at most about 1.25 GB.
+    it builds any table or product.  A word with an all-zero matrix has a
+    zero product, so it is dropped before anything is counted or built, and
+    a relation left with no word is the zero matrix of its shape.  Measured
+    at peak RSS, a unit costs 0.6-1.2 KB (the most on sandwich-heavy
+    relations), so a call at the limit holds at most about 1.2 GB.
     """
     parts = [[(c, *_split(w)) for c, w in terms] for terms in relations]
+    # outer constants are square, so every word of a relation has the first word's shape
+    shapes = [(x.rows * y.rows, x.cols * y.cols, x.form)
+              for (_, x), *_, (_, y) in (rel[0][-1] for rel in parts)]
+    parts = [[(c, name, side, core) for c, name, side, core in rel
+              if not (core[0][1].is_zero() or core[-1][1].is_zero())] for rel in parts]
     uses = Counter(_key(core) for rel in parts for *_, core in rel)
     cores = {_key(core): core for rel in parts for *_, core in rel}
     # per unordered pair of matrices {X, Y}: its products still to build
@@ -208,7 +215,7 @@ def evaluate(*relations):
     tables = {}
     kept = {}
     out = []
-    for rel in parts:
+    for rel, (rows, cols, form) in zip(parts, shapes):
         acc = {}
         span = 0
         for coeff, name, side, core in rel:
@@ -228,12 +235,10 @@ def evaluate(*relations):
             uses[key] -= 1
             if uses[key]:
                 kept[key] = value
-            value = _read(core, value)
             c = name and _constant_at(name, core, side)
-            span = max(span, add_acted(acc, value, coeff, c, side))
-        rows = c.rows if side == "left" else value.rows
-        cols = c.cols if side == "right" else value.cols
-        out.append(QMatrix.from_cells(rows, cols, value.form, acc, span))
+            span = max(span, add_acted(acc, _read(core, value), coeff, c, side))
+            del value  # a product no later word reads is freed before the next is built
+        out.append(QMatrix.from_cells(rows, cols, form, acc, span))
     return out
 
 

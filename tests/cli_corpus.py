@@ -14,7 +14,8 @@ change in what the command line prints.  The corpus holds:
 - drawn documents that disagree with their drawing;
 - cyclic2x2 without its max_cycle_uses or without its drawing;
 - source and size flags that the command does not read, empty flag
-  values, and an --out in a missing directory;
+  values, an --out in a missing directory, and command lines that argparse
+  refuses;
 - undrawn one-path lines at and one past the path-depth bound of
   an acyclic network's walk, which its constructor checks;
 - sizes at and past each bound of the command line and of verify.evaluate,
@@ -221,6 +222,15 @@ def commands(paths):
         "missing-dir-out-triangle2",
         ["check", "rtt", "--builder", "triangle", "--n", "2", "--out", "/no/such/dir/x"],
     ))
+    # command lines argparse refuses, each with one error line
+    out += [
+        ("parse-error-k-rmatrix", ["check", "rmatrix", "--k", "abc"]),
+        ("parse-error-kind", ["check", "no-such-kind"]),
+        ("parse-error-flag-rtt", ["check", "rtt", "--bogus"]),
+        ("parse-error-no-command", []),
+        ("parse-error-negative-split-chain22b",
+         ["check", "all", *sources["chain22b"], "--split", "-1,4,2"]),
+    ]
     # sizes at and one past each bound, written out so that the corpus also
     # runs on a checkout without these bounds
     chain = ["--builder", "chain", "--n", "2,2", "--bridge"]

@@ -244,6 +244,28 @@ MUTANTS = [
         "if cells > BUDGET:",
         ("test_cli.py",),
     ),
+    # a word with an all-zero matrix is dropped before evaluate counts or builds it
+    Mutant(
+        "a word is dropped when its matrix merely has a zero entry",
+        "verify.py",
+        "if not (core[0][1].is_zero() or core[-1][1].is_zero())",
+        "if not any(e.is_zero() for _, m in (core[0], core[-1]) for row in m.data for e in row)",
+        ("test_evaluate_oracle.py", "test_verify.py"),
+    ),
+    Mutant(
+        "zero-factor words kept",
+        "verify.py",
+        "if not (core[0][1].is_zero() or core[-1][1].is_zero())",
+        "if True",
+        ("test_cli.py", "test_row_audit.py"),
+    ),
+    Mutant(
+        "residual shape with rows and cols swapped",
+        "verify.py",
+        "(x.rows * y.rows, x.cols * y.cols, x.form)",
+        "(x.cols * y.cols, x.rows * y.rows, x.form)",
+        ("test_verify.py", "test_evaluate_oracle.py", "test_row_audit.py"),
+    ),
     Mutant(
         "sandwich pairs row r of a",
         "ncmat.py",
