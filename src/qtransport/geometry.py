@@ -50,11 +50,19 @@ Conventions, fixed once and used everywhere:
   each endpoint that is a split vertex the edge leaves or a merge vertex it
   enters, and -1 for a split vertex it enters or a merge vertex it leaves.
   Boundary endpoints contribute nothing.
+
+* A drawing must be a planar embedding.  Disc.faces refuses two edges that
+  leave one vertex along one ray, before its face walk, and two edges that
+  share any other point than a common end, after it; the pair named is the
+  first in edge order.  With every internal vertex a split or a merge, no
+  directed path then crosses itself or crosses over at a vertex, so every
+  path counts in a transport entry with sign +1.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 from math import lcm
 
 
@@ -114,58 +122,12 @@ def _orient(a, b, c):
     return (v > 0) - (v < 0)
 
 
-def _proper_cross(a, b, c, d):
-    return (
-        _orient(a, b, c) * _orient(a, b, d) < 0
-        and _orient(c, d, a) * _orient(c, d, b) < 0
-    )
-
-
-def path_self_crossings(points):
-    """Transversal self-intersections of an open polyline.
-
-    Proper crossings of non-adjacent segments count once each.  A vertex the
-    path visits repeatedly counts once per pair of passes whose incoming and
-    outgoing directions interleave around the vertex; pairs sharing a
-    direction (e.g. a reused edge) are tangential and count zero.
-    """
-    pts = [(_frac_point(p)) for p in points]
-    segs = list(zip(pts, pts[1:]))
-    count = 0
-    for i in range(len(segs)):
-        a, b = segs[i]
-        for j in range(i + 1, len(segs)):
-            c, d = segs[j]
-            if a in (c, d) or b in (c, d):
-                continue
-            if _proper_cross(a, b, c, d):
-                count += 1
-    passes = {}
-    for k in range(1, len(pts) - 1):
-        v = pts[k]
-        d_in = (pts[k - 1][0] - v[0], pts[k - 1][1] - v[1])
-        d_out = (pts[k + 1][0] - v[0], pts[k + 1][1] - v[1])
-        passes.setdefault(v, []).append((d_in, d_out))
-    for plist in passes.values():
-        for i in range(len(plist)):
-            for j in range(i + 1, len(plist)):
-                count += _passes_interleave(plist[i], plist[j])
-    return count
-
-
-def _same_ray(a, b):
-    return a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] > 0
-
-
-def _passes_interleave(p1, p2):
-    for d1 in p1:
-        for d2 in p2:
-            if _same_ray(d1, d2):
-                return 0
-    labeled = [(d, 0) for d in p1] + [(d, 1) for d in p2]
-    labeled.sort(key=cmp_to_key(lambda a, b: _dir_cmp(a[0], b[0])))
-    tags = [t for _, t in labeled]
-    return 1 if tags[0] == tags[2] and tags[1] == tags[3] else 0
+def _segments_meet(a, b, c, d):
+    """Whether segments ab and cd share a point."""
+    o1, o2, o3, o4 = _orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)
+    if o1 == o2 == o3 == o4 == 0:  # one line, along which points sort as tuples
+        return max(min(a, b), min(c, d)) <= min(max(a, b), max(c, d))
+    return o1 * o2 <= 0 and o3 * o4 <= 0
 
 
 def check_edge_ends(edges, coords):
@@ -377,22 +339,27 @@ class Disc:
 
         Returns (left-face index per edge, right-face index per edge) where
         faces are numbered by their marker's position in the marker list.
+        Refuses a drawing that is not a planar embedding.
         """
         grid, adj = self._grid, self.adj
-        rotation = {}
-        rot_index = {}
+        edge_id = {}
+        for k, (frm, to) in enumerate(self.edges):
+            edge_id[frm, to] = edge_id[to, frm] = k
+        rotation, rot_index, rays = {}, {}, []
         for v, nbrs in adj.items():
-            ordered = sorted(
-                nbrs,
-                key=cmp_to_key(
-                    lambda a, b: _dir_cmp(
-                        (grid[a][0] - grid[v][0], grid[a][1] - grid[v][1]),
-                        (grid[b][0] - grid[v][0], grid[b][1] - grid[v][1]),
-                    )
-                ),
-            )
+            def cmp(a, b, v=v):
+                (x, y), (xa, ya), (xb, yb) = grid[v], grid[a], grid[b]
+                return _dir_cmp((xa - x, ya - y), (xb - x, yb - y))
+
+            ordered = sorted(nbrs, key=cmp_to_key(cmp))
+            rays += [  # two edges that leave v along one ray overlap
+                sorted((edge_id[v, a], edge_id[v, b]))
+                for a, b in combinations(ordered, 2)
+                if (v, a) in edge_id and (v, b) in edge_id and cmp(a, b) == 0
+            ]
             rotation[v] = ordered
             rot_index[v] = {u: i for i, u in enumerate(ordered)}
+        self._refuse_pair(rays, "overlap")
 
         # Darts are walked in list order, never set order, so which face is
         # found first (and named in an error) does not depend on string
@@ -448,7 +415,37 @@ class Disc:
                 raise ValueError("network edge touches the outer face")
             lefts.append(face_marker[lo])
             rights.append(face_marker[ro])
+        self._refuse_crossings()
         return lefts, rights
+
+    def _refuse_pair(self, pairs, what):
+        """Refuse the first pair (i, j) of edges in edge order, if any."""
+        if pairs:
+            names = ["{!r}->{!r}".format(*self.edges[k]) for k in min(pairs)]
+            raise ValueError(f"edges {names[0]} and {names[1]} {what}")
+
+    def _refuse_crossings(self):
+        """Refuse two edges that share a point other than a common end.
+
+        Edges sorted by their bounding boxes are swept in x: an edge leaves
+        the active list once it ends left of the next edge's start, and two
+        edges are tested only where their y ranges overlap.
+        """
+        grid, names, boxes, active, met = self._grid, [], [], [], []
+        for k, (frm, to) in enumerate(self.edges):
+            (x1, y1), (x2, y2) = grid[frm], grid[to]
+            names.append({frm, to})
+            boxes.append((min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2), k))
+        for x_lo, x_hi, lo, hi, k in sorted(boxes):
+            active = [box for box in active if box[1] >= x_lo]
+            met += [
+                (j, k) if j < k else (k, j)
+                for _, _, j_lo, j_hi, j in active
+                if j_lo <= hi and lo <= j_hi and names[j].isdisjoint(names[k])
+                and _segments_meet(*(grid[v] for v in (*self.edges[j], *self.edges[k])))
+            ]
+            active.append((x_lo, x_hi, lo, hi, k))
+        self._refuse_pair(met, "cross")
 
     def exchange_matrix(self):
         """Twice the face skew form, from the per-endpoint edge rule."""
@@ -458,18 +455,16 @@ class Disc:
         for frm, to in self.edges:
             outdeg[frm] += 1
             indeg[to] += 1
-        vtype = {}
+        turn = {}  # +1 at a split, -1 at a merge, 0 at a boundary vertex
         for v in self.vertices:
             if v in self.boundary:
                 if (v in self.sources and (indeg[v], outdeg[v]) != (0, 1)) or (
                     v in self.sinks and (indeg[v], outdeg[v]) != (1, 0)
                 ):
                     raise ValueError(f"boundary vertex {v!r} must carry one stub")
-                vtype[v] = "boundary"
-            elif (indeg[v], outdeg[v]) == (1, 2):
-                vtype[v] = "split"
-            elif (indeg[v], outdeg[v]) == (2, 1):
-                vtype[v] = "merge"
+                turn[v] = 0
+            elif (indeg[v], outdeg[v]) in ((1, 2), (2, 1)):
+                turn[v] = outdeg[v] - indeg[v]
             else:
                 raise ValueError(
                     f"internal vertex {v!r} must be a split (1 in, 2 out) "
@@ -478,15 +473,7 @@ class Disc:
         n = len(self.markers)
         e = [[0] * n for _ in range(n)]
         for k, (frm, to) in enumerate(self.edges):
-            w = 0
-            if vtype[frm] == "split":
-                w += 1
-            elif vtype[frm] == "merge":
-                w -= 1
-            if vtype[to] == "merge":
-                w += 1
-            elif vtype[to] == "split":
-                w -= 1
+            w = turn[frm] - turn[to]
             left, right = lefts[k], rights[k]
             if w and left != right:
                 e[left][right] += w

@@ -6,10 +6,10 @@ boundary sources and sinks.  Each edge holds an integer exponent vector; the
 transport amplitude from source a to sink c is the sum over directed paths of
 the ordered monomial with exponent the sum of the path's edge vectors.
 
-Edge exponents and the skew form can be derived from an exact planar drawing
-(vertex coordinates plus one marker point per face); see the geometry module
-for the conventions.  Builders for standard families are provided at the
-bottom of the file.
+Whenever a network has a drawing -- exact vertex coordinates plus one marker
+point per face, forming a planar embedding -- its edge exponents and skew
+form are derived from it; see the geometry module for the conventions.
+Builders for standard families are provided at the bottom of the file.
 """
 
 import functools
@@ -21,7 +21,6 @@ from math import comb
 
 from .qalg import QElem, QScalar, SkewForm, check_span, from_sums, weyl
 from .ncmat import NotInvertibleInSupportedClass, QMatrix, invert_restricted, matmul
-from . import geometry
 from .geometry import check_boundary, check_edge_ends, derive_network_data
 
 
@@ -34,16 +33,16 @@ Geometry = namedtuple("Geometry", "coords face_markers")
 class Network:
     """A planar directed network, complete once built.
 
-    A drawing fixes the skew form and every edge exponent, and they are
-    derived from it here, once: form=None takes the form from the drawing, a
-    stored form or exponent must agree with it, and missing exponents are
-    filled in.  A cyclic network that stores its form and every exponent
-    uses its drawing only for path signs; such a drawing may cross edges, so
-    nothing is derived from it.  Every bound of the transport walk is
+    A drawing fixes the skew form and every edge exponent, and whenever
+    there is one they are derived from it here, once: form=None takes the
+    form from the drawing, a stored form or exponent must agree with it,
+    and missing exponents are filled in.  The derivation refuses a drawing
+    that is not a planar embedding.  Every bound of the transport walk is
     checked here, so transport_matrix only walks: an acyclic network whose
     paths are too deep or too many is refused, drawn or not, before any
-    derivation; a cyclic one needs a drawing and max_cycle_uses; and no
-    network's exponents may outgrow packed terms.
+    derivation; a cyclic one needs a drawing, whose planarity makes every
+    path count with sign +1, and max_cycle_uses; and no network's exponents
+    may outgrow packed terms.
     """
 
     def __init__(
@@ -110,16 +109,15 @@ class Network:
         self.is_acyclic = acyclic is not None
         # source-sink paths, counted only when there is no cycle
         self.longest_path, self.path_count = acyclic or (None, None)
-        stored = all(e.exponent is not None for e in self.edges)
         if self.is_acyclic:
-            if geometry is None and not stored:
+            if geometry is None and any(e.exponent is None for e in self.edges):
                 raise ValueError("edges lack exponents and there is no drawing")
             _refuse_walk(self.longest_path, self.path_count)  # before deriving
         elif geometry is None:
-            raise ValueError("path signs in a cyclic network require a drawing")
+            raise ValueError("a cyclic network requires a drawing")
         elif max_cycle_uses is None:
             raise ValueError("cyclic network: set max_cycle_uses to bound path enumeration")
-        if geometry is not None and (form is None or self.is_acyclic or not stored):
+        if geometry is not None:
             e_mat, exps = derive_network_data(
                 self.vertices,
                 [(e.frm, e.to) for e in self.edges],
@@ -349,52 +347,45 @@ def transport_matrix(net):
     One walk per source visits every directed path that leaves it and adds
     the path's monomial to the entry of the sink where the path ends.  In a
     cyclic network each edge may be used at most max_cycle_uses times on a
-    path, and a path is signed by the parity of its self-crossings in the
-    drawing; an acyclic network needs neither.  Every bound of the walk was
-    checked when net was built, but for the paths of a cyclic network, which
-    only its walk can count: it stops with ValueError once more than
-    PATH_BUDGET paths have reached a sink.
+    path.  Every path counts with sign +1: a drawing is a planar embedding,
+    so no path crosses itself, and a cyclic network is always drawn.  Every
+    bound of the walk was checked when net was built, but for the paths of
+    a cyclic network, which only its walk can count: it stops with
+    ValueError once more than PATH_BUDGET paths have reached a sink.
     """
     form, span = net.form, net.span
-    bound, coords = 1, None
-    if not net.is_acyclic:
-        bound, coords = net.max_cycle_uses, net.geometry.coords
+    cyclic, bound = not net.is_acyclic, net.max_cycle_uses
     # each vertex's out-steps, resolved once: (edge id, head, monomial code)
     steps = {
         v: [(id(e), e.to, form.encode(e.exponent)) for e in out]
         for v, out in net.out_edges.items()
     }
     row = {snk: c for c, snk in enumerate(net.sinks)}
-    # Only a cyclic walk reads these: the vertices on the path so far, the
-    # times each edge is on it, and the paths that reached a sink.
-    trail, uses, paths = [], dict.fromkeys(map(id, net.edges), 0), 0
+    # Only a cyclic walk reads these: the times each edge is on the path so
+    # far, and the paths that reached a sink.
+    uses, paths = dict.fromkeys(map(id, net.edges), 0), 0
 
     def walk(v, t, column):
         nonlocal paths
         if v in row:
-            sign = 1
-            if coords is not None:
+            if cyclic:
                 paths += 1
                 if paths > PATH_BUDGET:
                     raise ValueError(
                         f"transport walked {paths} source-sink paths; "
                         f"the limit is {PATH_BUDGET}"
                     )
-                points = [coords[u] for u in trail] + [coords[v]]
-                sign = -1 if geometry.path_self_crossings(points) % 2 else 1
             cell = column[row[v]]
-            cell[t] = cell.get(t, 0) + sign
-        elif coords is None:
+            cell[t] = cell.get(t, 0) + 1
+        elif not cyclic:
             for _, w, c in steps[v]:
                 walk(w, t + c, column)
         else:
-            trail.append(v)
             for k, w, c in steps[v]:
                 if uses[k] < bound:
                     uses[k] += 1
                     walk(w, t + c, column)
                     uses[k] -= 1
-            trail.pop()
 
     columns = []
     for src in net.sources:

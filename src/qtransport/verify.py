@@ -254,6 +254,17 @@ def _table(rows):
     return out
 
 
+def _by_level_sum(window, rows):
+    """_table of a window's rows, evaluated in level-sum order, in window order.
+
+    Rows of one level sum read the same products of levels, so evaluate
+    frees each product within its band of rows, not across the window.
+    """
+    order = sorted(range(len(rows)), key=lambda i: sum(window[i]))
+    found = dict(zip(order, _table([rows[i] for i in order])))
+    return [found[i] for i in range(len(rows))]
+
+
 def _exchange(terms):
     """The relation sum c w = sum c (w read backwards), as residual terms."""
     return terms + [(-c, word[::-1]) for c, word in terms]
@@ -338,9 +349,9 @@ def _affine_terms(tser, k, p):
 
 def check_affine(tser, kmax, pmax):
     """Summed level relations over 0 <= k <= kmax, 0 <= p <= pmax."""
-    window = product(range(kmax + 1), range(pmax + 1))
+    window = list(product(range(kmax + 1), range(pmax + 1)))
     rows = [(f"S({k},{p})", _affine_terms(tser, k, p)) for k, p in window]
-    return _finish("affine", {"kmax": kmax, "pmax": pmax}, _table(rows))
+    return _finish("affine", {"kmax": kmax, "pmax": pmax}, _by_level_sum(window, rows))
 
 
 def _loop_terms(x, y, a, b):
@@ -351,9 +362,9 @@ def _loop_terms(x, y, a, b):
 
 def check_loop(tser, lo, hi):
     """Componentwise exchange relations of a two-sided level family."""
-    window = product(range(lo, hi + 1), repeat=2)
+    window = list(product(range(lo, hi + 1), repeat=2))
     rows = [(f"C({a},{b})", _loop_terms(tser, tser, a, b)) for a, b in window]
-    return _finish("loop", {"lo": lo, "hi": hi}, _table(rows))
+    return _finish("loop", {"lo": lo, "hi": hi}, _by_level_sum(window, rows))
 
 
 def check_subalgebra(tser):

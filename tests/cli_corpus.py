@@ -11,7 +11,9 @@ change in what the command line prints.  The corpus holds:
   triangle(3), chain(2,2,bridge), chain(2,3,bridge), hat(3), the composite
   example, cyclic2x2 and perturbed network files;
 - every MALFORMED edit of tests/malformed.py, with and without a drawing;
-- drawn documents that disagree with their drawing;
+- drawn documents that disagree with their drawing, cyclic2x2 among them;
+- drawings of chain(2,2,bridge) that are not planar embeddings: two edges
+  crossing, and two edges leaving a vertex along one ray;
 - cyclic2x2 without its max_cycle_uses or without its drawing;
 - source and size flags that the command does not read, empty flag
   values, an --out in a missing directory, and command lines that argparse
@@ -141,6 +143,14 @@ def documents():
     cyclic = json.loads((GOLDEN / "cyclic2x2.json").read_text())
     for key, tag in (("max_cycle_uses", "unbounded"), ("geometry", "undrawn")):
         docs[f"cyclic2x2-{tag}"] = {**cyclic, key: None}
+    cyclic["edges"][2]["exponent"][0] += 1
+    docs["drawn-exponent-off-cyclic2x2"] = cyclic
+    # a2 moved so that a1->B1 crosses a2->B2; B2 moved between B1 and W1,
+    # so that the backbone's edges overlap
+    chain = network_to_dict(build_chain(2, 2, bridge=True))
+    for name, vertex, xy in (("crossing", "a2", [[21, 2], [3, 4]]), ("same-ray", "B2", [[39, 4], 0])):
+        coords = {**chain["geometry"]["coords"], vertex: xy}
+        docs[f"{name}-chain22b"] = {**chain, "geometry": {**chain["geometry"], "coords": coords}}
     return docs
 
 

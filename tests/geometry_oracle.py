@@ -7,8 +7,9 @@ of face and marker, on a scaffold whose ring has no vertex at O, and a
 polyline from O through the square's corners for every boundary potential.
 It works on the rational drawing, not on geometry.Disc's integer grid, and
 finds where a segment passes a marker by dividing, not by cross-multiplying.
-Only the construction checks of geometry.Disc and its exchange-matrix rule
-are shared.
+Both refuse a drawing that is not a planar embedding with the same message;
+here every pair of edges is tested, not a sweep's candidates.  Only the
+construction checks of geometry.Disc and its exchange-matrix rule are shared.
 """
 
 from fractions import Fraction
@@ -68,6 +69,85 @@ def corners_between(disc, t1, t2):
             out.append((d, disc._point_at_t(tc)))
     out.sort(key=lambda pair: pair[0])
     return [p for _, p in out]
+
+
+def _cross(u, w):
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def _minus(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def same_ray(pos, e, f):
+    """Whether edges e and f share an end and leave it in one direction."""
+    for v in set(e) & set(f):
+        u = _minus(pos[e[0] if e[1] == v else e[1]], pos[v])
+        w = _minus(pos[f[0] if f[1] == v else f[1]], pos[v])
+        if _cross(u, w) == 0 and u[0] * w[0] + u[1] * w[1] > 0:
+            return True
+    return False
+
+
+def segments_meet(a, b, c, d):
+    """Whether segments ab and cd share a point, solving a + s(b - a) = c + t(d - c)."""
+    ab, cd, ca = _minus(b, a), _minus(d, c), _minus(c, a)
+    denom = _cross(ab, cd)
+    if denom:
+        s, t = Fraction(_cross(ca, cd), denom), Fraction(_cross(ca, ab), denom)
+        return 0 <= s <= 1 and 0 <= t <= 1
+    if _cross(ca, ab):
+        return False  # parallel lines
+    # one line: where c and d sit along ab, with a at 0 and b at 1
+    length = ab[0] ** 2 + ab[1] ** 2
+    sc, sd = (Fraction(ab[0] * p[0] + ab[1] * p[1], length) for p in (ca, _minus(d, a)))
+    return min(sc, sd) <= 1 and max(sc, sd) >= 0
+
+
+def _orient(a, b, c):
+    v = _cross(_minus(b, a), _minus(c, a))
+    return (v > 0) - (v < 0)
+
+
+def path_self_crossings(points):
+    """Transversal self-intersections of an open polyline.
+
+    Proper crossings of non-adjacent segments count once each.  A vertex the
+    path visits repeatedly counts once per pair of passes whose incoming and
+    outgoing directions interleave around the vertex; pairs sharing a
+    direction (e.g. a reused edge) are tangential and count zero.  On a
+    planar drawing it is 0 on every path a transport walk takes, which the
+    tests check: that is why the walk adds every path with sign +1.
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    segs = list(zip(pts, pts[1:]))
+    count = 0
+    for i, (a, b) in enumerate(segs):
+        for c, d in segs[i + 1:]:
+            if a in (c, d) or b in (c, d):
+                continue
+            if _orient(a, b, c) * _orient(a, b, d) < 0 and _orient(c, d, a) * _orient(c, d, b) < 0:
+                count += 1
+    passes = {}
+    for k in range(1, len(pts) - 1):
+        v = pts[k]
+        passes.setdefault(v, []).append((_minus(pts[k - 1], v), _minus(pts[k + 1], v)))
+    for plist in passes.values():
+        for i in range(len(plist)):
+            for j in range(i + 1, len(plist)):
+                count += _passes_interleave(plist[i], plist[j])
+    return count
+
+
+def _passes_interleave(p1, p2):
+    for d1 in p1:
+        for d2 in p2:
+            if _cross(d1, d2) == 0 and d1[0] * d2[0] + d1[1] * d2[1] > 0:
+                return 0  # a shared direction
+    labeled = [(d, 0) for d in p1] + [(d, 1) for d in p2]
+    labeled.sort(key=cmp_to_key(lambda a, b: _dir_cmp(a[0], b[0])))
+    tags = [t for _, t in labeled]
+    return 1 if tags[0] == tags[2] and tags[1] == tags[3] else 0
 
 
 class CornerWalkDisc(geometry.Disc):
@@ -134,8 +214,16 @@ class CornerWalkDisc(geometry.Disc):
             add(sq_ids[p], sq_ids[ring[(i + 1) % len(ring)]])
         return pos, adj
 
+    def _first_pair(self, meet, what):
+        """Refuse the first pair of edges in edge order for which meet holds."""
+        for i, (a, b) in enumerate(self.edges):
+            for c, d in self.edges[i + 1:]:
+                if meet((a, b), (c, d)):
+                    raise ValueError(f"edges {a!r}->{b!r} and {c!r}->{d!r} {what}")
+
     def faces(self):
         pos, adj = self._scaffold_graph()
+        self._first_pair(lambda e, f: same_ray(self.pos, e, f), "overlap")
         rotation = {}
         rot_index = {}
         for v, nbrs in adj.items():
@@ -204,6 +292,11 @@ class CornerWalkDisc(geometry.Disc):
                 raise ValueError("network edge touches the outer face")
             lefts.append(face_marker[lo])
             rights.append(face_marker[ro])
+        self._first_pair(
+            lambda e, f: not set(e) & set(f)
+            and segments_meet(*(self.pos[v] for v in (*e, *f))),
+            "cross",
+        )
         return lefts, rights
 
 

@@ -289,6 +289,13 @@ MUTANTS = [
         ("test_evaluate_oracle.py",),
     ),
     Mutant(
+        "window rows reported in evaluation order",
+        "verify.py",
+        "return [found[i] for i in range(len(rows))]",
+        "return list(found.values())",
+        ("test_verify.py", "test_cli_corpus.py"),
+    ),
+    Mutant(
         "skein check skipped before deriving R*",
         "verify.py",
         "    _skein(m.rows)\n    _skein(m.cols)\n",
@@ -318,13 +325,27 @@ MUTANTS = [
         "order[bisect_left(xs, lo + 1):bisect_left(xs, hi)]",
         ("test_geometry.py", "test_network.py", "test_cli.py", "test_evaluate_oracle.py"),
     ),
-    # the transport walk
+    # the planarity of a drawing
     Mutant(
-        "cyclic sign read from the trail without the sink",
-        "network.py",
-        "points = [coords[u] for u in trail] + [coords[v]]",
-        "points = [coords[u] for u in trail]",
-        ("test_network.py",),
+        "the sweep drops an edge from its active list one step early",
+        "geometry.py",
+        "active = [box for box in active if box[1] >= x_lo]",
+        "active = [box for box in active if box[1] > x_lo]",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "an end lying on another edge allowed",
+        "geometry.py",
+        "return o1 * o2 <= 0 and o3 * o4 <= 0",
+        "return o1 * o2 < 0 and o3 * o4 < 0",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "same-ray neighbours allowed",
+        "geometry.py",
+        'self._refuse_pair(rays, "overlap")',
+        "pass",
+        ("test_geometry.py", "test_cli.py", "test_cli_corpus.py"),
     ),
     # a drawn network completed in Network.__init__
     Mutant(
@@ -340,6 +361,14 @@ MUTANTS = [
         "e.exponent is not None and tuple(e.exponent) != vec",
         "False",
         ("test_cli.py", "test_network.py"),
+    ),
+    Mutant(
+        "a cyclic network with stored data skips derivation",
+        "network.py",
+        "        if geometry is not None:\n            e_mat, exps",
+        "        if geometry is not None and (self.is_acyclic or form is None):\n"
+        "            e_mat, exps",
+        ("test_network.py", "test_cli_corpus.py"),
     ),
     Mutant(
         "derived exponents not filled in",

@@ -421,7 +421,7 @@ def test_cyclic_without_bound_or_drawing_exits_2_at_load(tmp_path, monkeypatch, 
     path = tmp_path / "cyclic.json"
     cases = [
         ("max_cycle_uses", "cyclic network: set max_cycle_uses to bound path enumeration"),
-        ("geometry", "path signs in a cyclic network require a drawing"),
+        ("geometry", "a cyclic network requires a drawing"),
     ]
     for key, message in cases:
         path.write_text(json.dumps({**doc, key: None}))
@@ -490,8 +490,8 @@ def test_help_still_exits_0(argv, capsys):
 
 
 def test_export_transport_matches_golden(tmp_path, capsys):
-    # cyclic2x2.json: two sources and two sinks around one signed loop,
-    # max_cycle_uses 2
+    # cyclic2x2.json: a planar drawing with two sources, two sinks and one
+    # cycle, max_cycle_uses 2
     cases = [
         (["--builder", "triangle", "--n", "2"], "triangle2_transport.txt"),
         (["--input", str(GOLDEN / "cyclic2x2.json")], "cyclic2x2_transport.txt"),
@@ -823,6 +823,26 @@ def test_face_error_does_not_depend_on_hash_seed(tmp_path):
         errs.append(proc.stderr)
     assert errs[0] == errs[1]
     assert errs[0].startswith("error: face must contain exactly one marker")
+
+
+def test_same_ray_refusal_does_not_depend_on_hash_seed(tmp_path):
+    # triangle(4) with b2_1 moved onto the ray from g1_2 through b1_2: the
+    # rotation sort at g1_2 cannot order those two edges, and set order,
+    # which follows the hash seed, must not decide the outcome
+    doc = network_to_dict(build_triangle(4))
+    coords = doc["geometry"]["coords"]
+    coords["4"], coords["b2_1"] = [[27, 4], [-13, 20]], [[5, 2], [3, 5]]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    argv = [sys.executable, "-m", "qtransport.cli", "export", "transport", "--input", path]
+    outcomes = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        outcomes.add((proc.returncode, proc.stdout, proc.stderr))
+    assert outcomes == {
+        (2, "", "error: edges 'g1_2'->'b1_2' and 'g1_2'->'b2_1' overlap\n")
+    }
 
 
 @functools.cache

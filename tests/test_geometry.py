@@ -187,6 +187,25 @@ def test_perturbed_drawings_match_corner_walk_oracle(name):
         _assert_matches_oracle(_perturbed(drawing, rng))
 
 
+@pytest.mark.parametrize(
+    "name, vertex, xy, message",
+    [
+        ("chain22b", "a2", (Fraction(21, 2), Fraction(3, 4)), "edges 'a1'->'B1' and 'a2'->'B2' cross"),
+        # a2 lies on a1->B1
+        ("chain22b", "a1", (Fraction(53, 4), 3), "edges 'a1'->'B1' and 'a2'->'B2' cross"),
+        # 1'' lies on the vertical g0_2->2'', whose x is where g0_1->1'' ends
+        ("triangle3", "1''", (2, Fraction(-3, 4)), "edges 'g0_1'->\"1''\" and 'g0_2'->\"2''\" cross"),
+        # U->B2 and B2->B1 leave B2 eastwards, B2->B1 and B1->W1 leave B1 westwards
+        ("chain22b", "B2", (Fraction(39, 4), 0), "edges 'U'->'B2' and 'B2'->'B1' overlap"),
+    ],
+    ids=["proper-crossing", "end-on-edge", "end-at-sweep-edge", "same-ray"],
+)
+def test_a_drawing_that_is_not_a_planar_embedding_names_its_first_pair(name, vertex, xy, message):
+    vertices, edges, sources, sinks, coords, markers = _drawing(DRAWN[name]())
+    drawing = vertices, edges, sources, sinks, {**coords, vertex: xy}, markers
+    assert _assert_matches_oracle(drawing) == message
+
+
 def test_perturbed_corpus_has_valid_and_rejected_drawings():
     kinds = set()
     for name in ("triangle3", "chain22b", "word0"):

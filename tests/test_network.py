@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from geometry_oracle import corners_between, polyline_crossings
+from geometry_oracle import corners_between, path_self_crossings, polyline_crossings
 from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import QMatrix, invert_restricted, matmul
 from qtransport import geometry, network
@@ -311,25 +311,30 @@ def transport_entry(net, a, c):
         walk(src, [0] * n)
         return total
 
-    coords = net.geometry.coords
-    uses = {id(e): 0 for e in net.edges}
+    for path in cyclic_paths(net, src, snk):
+        vec = [sum(col) for col in zip([0] * n, *(e.exponent for e in path))]
+        total = total + weyl(net.form, tuple(vec))
+    return total
 
-    def walk(v, vec, trail):
-        nonlocal total
+
+def cyclic_paths(net, src, snk):
+    """Paths from src to snk of a cyclic network, as edge lists, that take
+    no edge more than max_cycle_uses times."""
+    out = {v: [] for v in net.vertices}
+    for e in net.edges:
+        out[e.frm].append(e)
+    done = []
+
+    def walk(v, path):
         if v == snk:
-            sign = geometry.path_self_crossings([coords[u] for u in trail])
-            coeff = QScalar.from_int(-1 if sign % 2 else 1)
-            total = total + weyl(net.form, tuple(vec), coeff)
+            done.append(path)
             return
         for e in out[v]:
-            if uses[id(e)] >= net.max_cycle_uses:
-                continue
-            uses[id(e)] += 1
-            walk(e.to, [x + y for x, y in zip(vec, e.exponent)], trail + [e.to])
-            uses[id(e)] -= 1
+            if path.count(e) < net.max_cycle_uses:
+                walk(e.to, path + [e])
 
-    walk(src, [0] * n, [src])
-    return total
+    walk(src, [])
+    return done
 
 
 def _oracle_entry(net, a, c):
@@ -367,18 +372,14 @@ def _cyclic2x2(max_cycle_uses):
 
 
 def _shuffled(net, seed=7):
-    """The network reloaded with its vertex and edge lists shuffled.
-
-    An acyclic network also drops its exponents, so the loader derives them
-    from the drawing again; a cyclic one keeps them, as its drawing may cross.
-    """
+    """The network reloaded with its vertex and edge lists shuffled and its
+    exponents dropped, so the loader derives them from the drawing again."""
     rng = random.Random(seed)
     doc = network_to_dict(net)
     rng.shuffle(doc["vertices"])
     rng.shuffle(doc["edges"])
-    if net.is_acyclic:
-        for edge in doc["edges"]:
-            edge["exponent"] = None
+    for edge in doc["edges"]:
+        edge["exponent"] = None
     return network_from_dict(doc)
 
 
@@ -459,29 +460,29 @@ def test_block_split_slices():
 
 
 def _cyclic_fixture(with_geometry=True, max_cycle_uses=2):
-    # a -> P -> Q -> R -> c with a back edge R -> P; the exit segment R -> c
-    # crosses P -> Q transversally, so the shortest path carries sign -1.
-    form = SkewForm([[0]])
+    # a -> M -> S -> N -> c around a cycle M -> S -> T -> M, with T -> N a
+    # second way into N.  Faces: triangles MST and STN, the regions above
+    # and below.  A path closed by its clockwise return arc winds once
+    # around each face below it, and once more around MST per turn of the
+    # cycle; the form and exponents stored here are the drawing's.
+    form = SkewForm([[0, 0, 2, -2], [0, 0, -2, 2], [-2, 2, 0, 0], [2, -2, 0, 0]])
     edges = [
-        Edge("a", "P", (0,)),
-        Edge("P", "Q", (1,)),
-        Edge("Q", "R", (0,)),
-        Edge("R", "P", (0,)),
-        Edge("R", "c", (0,)),
+        Edge("a", "M", (1, 1, 1, 1)),
+        Edge("M", "S", (0, 0, 0, 0)),
+        Edge("S", "T", (0, 0, 0, 0)),
+        Edge("T", "M", (1, 0, 0, 0)),
+        Edge("S", "N", (0, 0, -1, 0)),
+        Edge("T", "N", (0, -1, -1, 0)),
+        Edge("N", "c", (0, 0, 0, 0)),
     ]
     geom = None
     if with_geometry:
-        coords = {
-            "a": (Fraction(0), Fraction(2)),
-            "P": (Fraction(0), Fraction(0)),
-            "Q": (Fraction(-1), Fraction(-1)),
-            "R": (Fraction(1), Fraction(-1)),
-            "c": (Fraction(-2), Fraction(1)),
-        }
-        geom = Geometry(coords=coords, face_markers=[(Fraction(0), Fraction(-Fraction(2, 3)))])
+        coords = {"a": (-3, 0), "M": (-1, 0), "S": (0, 1), "T": (0, -1), "N": (1, 0), "c": (3, 0)}
+        markers = [(Fraction(-1, 3), 0), (Fraction(1, 3), 0), (0, 2), (0, -2)]
+        geom = Geometry(coords=coords, face_markers=markers)
     return Network(
         form=form,
-        vertices=["a", "P", "Q", "R", "c"],
+        vertices=["a", "M", "S", "T", "N", "c"],
         edges=edges,
         sources=["a"],
         sinks=["c"],
@@ -492,16 +493,18 @@ def _cyclic_fixture(with_geometry=True, max_cycle_uses=2):
 
 def test_cyclic_transport_frozen():
     net = _cyclic_fixture()
-    form = net.form
-    # one crossing on the short path, two on the once-around path
-    expected = wv(form, (1,), QScalar.from_int(-1)) + wv(form, (2,))
+    # a M S N c and a M S T N c, each once more with one turn M S T M
+    expected = sum(
+        (wv(net.form, vec) for vec in [(1, 1, 0, 1), (1, 0, 0, 1), (2, 1, 0, 1), (2, 0, 0, 1)]),
+        QElem.zero(net.form),
+    )
     assert transport_matrix(net).entry(0, 0) == expected
 
 
 def test_cyclic_truncation_bound_one():
     net = _cyclic_fixture(max_cycle_uses=1)
-    assert transport_matrix(net).entry(0, 0) == wv(
-        net.form, (1,), QScalar.from_int(-1)
+    assert transport_matrix(net).entry(0, 0) == wv(net.form, (1, 1, 0, 1)) + wv(
+        net.form, (1, 0, 0, 1)
     )
 
 
@@ -512,30 +515,49 @@ def test_cyclic_requires_truncation():
 
 def test_cyclic_requires_geometry():
     # refused whether or not its exponents are stored
-    with pytest.raises(ValueError, match="^path signs in a cyclic network require a drawing$"):
+    with pytest.raises(ValueError, match="^a cyclic network requires a drawing$"):
         _cyclic_fixture(with_geometry=False)
     doc = network_to_dict(_cyclic_fixture())
     doc["geometry"] = None
     for edge in doc["edges"]:
         edge["exponent"] = None
-    with pytest.raises(ValueError, match="^path signs in a cyclic network require a drawing$"):
+    with pytest.raises(ValueError, match="^a cyclic network requires a drawing$"):
         network_from_dict(doc)
 
 
-def test_cyclic_path_bound_at_the_packed_limit_is_refused_before_walking(
-    monkeypatch,
-):
-    # The edge spans of cyclic2x2 sum to 4, so 4096 uses per edge could
-    # reach exponent 16384, one past what a packed term holds; refused
-    # when the network is built.
-    def walked(points):
-        raise AssertionError("the walk started")
+CYCLIC = {
+    **{f"cyclic2x2-uses{k}": (lambda k=k: _cyclic2x2(k)) for k in (1, 2, 3)},
+    **{f"fixture-uses{k}": (lambda k=k: _cyclic_fixture(max_cycle_uses=k)) for k in (1, 2, 3)},
+}
 
-    monkeypatch.setattr(geometry, "path_self_crossings", walked)
-    with pytest.raises(ValueError, match="may reach 16384 in size"):
-        _cyclic2x2(4096)
-    with pytest.raises(AssertionError, match="the walk started"):
-        transport_matrix(_cyclic2x2(1))
+
+@pytest.mark.parametrize("name", list(CYCLIC))
+def test_no_walked_path_of_a_cyclic_network_crosses_itself(name):
+    # A planar drawing gives every walked path no self-crossing, so the
+    # walk may add each path with coefficient 1.
+    net = CYCLIC[name]()
+    coords = net.geometry.coords
+    m = transport_matrix(net)
+    for a, src in enumerate(net.sources):
+        for c, snk in enumerate(net.sinks):
+            paths = cyclic_paths(net, src, snk)
+            for path in paths:
+                points = [coords[src]] + [coords[e.to] for e in path]
+                assert path_self_crossings(points) == 0
+            assert sum(m.entry(c, a).terms.values()) == len(paths)
+    # the counter itself sees a crossing and an interleaving pass
+    assert path_self_crossings([(0, 0), (2, 2), (2, 0), (0, 2)]) == 1
+    assert path_self_crossings([(-1, 0), (0, 0), (0, 1), (-1, 1), (0, 0), (1, -1)]) == 1
+
+
+def test_cyclic_path_bound_at_the_packed_limit_is_refused_before_walking():
+    # The edge spans of cyclic2x2 sum to 6, so 2731 uses per edge could
+    # reach exponent 16386, past what a packed term holds; refused when the
+    # network is built, before anything walks it.
+    with pytest.raises(ValueError, match="may reach 16386 in size"):
+        _cyclic2x2(2731)
+    with pytest.raises(ValueError, match="^transport paths may visit 21841 vertices"):
+        _cyclic2x2(2730)  # its span, 16380, fits, and its path depth is next
 
 
 def _line(edges):
@@ -550,23 +572,18 @@ def _line(edges):
     )
 
 
-def test_deep_paths_are_refused_before_walking(monkeypatch):
+def test_deep_paths_are_refused_before_walking():
     # The walk recurses once per vertex of a path.  An acyclic network is
-    # bounded by its longest path; a path in cyclic2x2 (7 edges) may visit
-    # 7 uses + 1 vertices.  Both are refused when the network is built.
+    # bounded by its longest path; a path in cyclic2x2 (8 edges) may visit
+    # 8 uses + 1 vertices.  Both are refused when the network is built.
     assert _line(799).longest_path == network.MAX_PATH_DEPTH == 800
     assert transport_matrix(_line(799)) == QMatrix.identity(1, SkewForm([[0]]))
     with pytest.raises(ValueError, match="may visit 801 vertices; the limit is 800"):
         _line(800)  # refused by its constructor, though it has no drawing
-
-    def walked(points):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(geometry, "path_self_crossings", walked)
-    with pytest.raises(ValueError, match="may visit 806 vertices; the limit is 800"):
-        _cyclic2x2(115)
-    with pytest.raises(AssertionError, match="the walk started"):
-        transport_matrix(_cyclic2x2(114))
+    with pytest.raises(ValueError, match="may visit 801 vertices; the limit is 800"):
+        _cyclic2x2(100)
+    # a1 reaches each sink after up to 98 turns of the cycle M1 S1 S2
+    assert sum(transport_matrix(_cyclic2x2(99)).entry(1, 0).terms.values()) == 99
 
 
 def test_longest_path_counts_vertices_and_is_none_on_a_cycle():
@@ -594,24 +611,6 @@ def test_path_count_of_the_topological_pass_matches_a_walk():
 
 
 def test_path_walk_stops_past_its_budget(monkeypatch):
-    # a cyclic walk signs each path once, the whole path from its source to
-    # its sink; an acyclic walk signs none
-    signed = []
-
-    def crossings(points):
-        signed.append(points)
-        return 0
-
-    monkeypatch.setattr(geometry, "path_self_crossings", crossings)
-    transport_matrix(build_triangle(3))
-    assert signed == []
-    net = _cyclic2x2(3)
-    m = transport_matrix(net)  # every path signed +1, so the terms count them
-    paths = sum(n for i in range(m.rows) for j in range(m.cols) for n in m.entry(i, j).terms.values())
-    assert len(signed) == paths > 5
-    coords = net.geometry.coords
-    ends = {(coords[a], coords[c]) for a in net.sources for c in net.sinks}
-    assert {(p[0], p[-1]) for p in signed} <= ends
     # triangle(3) has 2^4 - 2 = 14 source-sink paths; an acyclic network's
     # walk bounds are checked when it is built, not when it is walked
     monkeypatch.setattr(network, "PATH_BUDGET", 14)
@@ -622,12 +621,15 @@ def test_path_walk_stops_past_its_budget(monkeypatch):
     assert transport_matrix(net) == full
     with pytest.raises(ValueError, match="^transport has 14 source-sink paths; the limit is 13$"):
         network_from_dict(doc)
-    # a cyclic walk is cut at the same count: each arrival signs one path
-    signed.clear()
-    monkeypatch.setattr(network, "PATH_BUDGET", 5)
-    with pytest.raises(ValueError, match="walked 6 source-sink paths; the limit is 5"):
-        transport_matrix(_cyclic2x2(100))
-    assert len(signed) == 5
+    # a cyclic walk is cut at the same count: each path counts once, when
+    # it reaches its sink, and adds 1 to its entry
+    m = transport_matrix(_cyclic2x2(3))
+    paths = sum(n for i in range(m.rows) for j in range(m.cols) for n in m.entry(i, j).terms.values())
+    monkeypatch.setattr(network, "PATH_BUDGET", paths)
+    assert transport_matrix(_cyclic2x2(3)) == m
+    monkeypatch.setattr(network, "PATH_BUDGET", paths - 1)
+    with pytest.raises(ValueError, match=f"walked {paths} source-sink paths; the limit is {paths - 1}"):
+        transport_matrix(_cyclic2x2(3))
 
 
 def test_an_acyclic_walk_is_bounded_once_per_load_and_not_in_the_walk(monkeypatch):
@@ -767,7 +769,7 @@ def _marker_moved(doc):
     markers[1] = markers[0]
 
 
-@pytest.mark.parametrize(
+BAD_DRAWINGS = pytest.mark.parametrize(
     "edit, message",
     [
         (_skew_form_off, "drawing disagrees with the stored skew form"),
@@ -776,12 +778,26 @@ def _marker_moved(doc):
     ],
     ids=["skew-form", "exponent", "face-marker"],
 )
+
+
+@BAD_DRAWINGS
 def test_bad_drawing_is_refused_at_load(edit, message, monkeypatch):
     def walked(net):
         raise AssertionError("transport was started")
 
     monkeypatch.setattr(network, "transport_matrix", walked)
     doc = network_to_dict(build_triangle(2))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        network_from_dict(doc)
+
+
+@BAD_DRAWINGS
+def test_bad_drawing_of_a_cyclic_network_is_refused_at_load(edit, message):
+    # a cyclic network that stores its form and every exponent is derived
+    # from its drawing too
+    doc = json.loads(CYCLIC2X2.read_text())
+    network_from_dict(doc)
     edit(doc)
     with pytest.raises(ValueError, match=message):
         network_from_dict(doc)

@@ -8,6 +8,7 @@ summed level relations and the componentwise ones on arbitrary input.
 
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +286,51 @@ def test_loop_negative_control():
     t = loop_generators(_chain_blocks(2, 1, bridge=True))
     rep = verify.check_loop(_with_perturbed_level(t, 1), -2, 1)
     assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "kind, series, window, levels",
+    [
+        ("loop", loop_generators, (-2, 1), range(-2, 3)),
+        ("affine", levels_T, (2, 2), range(0, 5)),
+    ],
+)
+def test_window_rows_are_evaluated_by_level_sum_and_reported_in_window_order(
+    kind, series, window, levels, monkeypatch
+):
+    # Level 1 perturbed, so that rows of several level sums fail.  The rows
+    # reach evaluate sorted by the levels their first word reads, and the
+    # report equals the one of evaluating them in window order.
+    t = _with_perturbed_level(series(_chain_blocks(2, 1, bridge=True)), 1)
+    check = getattr(verify, f"check_{kind}")
+    evaluated, finished = [], []
+    evaluate, finish = verify.evaluate, verify._finish
+
+    def spied_evaluate(*relations):
+        evaluated.extend(relations)
+        return evaluate(*relations)
+
+    def spied_finish(name, parameters, items):
+        finished.append(items)
+        return finish(name, parameters, items)
+
+    monkeypatch.setattr(verify, "evaluate", spied_evaluate)
+    monkeypatch.setattr(verify, "_finish", spied_finish)
+    rep = check(t, *window)
+    level = {id(t.get(k)): k for k in levels}
+    sums = [sum(level[id(mat)] for _, mat in relation[0][1][1:]) for relation in evaluated]
+    assert sums == sorted(sums) and len(set(sums)) > 2
+    (items,) = finished
+    if kind == "loop":
+        cells = product(range(window[0], window[1] + 1), repeat=2)
+        rows = [(f"C({a},{b})", verify._loop_terms(t, t, a, b)) for a, b in cells]
+    else:
+        cells = product(range(window[0] + 1), range(window[1] + 1))
+        rows = [(f"S({k},{p})", verify._affine_terms(t, k, p)) for k, p in cells]
+    monkeypatch.setattr(verify, "evaluate", evaluate)
+    assert [label for label, _ in items] == [label for label, _ in rows]
+    assert items == verify._table(rows)
+    assert not rep.passed and len({r["index"] for r in rep.residuals}) > 2
 
 
 def test_subalgebra_on_chains():
