@@ -3,7 +3,7 @@
 Loads a network file or builds a named family, runs identity checkers from
 the verify module, and exports transport data in a canonical text or JSON
 rendering.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
-arguments, unreadable input or a check of a cyclic network's truncated transport.
+arguments or unreadable input, a network with a directed cycle among them.
 
 Each check kind is one entry of CHECKS; `check all` runs its suite through
 the same entries.  Series are built on first read, so only windows are sized.
@@ -145,11 +145,7 @@ def _resolve_source(args):
     """The source the checked flags name; a --split that does not fit it is refused."""
     split = _parse_ints(args.split, 3) if args.split is not None else None
     if args.input is not None:
-        net = load_network(args.input)
-        if args.command == "check" and not net.is_acyclic:
-            raise ValueError("a cyclic network's transport is truncated at max_cycle_uses "
-                             f"{net.max_cycle_uses}, so its identities cannot be checked")
-        m, default = transport_matrix(net), None
+        m, default = transport_matrix(load_network(args.input)), None
     elif args.builder == "triangle":
         (n,) = _parse_ints(args.n, 1) if args.n is not None else (2,)
         m = transport_matrix(build_triangle(n))  # 2n x n

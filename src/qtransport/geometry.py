@@ -51,12 +51,14 @@ Conventions, fixed once and used everywhere:
   enters, and -1 for a split vertex it enters or a merge vertex it leaves.
   Boundary endpoints contribute nothing.
 
-* A drawing must be a planar embedding.  Disc.faces refuses two edges that
-  leave one vertex along one ray, before its face walk, and two edges that
-  share any other point than a common end, after it; the pair named is the
-  first in edge order.  With every internal vertex a split or a merge, no
-  directed path then crosses itself or crosses over at a vertex, so every
-  path counts in a transport entry with sign +1.
+* A drawing must be a planar embedding, its spokes included.  Disc.faces
+  refuses two edges that leave one vertex along one ray, before its face
+  walk, and after it two edges that share any other point than a common
+  end, then an edge that meets a boundary vertex's spoke anywhere but at
+  that vertex; the pair named is the first in edge order.  With every
+  internal vertex a split or a merge, no directed path then crosses itself
+  or crosses over at a vertex, so every path counts in a transport entry
+  with sign +1.
 """
 
 from bisect import bisect_left
@@ -128,6 +130,18 @@ def _segments_meet(a, b, c, d):
     if o1 == o2 == o3 == o4 == 0:  # one line, along which points sort as tuples
         return max(min(a, b), min(c, d)) <= min(max(a, b), max(c, d))
     return o1 * o2 <= 0 and o3 * o4 <= 0
+
+
+def _meet_elsewhere(grid, s, t):
+    """Whether segments s and t, each a pair of vertices, share a point other
+    than a common end; two segments with one common end share another point
+    exactly when they leave it along one ray."""
+    common = set(s) & set(t)
+    if not common:
+        return _segments_meet(*(grid[v] for v in (*s, *t)))
+    (v,) = common
+    (x, y), ends = grid[v], [grid[u] for u in (*s, *t) if u != v]
+    return _dir_cmp(*((ex - x, ey - y) for ex, ey in ends)) == 0
 
 
 def check_edge_ends(edges, coords):
@@ -254,10 +268,11 @@ class Disc:
         clockwise order; its vertices are ("sq", k), k counting the ring
         points in the order they are first met, and join self.pos.
         self._grid holds every vertex's point on the integer grid.  self.adj
-        holds the neighbours of every vertex.  self.crossing maps each dart
-        (u, v) to the signed crossings of segment u->v with the markers'
-        rays, computed once per segment.  self.arc maps each boundary vertex
-        b to A(b).
+        holds the neighbours of every vertex, and self.spokes each boundary
+        vertex's spoke (b, its ring vertex), sources then sinks.
+        self.crossing maps each dart (u, v) to the signed crossings of
+        segment u->v with the markers' rays, computed once per segment.
+        self.arc maps each boundary vertex b to A(b).
         """
         pos = self.pos
         square = {}
@@ -308,9 +323,9 @@ class Disc:
 
         for frm, to in self.edges:
             add(frm, to)
-        for p, members in square.items():
-            for b in members:
-                add(b, ring_id[p])
+        self.spokes = [(b, ring_id[self.proj[b]]) for b in self.sources + self.sinks]
+        for b, q in self.spokes:
+            add(b, q)
         a = [0] * len(markers)
         self.arc = {}
         for p, p_next in zip(ring, ring[1:] + ring[:1]):
@@ -425,16 +440,21 @@ class Disc:
             raise ValueError(f"edges {names[0]} and {names[1]} {what}")
 
     def _refuse_crossings(self):
-        """Refuse two edges that share a point other than a common end.
+        """Refuse two edges that share a point other than a common end, then
+        an edge that meets a boundary vertex's spoke anywhere but at that vertex.
 
-        Edges sorted by their bounding boxes are swept in x: an edge leaves
-        the active list once it ends left of the next edge's start, and two
-        edges are tested only where their y ranges overlap.
+        Edges and spokes sorted by their bounding boxes are swept in x: a
+        segment leaves the active list once it ends left of the next one's
+        start, and two are tested only where their y ranges overlap.  Two
+        spokes lie on distinct rays from the centre, so they never meet.
         """
-        grid, names, boxes, active, met = self._grid, [], [], [], []
-        for k, (frm, to) in enumerate(self.edges):
-            (x1, y1), (x2, y2) = grid[frm], grid[to]
-            names.append({frm, to})
+        grid, n = self._grid, len(self.edges)
+        segments, boxes, active, met = self.edges + self.spokes, [], [], []
+        # Two segments are tested when these sets are disjoint: an edge's
+        # ends, and one name for all spokes, none of which meet.
+        names = [set(edge) for edge in self.edges] + [{None}] * len(self.spokes)
+        for k, (u, w) in enumerate(segments):
+            (x1, y1), (x2, y2) = grid[u], grid[w]
             boxes.append((min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2), k))
         for x_lo, x_hi, lo, hi, k in sorted(boxes):
             active = [box for box in active if box[1] >= x_lo]
@@ -442,10 +462,16 @@ class Disc:
                 (j, k) if j < k else (k, j)
                 for _, _, j_lo, j_hi, j in active
                 if j_lo <= hi and lo <= j_hi and names[j].isdisjoint(names[k])
-                and _segments_meet(*(grid[v] for v in (*self.edges[j], *self.edges[k])))
+                and _meet_elsewhere(grid, segments[j], segments[k])
             ]
             active.append((x_lo, x_hi, lo, hi, k))
-        self._refuse_pair(met, "cross")
+        self._refuse_pair([(j, k) for j, k in met if k < n], "cross")
+        spoked = [(j, k - n) for j, k in met if k >= n]
+        if spoked:
+            j, k = min(spoked)
+            frm, to = self.edges[j]
+            b = self.spokes[k][0]
+            raise ValueError(f"edge {frm!r}->{to!r} crosses the spoke of boundary vertex {b!r}")
 
     def exchange_matrix(self):
         """Twice the face skew form, from the per-endpoint edge rule."""

@@ -31,18 +31,17 @@ Geometry = namedtuple("Geometry", "coords face_markers")
 
 
 class Network:
-    """A planar directed network, complete once built.
+    """A planar acyclic directed network, complete once built.
 
     A drawing fixes the skew form and every edge exponent, and whenever
     there is one they are derived from it here, once: form=None takes the
     form from the drawing, a stored form or exponent must agree with it,
     and missing exponents are filled in.  The derivation refuses a drawing
     that is not a planar embedding.  Every bound of the transport walk is
-    checked here, so transport_matrix only walks: an acyclic network whose
-    paths are too deep or too many is refused, drawn or not, before any
-    derivation; a cyclic one needs a drawing, whose planarity makes every
-    path count with sign +1, and max_cycle_uses; and no network's exponents
-    may outgrow packed terms.
+    checked here, so transport_matrix only walks: a network with a directed
+    cycle, or whose paths are too deep or too many, is refused, drawn or
+    not, before any derivation; and no network's exponents may outgrow
+    packed terms.
     """
 
     def __init__(
@@ -53,7 +52,6 @@ class Network:
         sources,
         sinks,
         geometry=None,
-        max_cycle_uses=None,
         generators=None,
     ):
         if form is None and geometry is None:
@@ -64,7 +62,6 @@ class Network:
         self.sources = list(sources)
         self.sinks = list(sinks)
         self.geometry = geometry
-        self.max_cycle_uses = max_cycle_uses
         self.generators = (
             list(generators)
             if generators is not None
@@ -72,10 +69,6 @@ class Network:
         )
         if len(self.generators) != n:
             raise ValueError("one generator name per skew-form row required")
-        if max_cycle_uses is not None and max_cycle_uses < 1:
-            raise ValueError(
-                f"max_cycle_uses must be at least 1, got {max_cycle_uses}"
-            )
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("vertex names must be unique")
@@ -105,18 +98,15 @@ class Network:
             check_edge_ends(((e.frm, e.to) for e in self.edges), geometry.coords)
             if len(geometry.face_markers) != n:
                 raise ValueError("one face marker per generator required")
-        acyclic = _longest_path(self.vertices, self.edges, self.sources, self.sinks)
-        self.is_acyclic = acyclic is not None
-        # source-sink paths, counted only when there is no cycle
-        self.longest_path, self.path_count = acyclic or (None, None)
-        if self.is_acyclic:
-            if geometry is None and any(e.exponent is None for e in self.edges):
-                raise ValueError("edges lack exponents and there is no drawing")
-            _refuse_walk(self.longest_path, self.path_count)  # before deriving
-        elif geometry is None:
-            raise ValueError("a cyclic network requires a drawing")
-        elif max_cycle_uses is None:
-            raise ValueError("cyclic network: set max_cycle_uses to bound path enumeration")
+        walk = _longest_path(self.vertices, self.edges, self.sources, self.sinks)
+        if walk is None:
+            raise ValueError(
+                "the network has a directed cycle; only acyclic networks are supported"
+            )
+        self.longest_path, self.path_count = walk
+        if geometry is None and any(e.exponent is None for e in self.edges):
+            raise ValueError("edges lack exponents and there is no drawing")
+        _refuse_walk(self.longest_path, self.path_count)  # before deriving
         if geometry is not None:
             e_mat, exps = derive_network_data(
                 self.vertices,
@@ -136,13 +126,10 @@ class Network:
             ):
                 raise ValueError("drawing disagrees with stored edge exponents")
             self.edges = [Edge(e.frm, e.to, vec) for e, vec in zip(self.edges, exps)]
-        # A path takes each edge at most max_cycle_uses times (once if
-        # acyclic), so no exponent of a transport entry exceeds span in size.
-        uses = 1 if self.is_acyclic else max_cycle_uses
-        self.span = uses * sum(max(map(abs, e.exponent), default=0) for e in self.edges)
+        # A path takes each edge at most once, so no exponent of a transport
+        # entry exceeds span in size.
+        self.span = sum(max(map(abs, e.exponent), default=0) for e in self.edges)
         check_span(self.span, "transport exponents")
-        if not self.is_acyclic:
-            _refuse_walk(len(self.edges) * uses + 1, None)
         self.form = form
         self.out_edges = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -218,7 +205,6 @@ def network_to_dict(net):
         "sources": list(net.sources),
         "sinks": list(net.sinks),
         "geometry": None,
-        "max_cycle_uses": net.max_cycle_uses,
     }
     if net.geometry is not None:
         doc["geometry"] = {
@@ -284,11 +270,6 @@ def network_from_dict(doc):
                 _point_from_json(xy) for xy in _list_of(list, markers, "face_markers")
             ],
         )
-    max_cycle_uses = doc.get("max_cycle_uses")
-    if max_cycle_uses is not None and type(max_cycle_uses) is not int:
-        raise ValueError(
-            f"max_cycle_uses must be an integer or null, got {max_cycle_uses!r}"
-        )
     generators = doc.get("generators")
     if generators is not None:
         _list_of(str, generators, "generators")
@@ -299,7 +280,6 @@ def network_from_dict(doc):
         sources=_list_of(str, sources, "sources"),
         sinks=_list_of(str, sinks, "sinks"),
         geometry=geom,
-        max_cycle_uses=max_cycle_uses,
         generators=generators,
     )
 
@@ -307,12 +287,6 @@ def network_from_dict(doc):
 def load_network(path):
     with open(path, encoding="utf-8") as fh:
         return network_from_dict(json.load(fh))
-
-
-def save_network(net, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=1)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +302,8 @@ MAX_PATH_DEPTH = 800
 
 def _refuse_walk(depth, path_count):
     """Refuse a walk whose paths may visit more than MAX_PATH_DEPTH vertices,
-    or, when path_count is known (an acyclic network), one with more than
-    PATH_BUDGET source-sink paths.
+    or, when path_count is given, one with more than PATH_BUDGET source-sink
+    paths.
     """
     if depth > MAX_PATH_DEPTH:
         raise ValueError(
@@ -345,47 +319,25 @@ def transport_matrix(net):
     """Matrix of transport amplitudes, sinks indexing rows, sources columns.
 
     One walk per source visits every directed path that leaves it and adds
-    the path's monomial to the entry of the sink where the path ends.  In a
-    cyclic network each edge may be used at most max_cycle_uses times on a
-    path.  Every path counts with sign +1: a drawing is a planar embedding,
-    so no path crosses itself, and a cyclic network is always drawn.  Every
-    bound of the walk was checked when net was built, but for the paths of
-    a cyclic network, which only its walk can count: it stops with
-    ValueError once more than PATH_BUDGET paths have reached a sink.
+    the path's monomial to the entry of the sink where the path ends.  Every
+    path counts with sign +1: a drawing is a planar embedding, so no path
+    crosses itself.  Every bound of the walk was checked when net was built.
     """
     form, span = net.form, net.span
-    cyclic, bound = not net.is_acyclic, net.max_cycle_uses
-    # each vertex's out-steps, resolved once: (edge id, head, monomial code)
+    # each vertex's out-steps, resolved once: (head, monomial code)
     steps = {
-        v: [(id(e), e.to, form.encode(e.exponent)) for e in out]
+        v: [(e.to, form.encode(e.exponent)) for e in out]
         for v, out in net.out_edges.items()
     }
     row = {snk: c for c, snk in enumerate(net.sinks)}
-    # Only a cyclic walk reads these: the times each edge is on the path so
-    # far, and the paths that reached a sink.
-    uses, paths = dict.fromkeys(map(id, net.edges), 0), 0
 
     def walk(v, t, column):
-        nonlocal paths
         if v in row:
-            if cyclic:
-                paths += 1
-                if paths > PATH_BUDGET:
-                    raise ValueError(
-                        f"transport walked {paths} source-sink paths; "
-                        f"the limit is {PATH_BUDGET}"
-                    )
             cell = column[row[v]]
             cell[t] = cell.get(t, 0) + 1
-        elif not cyclic:
-            for _, w, c in steps[v]:
-                walk(w, t + c, column)
         else:
-            for k, w, c in steps[v]:
-                if uses[k] < bound:
-                    uses[k] += 1
-                    walk(w, t + c, column)
-                    uses[k] -= 1
+            for w, c in steps[v]:
+                walk(w, t + c, column)
 
     columns = []
     for src in net.sources:

@@ -9,12 +9,14 @@ change in what the command line prints.  The corpus holds:
 
 - every check kind and export, as text and with --json, on triangle(2),
   triangle(3), chain(2,2,bridge), chain(2,3,bridge), hat(3), the composite
-  example, cyclic2x2 and perturbed network files;
+  example and perturbed network files;
 - every MALFORMED edit of tests/malformed.py, with and without a drawing;
-- drawn documents that disagree with their drawing, cyclic2x2 among them;
-- drawings of chain(2,2,bridge) that are not planar embeddings: two edges
-  crossing, and two edges leaving a vertex along one ray;
-- cyclic2x2 without its max_cycle_uses or without its drawing;
+- drawn documents that disagree with their drawing;
+- cyclic2x2, a network with a directed cycle, with and without its
+  drawing, refused when it is loaded;
+- drawings that are not planar embeddings: two edges of chain(2,2,bridge)
+  crossing, two leaving a vertex along one ray, and an edge of triangle(3)
+  crossing a boundary vertex's spoke;
 - source and size flags that the command does not read, empty flag
   values, an --out in a missing directory, and command lines that argparse
   refuses;
@@ -141,16 +143,20 @@ def documents():
     for edges in (799, 800):  # paths of 800 and 801 vertices
         docs[f"line{edges}"] = _line(edges)
     cyclic = json.loads((GOLDEN / "cyclic2x2.json").read_text())
-    for key, tag in (("max_cycle_uses", "unbounded"), ("geometry", "undrawn")):
-        docs[f"cyclic2x2-{tag}"] = {**cyclic, key: None}
-    cyclic["edges"][2]["exponent"][0] += 1
-    docs["drawn-exponent-off-cyclic2x2"] = cyclic
+    docs["cyclic2x2"] = cyclic
+    docs["cyclic2x2-undrawn"] = {**cyclic, "geometry": None}
     # a2 moved so that a1->B1 crosses a2->B2; B2 moved between B1 and W1,
     # so that the backbone's edges overlap
     chain = network_to_dict(build_chain(2, 2, bridge=True))
     for name, vertex, xy in (("crossing", "a2", [[21, 2], [3, 4]]), ("same-ray", "B2", [[39, 4], 0])):
         coords = {**chain["geometry"]["coords"], vertex: xy}
         docs[f"{name}-chain22b"] = {**chain, "geometry": {**chain["geometry"], "coords": coords}}
+    # g2_1 moved out past source 2, so that three of its edges cross 2's spoke
+    triangle = _drawn(3)
+    for edge in triangle["edges"]:
+        edge["exponent"] = None
+    triangle["geometry"]["coords"]["g2_1"] = [5, [5, 2]]
+    docs["spoke-crossing-triangle3"] = triangle
     return docs
 
 
@@ -163,7 +169,6 @@ def commands(paths):
         "chain23b": ["--builder", "chain", "--n", "2,3", "--bridge"],
         "hat3": ["--builder", "hat", "--r", "3"],
         "composite": ["--builder", "composite"],
-        "cyclic2x2": ["--input", str(GOLDEN / "cyclic2x2.json")],
         "triangle4-shuffled": ["--input", str(GOLDEN / "triangle4_shuffled.json")],
         "perturbed-triangle3": ["--input", paths["perturbed-triangle3"]],
         "perturbed-chain22b": [
@@ -187,15 +192,15 @@ def commands(paths):
         "check-disc-reflection-perturbed-triangle5",
         ["check", "disc-reflection", "--input", paths["perturbed-triangle5"]],
     ))
-    # cyclic2x2 without its bound or its drawing, each refused when loaded
-    cyclic = {
-        "cyclic2x2-unbounded": (["check", "rtt"], ["export", "transport"]),
+    # documents refused when loaded, whatever the command
+    once = {
         "cyclic2x2-undrawn": (["export", "transport"],),
+        "spoke-crossing-triangle3": (["check", "rtt"],),
     }
     for name, path in paths.items():
         if name in sources or name == "perturbed-triangle5":
             continue
-        argvs = cyclic.get(name, (["check", "rtt"], ["export", "transport"], ["check", "all"]))
+        argvs = once.get(name, (["check", "rtt"], ["export", "transport"], ["check", "all"]))
         for argv in argvs:
             out.append((f"{'-'.join(argv)}-{name}", [*argv, "--input", path]))
     # flags that the command does not read, each refused

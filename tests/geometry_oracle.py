@@ -8,8 +8,9 @@ polyline from O through the square's corners for every boundary potential.
 It works on the rational drawing, not on geometry.Disc's integer grid, and
 finds where a segment passes a marker by dividing, not by cross-multiplying.
 Both refuse a drawing that is not a planar embedding with the same message;
-here every pair of edges is tested, not a sweep's candidates.  Only the
-construction checks of geometry.Disc and its exchange-matrix rule are shared.
+here every pair of edges, and every edge with every boundary vertex's spoke,
+is tested, not a sweep's candidates.  Only the construction checks of
+geometry.Disc and its exchange-matrix rule are shared.
 """
 
 from fractions import Fraction
@@ -104,52 +105,6 @@ def segments_meet(a, b, c, d):
     return min(sc, sd) <= 1 and max(sc, sd) >= 0
 
 
-def _orient(a, b, c):
-    v = _cross(_minus(b, a), _minus(c, a))
-    return (v > 0) - (v < 0)
-
-
-def path_self_crossings(points):
-    """Transversal self-intersections of an open polyline.
-
-    Proper crossings of non-adjacent segments count once each.  A vertex the
-    path visits repeatedly counts once per pair of passes whose incoming and
-    outgoing directions interleave around the vertex; pairs sharing a
-    direction (e.g. a reused edge) are tangential and count zero.  On a
-    planar drawing it is 0 on every path a transport walk takes, which the
-    tests check: that is why the walk adds every path with sign +1.
-    """
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    segs = list(zip(pts, pts[1:]))
-    count = 0
-    for i, (a, b) in enumerate(segs):
-        for c, d in segs[i + 1:]:
-            if a in (c, d) or b in (c, d):
-                continue
-            if _orient(a, b, c) * _orient(a, b, d) < 0 and _orient(c, d, a) * _orient(c, d, b) < 0:
-                count += 1
-    passes = {}
-    for k in range(1, len(pts) - 1):
-        v = pts[k]
-        passes.setdefault(v, []).append((_minus(pts[k - 1], v), _minus(pts[k + 1], v)))
-    for plist in passes.values():
-        for i in range(len(plist)):
-            for j in range(i + 1, len(plist)):
-                count += _passes_interleave(plist[i], plist[j])
-    return count
-
-
-def _passes_interleave(p1, p2):
-    for d1 in p1:
-        for d2 in p2:
-            if _cross(d1, d2) == 0 and d1[0] * d2[0] + d1[1] * d2[1] > 0:
-                return 0  # a shared direction
-    labeled = [(d, 0) for d in p1] + [(d, 1) for d in p2]
-    labeled.sort(key=cmp_to_key(lambda a, b: _dir_cmp(a[0], b[0])))
-    tags = [t for _, t in labeled]
-    return 1 if tags[0] == tags[2] and tags[1] == tags[3] else 0
-
-
 class CornerWalkDisc(geometry.Disc):
     """geometry.Disc with faces and exponents derived one question at a time."""
 
@@ -220,6 +175,17 @@ class CornerWalkDisc(geometry.Disc):
             for c, d in self.edges[i + 1:]:
                 if meet((a, b), (c, d)):
                     raise ValueError(f"edges {a!r}->{b!r} and {c!r}->{d!r} {what}")
+
+    def meets_spoke(self, edge, b):
+        """Whether edge meets b's spoke, the segment from b out to its
+        projection, anywhere but at b; an edge at b meets it elsewhere
+        only when it leaves b along the spoke."""
+        p, q = self.pos[b], self.proj[b]
+        if b not in edge:
+            return segments_meet(self.pos[edge[0]], self.pos[edge[1]], p, q)
+        u = _minus(self.pos[edge[1] if edge[0] == b else edge[0]], p)
+        w = _minus(q, p)
+        return _cross(u, w) == 0 and u[0] * w[0] + u[1] * w[1] > 0
 
     def faces(self):
         pos, adj = self._scaffold_graph()
@@ -297,6 +263,12 @@ class CornerWalkDisc(geometry.Disc):
             and segments_meet(*(self.pos[v] for v in (*e, *f))),
             "cross",
         )
+        for a, b in self.edges:
+            for v in self.sources + self.sinks:
+                if self.meets_spoke((a, b), v):
+                    raise ValueError(
+                        f"edge {a!r}->{b!r} crosses the spoke of boundary vertex {v!r}"
+                    )
         return lefts, rights
 
 

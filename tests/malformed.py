@@ -56,10 +56,6 @@ MALFORMED = {
     "int-edges": _edit("edges", value=7),
     "int-generators": _edit("generators", value=4),
     "str-sources": _edit("sources", value="12"),
-    "str-max-cycle-uses": _edit("max_cycle_uses", value="2"),
-    # a bound below one would silently drop every path of a cyclic network
-    "zero-max-cycle-uses": _edit("max_cycle_uses", value=0),
-    "negative-max-cycle-uses": _edit("max_cycle_uses", value=-1),
     "geometry-without-coords": _edit("geometry", value={"face_markers": []}),
     "one-element-coordinate": _edit(
         "geometry", value={"coords": {"1": [0]}, "face_markers": []}

@@ -341,6 +341,20 @@ MUTANTS = [
         ("test_geometry.py",),
     ),
     Mutant(
+        "spokes left out of the sweep",
+        "geometry.py",
+        "segments, boxes, active, met = self.edges + self.spokes, [], [], []",
+        "segments, boxes, active, met = self.edges, [], [], []",
+        ("test_geometry.py", "test_cli_corpus.py"),
+    ),
+    Mutant(
+        "an edge along its own vertex's spoke allowed",
+        "geometry.py",
+        "return _dir_cmp(*((ex - x, ey - y) for ex, ey in ends)) == 0",
+        "return False",
+        ("test_geometry.py",),
+    ),
+    Mutant(
         "same-ray neighbours allowed",
         "geometry.py",
         'self._refuse_pair(rays, "overlap")',
@@ -363,11 +377,10 @@ MUTANTS = [
         ("test_cli.py", "test_network.py"),
     ),
     Mutant(
-        "a cyclic network with stored data skips derivation",
+        "a drawn network with a stored form skips derivation",
         "network.py",
         "        if geometry is not None:\n            e_mat, exps",
-        "        if geometry is not None and (self.is_acyclic or form is None):\n"
-        "            e_mat, exps",
+        "        if geometry is not None and form is None:\n            e_mat, exps",
         ("test_network.py", "test_cli_corpus.py"),
     ),
     Mutant(
@@ -380,23 +393,16 @@ MUTANTS = [
     Mutant(
         "walk bounds checked for drawn acyclic networks only",
         "network.py",
-        "            _refuse_walk(self.longest_path, self.path_count)",
-        "            if geometry is not None:\n                _refuse_walk(self.longest_path, self.path_count)",
+        "        _refuse_walk(self.longest_path, self.path_count)",
+        "        if geometry is not None:\n            _refuse_walk(self.longest_path, self.path_count)",
         ("test_network.py",),
     ),
     Mutant(
-        "cyclic network built without max_cycle_uses",
+        "a directed cycle is not refused",
         "network.py",
-        "        elif max_cycle_uses is None:",
-        "        elif False:",
+        "        if walk is None:",
+        "        if False:",
         ("test_network.py", "test_cli.py"),
-    ),
-    Mutant(
-        "cyclic walk depth not checked",
-        "network.py",
-        "            _refuse_walk(len(self.edges) * uses + 1, None)",
-        "            pass",
-        ("test_network.py",),
     ),
     Mutant(
         "build_chain skips its depth refusal",
@@ -476,13 +482,6 @@ MUTANTS = [
         '{"r": (2, 1, MAX_HAT_R)}',
         '{"r": (2, 1, 10**9)}',
         ("test_cli.py",),
-    ),
-    Mutant(
-        "check lets a cyclic --input through",
-        "cli.py",
-        'if args.command == "check" and not net.is_acyclic:',
-        "if False:",
-        ("test_cli.py", "test_cli_corpus.py"),
     ),
     Mutant(
         "out check keeps the file it made",

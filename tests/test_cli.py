@@ -416,36 +416,32 @@ def test_unreadable_file_exits_2(tmp_path, capsys):
 
 
 def test_cyclic_without_bound_or_drawing_exits_2_at_load(tmp_path, monkeypatch, capsys):
+    # cyclic2x2.json, drawn and undrawn, is refused with one line when it is
+    # loaded, before its drawing is derived or its transport walked
+    monkeypatch.setattr(network, "derive_network_data", _no_source)
     monkeypatch.setattr(cli, "transport_matrix", _no_source)
     doc = json.loads((GOLDEN / "cyclic2x2.json").read_text())
-    path = tmp_path / "cyclic.json"
-    cases = [
-        ("max_cycle_uses", "cyclic network: set max_cycle_uses to bound path enumeration"),
-        ("geometry", "a cyclic network requires a drawing"),
-    ]
-    for key, message in cases:
-        path.write_text(json.dumps({**doc, key: None}))
-        for command in (["check", "rtt"], ["export", "transport"]):
+    undrawn = tmp_path / "undrawn.json"
+    undrawn.write_text(json.dumps({**doc, "geometry": None}))
+    for path in (GOLDEN / "cyclic2x2.json", undrawn):
+        for command in (["check", "rtt"], ["check", "all"], ["export", "transport"]):
             assert cli.main([*command, "--input", str(path)]) == 2
-            assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-def test_check_refuses_a_truncated_cyclic_transport(tmp_path, monkeypatch, capsys):
-    # every check kind on cyclic2x2 (max_cycle_uses 2) is refused before the
-    # walk; export transport still walks it
-    path = str(GOLDEN / "cyclic2x2.json")
-    with monkeypatch.context() as patched:
-        patched.setattr(cli, "transport_matrix", _no_source)
-        kinds = [k for k in cli.CHECKS if k != "aux-inverse"] + ["all"]
-        for kind in kinds:
-            assert cli.main(["check", kind, "--input", path]) == 2, kind
             assert capsys.readouterr() == ("", (
-                "error: a cyclic network's transport is truncated at max_cycle_uses 2, "
-                "so its identities cannot be checked\n"
+                "error: the network has a directed cycle; only acyclic networks are supported\n"
             ))
-    out = tmp_path / "transport.txt"
-    assert cli.main(["export", "transport", "--input", path, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "cyclic2x2_transport.txt").read_bytes()
+
+
+def test_check_refuses_a_truncated_cyclic_transport(monkeypatch, capsys):
+    # every check kind on cyclic2x2.json is refused with the one load-time
+    # line, before its transport is walked
+    monkeypatch.setattr(cli, "transport_matrix", _no_source)
+    path = str(GOLDEN / "cyclic2x2.json")
+    kinds = [k for k in cli.CHECKS if k != "aux-inverse"] + ["all"]
+    for kind in kinds:
+        assert cli.main(["check", kind, "--input", path]) == 2, kind
+        assert capsys.readouterr() == ("", (
+            "error: the network has a directed cycle; only acyclic networks are supported\n"
+        ))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -490,17 +486,10 @@ def test_help_still_exits_0(argv, capsys):
 
 
 def test_export_transport_matches_golden(tmp_path, capsys):
-    # cyclic2x2.json: a planar drawing with two sources, two sinks and one
-    # cycle, max_cycle_uses 2
-    cases = [
-        (["--builder", "triangle", "--n", "2"], "triangle2_transport.txt"),
-        (["--input", str(GOLDEN / "cyclic2x2.json")], "cyclic2x2_transport.txt"),
-    ]
-    for args, golden in cases:
-        out = tmp_path / golden
-        code = cli.main(["export", "transport", *args, "--out", str(out)])
-        assert code == 0
-        assert out.read_text() == (GOLDEN / golden).read_text()
+    out = tmp_path / "transport.txt"
+    code = cli.main(["export", "transport", "--builder", "triangle", "--n", "2", "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == (GOLDEN / "triangle2_transport.txt").read_text()
 
 
 def test_export_transport_json_of_a_drawn_file_matches_golden(capsys):

@@ -197,13 +197,28 @@ def test_perturbed_drawings_match_corner_walk_oracle(name):
         ("triangle3", "1''", (2, Fraction(-3, 4)), "edges 'g0_1'->\"1''\" and 'g0_2'->\"2''\" cross"),
         # U->B2 and B2->B1 leave B2 eastwards, B2->B1 and B1->W1 leave B1 westwards
         ("chain22b", "B2", (Fraction(39, 4), 0), "edges 'U'->'B2' and 'B2'->'B1' overlap"),
+        # g2_1 out past source 2: three of its edges cross 2's spoke, though
+        # the faces and the form stay those of triangle(3)
+        ("triangle3", "g2_1", (5, Fraction(5, 2)),
+         "edge 'g2_1'->'b2_1' crosses the spoke of boundary vertex '2'"),
     ],
-    ids=["proper-crossing", "end-on-edge", "end-at-sweep-edge", "same-ray"],
+    ids=["proper-crossing", "end-on-edge", "end-at-sweep-edge", "same-ray", "spoke"],
 )
 def test_a_drawing_that_is_not_a_planar_embedding_names_its_first_pair(name, vertex, xy, message):
     vertices, edges, sources, sinks, coords, markers = _drawing(DRAWN[name]())
     drawing = vertices, edges, sources, sinks, {**coords, vertex: xy}, markers
     assert _assert_matches_oracle(drawing) == message
+
+
+def test_an_edge_along_its_own_vertex_spoke_is_refused():
+    # g1_1 moved onto the spoke of source 1, past it: the stub 1->g1_1,
+    # listed first, leaves 1 along that spoke
+    vertices, edges, sources, sinks, coords, markers = _drawing(DRAWN["triangle2"]())
+    edges = [("1", "g1_1")] + [e for e in edges if e != ("1", "g1_1")]
+    coords = {**coords, "g1_1": (Fraction(223, 82), Fraction(77, 41))}
+    assert _assert_matches_oracle((vertices, edges, sources, sinks, coords, markers)) == (
+        "edge '1'->'g1_1' crosses the spoke of boundary vertex '1'"
+    )
 
 
 def test_perturbed_corpus_has_valid_and_rejected_drawings():

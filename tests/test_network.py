@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from geometry_oracle import corners_between, path_self_crossings, polyline_crossings
+from geometry_oracle import corners_between, polyline_crossings
 from qtransport.qalg import QElem, QScalar, SkewForm, qmul, weyl
 from qtransport.ncmat import QMatrix, invert_restricted, matmul
 from qtransport import geometry, network
@@ -34,7 +34,6 @@ from qtransport.network import (
     load_network,
     network_from_dict,
     network_to_dict,
-    save_network,
     transport_matrix,
 )
 
@@ -296,45 +295,18 @@ def transport_entry(net, a, c):
     out = {v: [] for v in net.vertices}
     for e in net.edges:
         out[e.frm].append(e)
-    n = net.form.n
     total = QElem.zero(net.form)
 
-    if net.is_acyclic:
-        def walk(v, vec):
-            nonlocal total
-            if v == snk:
-                total = total + weyl(net.form, tuple(vec))
-                return
-            for e in out[v]:
-                walk(e.to, [x + y for x, y in zip(vec, e.exponent)])
-
-        walk(src, [0] * n)
-        return total
-
-    for path in cyclic_paths(net, src, snk):
-        vec = [sum(col) for col in zip([0] * n, *(e.exponent for e in path))]
-        total = total + weyl(net.form, tuple(vec))
-    return total
-
-
-def cyclic_paths(net, src, snk):
-    """Paths from src to snk of a cyclic network, as edge lists, that take
-    no edge more than max_cycle_uses times."""
-    out = {v: [] for v in net.vertices}
-    for e in net.edges:
-        out[e.frm].append(e)
-    done = []
-
-    def walk(v, path):
+    def walk(v, vec):
+        nonlocal total
         if v == snk:
-            done.append(path)
+            total = total + weyl(net.form, tuple(vec))
             return
         for e in out[v]:
-            if path.count(e) < net.max_cycle_uses:
-                walk(e.to, path + [e])
+            walk(e.to, [x + y for x, y in zip(vec, e.exponent)])
 
-    walk(src, [])
-    return done
+    walk(src, [0] * net.form.n)
+    return total
 
 
 def _oracle_entry(net, a, c):
@@ -361,14 +333,8 @@ def test_transport_matches_bruteforce_dfs(build):
             assert m.entry(c, a) == _oracle_entry(net, a, c)
 
 
+# a drawn network with two sources and two sinks around one directed cycle
 CYCLIC2X2 = pathlib.Path(__file__).parent / "golden" / "cyclic2x2.json"
-
-
-def _cyclic2x2(max_cycle_uses):
-    """A drawn cyclic network with two sources and two sinks around one loop."""
-    doc = json.loads(CYCLIC2X2.read_text())
-    doc["max_cycle_uses"] = max_cycle_uses
-    return network_from_dict(doc)
 
 
 def _shuffled(net, seed=7):
@@ -391,8 +357,6 @@ DIFFERENTIAL_NETWORKS = {
     "chain12": lambda: build_chain(1, 2),
     "chain22": lambda: build_chain(2, 2),
     "chain22b": lambda: build_chain(2, 2, bridge=True),
-    "cyclic2x2-uses1": lambda: _cyclic2x2(1),
-    "cyclic2x2-uses2": lambda: _cyclic2x2(2),
 }
 
 
@@ -455,139 +419,46 @@ def test_block_split_slices():
 
 
 # ---------------------------------------------------------------------------
-# cyclic networks
+# walk bounds, checked when a network is built
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_fixture(with_geometry=True, max_cycle_uses=2):
-    # a -> M -> S -> N -> c around a cycle M -> S -> T -> M, with T -> N a
-    # second way into N.  Faces: triangles MST and STN, the regions above
-    # and below.  A path closed by its clockwise return arc winds once
-    # around each face below it, and once more around MST per turn of the
-    # cycle; the form and exponents stored here are the drawing's.
-    form = SkewForm([[0, 0, 2, -2], [0, 0, -2, 2], [-2, 2, 0, 0], [2, -2, 0, 0]])
-    edges = [
-        Edge("a", "M", (1, 1, 1, 1)),
-        Edge("M", "S", (0, 0, 0, 0)),
-        Edge("S", "T", (0, 0, 0, 0)),
-        Edge("T", "M", (1, 0, 0, 0)),
-        Edge("S", "N", (0, 0, -1, 0)),
-        Edge("T", "N", (0, -1, -1, 0)),
-        Edge("N", "c", (0, 0, 0, 0)),
-    ]
-    geom = None
-    if with_geometry:
-        coords = {"a": (-3, 0), "M": (-1, 0), "S": (0, 1), "T": (0, -1), "N": (1, 0), "c": (3, 0)}
-        markers = [(Fraction(-1, 3), 0), (Fraction(1, 3), 0), (0, 2), (0, -2)]
-        geom = Geometry(coords=coords, face_markers=markers)
-    return Network(
-        form=form,
-        vertices=["a", "M", "S", "T", "N", "c"],
-        edges=edges,
-        sources=["a"],
-        sinks=["c"],
-        geometry=geom,
-        max_cycle_uses=max_cycle_uses,
-    )
-
-
-def test_cyclic_transport_frozen():
-    net = _cyclic_fixture()
-    # a M S N c and a M S T N c, each once more with one turn M S T M
-    expected = sum(
-        (wv(net.form, vec) for vec in [(1, 1, 0, 1), (1, 0, 0, 1), (2, 1, 0, 1), (2, 0, 0, 1)]),
-        QElem.zero(net.form),
-    )
-    assert transport_matrix(net).entry(0, 0) == expected
-
-
-def test_cyclic_truncation_bound_one():
-    net = _cyclic_fixture(max_cycle_uses=1)
-    assert transport_matrix(net).entry(0, 0) == wv(net.form, (1, 1, 0, 1)) + wv(
-        net.form, (1, 0, 0, 1)
-    )
-
-
-def test_cyclic_requires_truncation():
-    with pytest.raises(ValueError, match="^cyclic network: set max_cycle_uses to bound"):
-        _cyclic_fixture(max_cycle_uses=None)
-
-
-def test_cyclic_requires_geometry():
-    # refused whether or not its exponents are stored
-    with pytest.raises(ValueError, match="^a cyclic network requires a drawing$"):
-        _cyclic_fixture(with_geometry=False)
-    doc = network_to_dict(_cyclic_fixture())
-    doc["geometry"] = None
-    for edge in doc["edges"]:
-        edge["exponent"] = None
-    with pytest.raises(ValueError, match="^a cyclic network requires a drawing$"):
-        network_from_dict(doc)
-
-
-CYCLIC = {
-    **{f"cyclic2x2-uses{k}": (lambda k=k: _cyclic2x2(k)) for k in (1, 2, 3)},
-    **{f"fixture-uses{k}": (lambda k=k: _cyclic_fixture(max_cycle_uses=k)) for k in (1, 2, 3)},
-}
-
-
-@pytest.mark.parametrize("name", list(CYCLIC))
-def test_no_walked_path_of_a_cyclic_network_crosses_itself(name):
-    # A planar drawing gives every walked path no self-crossing, so the
-    # walk may add each path with coefficient 1.
-    net = CYCLIC[name]()
-    coords = net.geometry.coords
-    m = transport_matrix(net)
-    for a, src in enumerate(net.sources):
-        for c, snk in enumerate(net.sinks):
-            paths = cyclic_paths(net, src, snk)
-            for path in paths:
-                points = [coords[src]] + [coords[e.to] for e in path]
-                assert path_self_crossings(points) == 0
-            assert sum(m.entry(c, a).terms.values()) == len(paths)
-    # the counter itself sees a crossing and an interleaving pass
-    assert path_self_crossings([(0, 0), (2, 2), (2, 0), (0, 2)]) == 1
-    assert path_self_crossings([(-1, 0), (0, 0), (0, 1), (-1, 1), (0, 0), (1, -1)]) == 1
-
-
-def test_cyclic_path_bound_at_the_packed_limit_is_refused_before_walking():
-    # The edge spans of cyclic2x2 sum to 6, so 2731 uses per edge could
-    # reach exponent 16386, past what a packed term holds; refused when the
-    # network is built, before anything walks it.
-    with pytest.raises(ValueError, match="may reach 16386 in size"):
-        _cyclic2x2(2731)
-    with pytest.raises(ValueError, match="^transport paths may visit 21841 vertices"):
-        _cyclic2x2(2730)  # its span, 16380, fits, and its path depth is next
-
-
-def _line(edges):
-    """An undrawn path of edges edges, weight 0, from one source to one sink."""
+def _line(edges, weight=0):
+    """An undrawn path of edges edges, each of exponent (weight,), from one
+    source to one sink."""
     names = [f"v{i}" for i in range(edges + 1)]
     return Network(
         SkewForm([[0]]),
         names,
-        [Edge(u, w, (0,)) for u, w in zip(names, names[1:])],
+        [Edge(u, w, (weight,)) for u, w in zip(names, names[1:])],
         names[:1],
         names[-1:],
     )
 
 
+def test_span_past_the_packed_limit_is_refused_when_built():
+    # A path takes each edge once, so the edges' exponent sizes summed bound
+    # every transport exponent; a sum of 2^14 is refused before any walk.
+    with pytest.raises(ValueError, match="^transport exponents may reach 16384 in size"):
+        _line(2, 8192)
+    net = _line(3, 5461)
+    assert net.span == 16383
+    assert transport_matrix(net).entry(0, 0) == wv(net.form, (16383,))
+
+
 def test_deep_paths_are_refused_before_walking():
-    # The walk recurses once per vertex of a path.  An acyclic network is
-    # bounded by its longest path; a path in cyclic2x2 (8 edges) may visit
-    # 8 uses + 1 vertices.  Both are refused when the network is built.
+    # The walk recurses once per vertex of a path, which the longest path
+    # bounds; a network past it is refused when it is built.
     assert _line(799).longest_path == network.MAX_PATH_DEPTH == 800
     assert transport_matrix(_line(799)) == QMatrix.identity(1, SkewForm([[0]]))
     with pytest.raises(ValueError, match="may visit 801 vertices; the limit is 800"):
         _line(800)  # refused by its constructor, though it has no drawing
-    with pytest.raises(ValueError, match="may visit 801 vertices; the limit is 800"):
-        _cyclic2x2(100)
-    # a1 reaches each sink after up to 98 turns of the cycle M1 S1 S2
-    assert sum(transport_matrix(_cyclic2x2(99)).entry(1, 0).terms.values()) == 99
 
 
 def test_longest_path_counts_vertices_and_is_none_on_a_cycle():
-    assert _cyclic2x2(1).longest_path is None
+    doc = json.loads(CYCLIC2X2.read_text())
+    edges = [Edge(e["from"], e["to"]) for e in doc["edges"]]
+    assert network._longest_path(doc["vertices"], edges, doc["sources"], doc["sinks"]) is None
     # two routes from s to t: s-a-t and s-b-c-t
     edges = [Edge(u, w, (0,)) for u, w in ["sa", "at", "sb", "bc", "ct"]]
     assert Network(SkewForm([[0]]), "sabct", edges, ["s"], ["t"]).longest_path == 4
@@ -607,7 +478,6 @@ def test_path_count_of_the_topological_pass_matches_a_walk():
     edges = [Edge(u, w, (0,)) for u, w in ["sa", "at", "sb", "bc", "ct", "ab", "sc"]]
     nets.append(Network(SkewForm([[0]]), "sabct", edges, ["s", "a"], ["t"]))
     assert [net.path_count for net in nets] == [_walked_paths(net) for net in nets]
-    assert _cyclic2x2(1).path_count is None
 
 
 def test_path_walk_stops_past_its_budget(monkeypatch):
@@ -621,15 +491,6 @@ def test_path_walk_stops_past_its_budget(monkeypatch):
     assert transport_matrix(net) == full
     with pytest.raises(ValueError, match="^transport has 14 source-sink paths; the limit is 13$"):
         network_from_dict(doc)
-    # a cyclic walk is cut at the same count: each path counts once, when
-    # it reaches its sink, and adds 1 to its entry
-    m = transport_matrix(_cyclic2x2(3))
-    paths = sum(n for i in range(m.rows) for j in range(m.cols) for n in m.entry(i, j).terms.values())
-    monkeypatch.setattr(network, "PATH_BUDGET", paths)
-    assert transport_matrix(_cyclic2x2(3)) == m
-    monkeypatch.setattr(network, "PATH_BUDGET", paths - 1)
-    with pytest.raises(ValueError, match=f"walked {paths} source-sink paths; the limit is {paths - 1}"):
-        transport_matrix(_cyclic2x2(3))
 
 
 def test_an_acyclic_walk_is_bounded_once_per_load_and_not_in_the_walk(monkeypatch):
@@ -716,7 +577,7 @@ def test_huge_triangle_is_refused_before_it_is_drawn(monkeypatch):
 def test_network_roundtrip(tmp_path):
     net = build_chain(2, 1, bridge=True)
     path = tmp_path / "chain.json"
-    save_network(net, path)
+    path.write_text(json.dumps(network_to_dict(net)))
     again = load_network(path)
     assert again.form == net.form
     assert again.sources == net.sources
@@ -725,6 +586,13 @@ def test_network_roundtrip(tmp_path):
     assert again.geometry is not None
     assert again.geometry.coords == net.geometry.coords
     assert again.geometry.face_markers == net.geometry.face_markers
+
+
+def test_a_max_cycle_uses_key_is_ignored():
+    # a key the loader does not read, like any other
+    doc = network_to_dict(build_triangle(3))
+    again = network_from_dict({**doc, "max_cycle_uses": 3})
+    assert network_to_dict(again) == doc
 
 
 def _without_exponents(net):
@@ -793,13 +661,15 @@ def test_bad_drawing_is_refused_at_load(edit, message, monkeypatch):
 
 
 @BAD_DRAWINGS
-def test_bad_drawing_of_a_cyclic_network_is_refused_at_load(edit, message):
-    # a cyclic network that stores its form and every exponent is derived
-    # from its drawing too
+def test_bad_drawing_of_a_cyclic_network_is_refused_at_load(edit, message, monkeypatch):
+    # the cycle is refused first, before the drawing is read
+    def derived(*args):
+        raise AssertionError("the drawing was derived")
+
+    monkeypatch.setattr(network, "derive_network_data", derived)
     doc = json.loads(CYCLIC2X2.read_text())
-    network_from_dict(doc)
     edit(doc)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^the network has a directed cycle"):
         network_from_dict(doc)
 
 
