@@ -27,7 +27,8 @@ from .network import (
     build_composite_example,
     build_triangle,
     check_split,
-    f_rp,
+    f_rp_closed,
+    f_rp_recursion,
     hat_blocks,
     load_network,
     staircase_level,
@@ -176,7 +177,7 @@ def _frp_report(rmax, pmax):
         blocks = hat_blocks(r)
         row = []
         for p in range(1, pmax + 1):
-            vals = {mode: f_rp(r, p, mode=mode) for mode in ("recursion", "closed")}
+            vals = {"closed": f_rp_closed(r, p), "recursion": f_rp_recursion(r, p)}
             vals["matrix"] = staircase_level(blocks, p)
             if len(set(vals.values())) != 1:
                 value = ", ".join(f"{m}={v}" for m, v in sorted(vals.items()))

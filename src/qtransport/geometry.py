@@ -51,14 +51,14 @@ Conventions, fixed once and used everywhere:
   enters, and -1 for a split vertex it enters or a merge vertex it leaves.
   Boundary endpoints contribute nothing.
 
-* A drawing must be a planar embedding, its spokes included.  Disc.faces
-  refuses two edges that leave one vertex along one ray, before its face
-  walk, and after it two edges that share any other point than a common
-  end, then an edge that meets a boundary vertex's spoke anywhere but at
-  that vertex; the pair named is the first in edge order.  With every
-  internal vertex a split or a merge, no directed path then crosses itself
-  or crosses over at a vertex, so every path counts in a transport entry
-  with sign +1.
+* A drawing is checked before its faces are walked, in this order: every
+  internal vertex is a split or a merge and every boundary vertex carries one
+  stub; no two edges leave one vertex along one ray; no two edges share any
+  other point than a common end; no edge meets a boundary vertex's spoke
+  anywhere but at that vertex.  The pair named is the first in edge order.
+  No directed path then crosses itself or crosses over at a vertex, so every
+  path counts in a transport entry with sign +1, and the face walk only
+  checks the markers.
 """
 
 from bisect import bisect_left
@@ -89,12 +89,9 @@ def _dir_cmp(a, b):
         return -1
     if cross < 0:
         return 1
-    if a[0] * b[0] + a[1] * b[1] > 0:
-        return 0
-    # Opposite nonzero directions land in different halves, so only a zero
-    # direction gets here: an edge whose ends are drawn at one point, which
-    # check_edge_ends refuses in Disc and in Network first.
-    raise ValueError("cannot order opposite directions")
+    # One direction: opposite ones fall in different halves, and no segment is
+    # drawn at one point (check_edge_ends; spokes and ring by construction).
+    return 0
 
 
 def _segment_ray_crossing(p1, p2, marker):
@@ -227,9 +224,7 @@ class Disc:
             return 3 * r + (y + r)
         if y == r:
             return 5 * r + (x + r)
-        if x == r:
-            return 7 * r + (r - y)
-        raise ValueError("point not on the scaffold square")
+        return 7 * r + (r - y)  # x == r, y > 0
 
     def _point_at_t(self, t):
         r = self.R
@@ -249,8 +244,6 @@ class Disc:
     def _check_boundary_order(self):
         order = sorted(self.boundary, key=lambda b: self.tval[b])
         expected = self.sources + list(reversed(self.sinks))
-        if len(order) != len(expected):
-            raise ValueError("inconsistent boundary data")
         shift = order.index(expected[0])
         rotated = order[shift:] + order[:shift]
         if rotated != expected:
@@ -354,7 +347,8 @@ class Disc:
 
         Returns (left-face index per edge, right-face index per edge) where
         faces are numbered by their marker's position in the marker list.
-        Refuses a drawing that is not a planar embedding.
+        Refuses two edges along one ray, then two that cross, then an edge
+        across a spoke, before it walks the faces.
         """
         grid, adj = self._grid, self.adj
         edge_id = {}
@@ -375,10 +369,11 @@ class Disc:
             rotation[v] = ordered
             rot_index[v] = {u: i for i, u in enumerate(ordered)}
         self._refuse_pair(rays, "overlap")
+        self._refuse_crossings()
 
         # Darts are walked in list order, never set order, so which face is
         # found first (and named in an error) does not depend on string
-        # hashing.
+        # hashing.  The dart map is a permutation, so every orbit closes.
         orbit_of = {}
         orbits = []
         for v, ordered in rotation.items():
@@ -394,8 +389,6 @@ class Disc:
                     a, b = d
                     nb = rotation[b]
                     d = (b, nb[(rot_index[b][a] - 1) % len(nb)])
-                if d != dart:
-                    raise ValueError("face walk failed to close")
                 orbits.append(orbit)
 
         face_marker = {}
@@ -419,7 +412,7 @@ class Disc:
                     f"face must contain exactly one marker, found {len(hits)}"
                 )
             face_marker[oid] = hits[0]
-        if outer is None or len(face_marker) != len(self.markers):
+        if len(face_marker) != len(self.markers):
             raise ValueError("faces do not match the marker list")
 
         lefts, rights = [], []
@@ -430,7 +423,6 @@ class Disc:
                 raise ValueError("network edge touches the outer face")
             lefts.append(face_marker[lo])
             rights.append(face_marker[ro])
-        self._refuse_crossings()
         return lefts, rights
 
     def _refuse_pair(self, pairs, what):
@@ -475,7 +467,6 @@ class Disc:
 
     def exchange_matrix(self):
         """Twice the face skew form, from the per-endpoint edge rule."""
-        lefts, rights = self.faces()
         indeg = {v: 0 for v in self.vertices}
         outdeg = {v: 0 for v in self.vertices}
         for frm, to in self.edges:
@@ -496,6 +487,7 @@ class Disc:
                     f"internal vertex {v!r} must be a split (1 in, 2 out) "
                     f"or a merge (2 in, 1 out)"
                 )
+        lefts, rights = self.faces()
         n = len(self.markers)
         e = [[0] * n for _ in range(n)]
         for k, (frm, to) in enumerate(self.edges):

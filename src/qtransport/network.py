@@ -670,34 +670,31 @@ def hat_blocks(r):
     return block_split(QMatrix.from_rows(form, rows), 1, r, 1)
 
 
-def f_rp(r, p, mode="matrix"):
-    """Scalar level entry of the staircase example.
+def f_rp_recursion(r, p):
+    """Scalar level entry f(r, p) of the staircase example, by its recursion.
 
-    All three modes agree: "matrix" reads the level M22 M12^-p M11 of the
-    staircase block system, "recursion" uses f(r, p+1) = f(r, p) - f(r-1, p)
-    with first row and column one, and "closed" evaluates the binomial form
-    directly.
+    f(r, p+1) = f(r, p) - f(r-1, p), with first row and column one; the
+    level M22 M12^-p M11 of hat_blocks(r) agrees (staircase_level).
     """
     if r < 1 or p < 1:
         raise ValueError("need r >= 1 and p >= 1")
-    if mode == "matrix":
-        return staircase_level(hat_blocks(r), p)
-    if mode == "recursion":
-        memo = {}
+    memo = {}
 
-        def f(rr, pp):
-            if rr == 1 or pp == 1:
-                return 1
-            if (rr, pp) not in memo:
-                memo[rr, pp] = f(rr, pp - 1) - f(rr - 1, pp - 1)
-            return memo[rr, pp]
-
-        return f(r, p)
-    if mode == "closed":
-        if p == 1:
+    def f(rr, pp):
+        if rr == 1 or pp == 1:
             return 1
-        return (-1) ** (r - 1) * comb(p - 2, r - 1)
-    raise ValueError(f"unknown mode {mode!r}")
+        if (rr, pp) not in memo:
+            memo[rr, pp] = f(rr, pp - 1) - f(rr - 1, pp - 1)
+        return memo[rr, pp]
+
+    return f(r, p)
+
+
+def f_rp_closed(r, p):
+    """f(r, p) of the staircase example in closed form."""
+    if r < 1 or p < 1:
+        raise ValueError("need r >= 1 and p >= 1")
+    return 1 if p == 1 else (-1) ** (r - 1) * comb(p - 2, r - 1)
 
 
 def staircase_level(blocks, p):
@@ -720,14 +717,14 @@ def _monomial_matrix(form, rows, cols, rng):
     return QMatrix.from_rows(form, data)
 
 
-def build_composite_example(seed=2024):
+def build_composite_example():
     """A deterministic generic instance of the three-fragment composite.
 
     The square fragments are lower-triangular with monomial entries and the
     fresh-wire fragment keeps a single route, so M12 is invertible and the
     loopback identity M22 M12^-1 M11 = M21 holds by construction.
     """
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     e = [[0] * 8 for _ in range(8)]
     for i in range(8):
         for j in range(i + 1, 8):

@@ -15,11 +15,16 @@ change in what the command line prints.  The corpus holds:
 - cyclic2x2, a network with a directed cycle, with and without its
   drawing, refused when it is loaded;
 - drawings that are not planar embeddings: two edges of chain(2,2,bridge)
-  crossing, two leaving a vertex along one ray, and an edge of triangle(3)
-  crossing a boundary vertex's spoke;
-- source and size flags that the command does not read, empty flag
-  values, an --out in a missing directory, and command lines that argparse
-  refuses;
+  crossing, two leaving a vertex along one ray, two edges of triangle(3)
+  crossing, and an edge of triangle(3) crossing a boundary vertex's spoke;
+- documents that each break one rule the loader checks: a vertex named
+  twice, an unknown source, a vertex without coordinates, a sink listed as
+  a source, an edge listed twice, an edge split at its midpoint, a stub
+  removed, two vertices at one point and a source at the centre of the
+  drawing;
+- source and size flags that the command does not read, builder sizes
+  below 1, empty flag values, an --out in a missing directory, and command
+  lines that argparse refuses;
 - undrawn one-path lines at and one past the path-depth bound of
   an acyclic network's walk, which its constructor checks;
 - sizes at and past each bound of the command line and of verify.evaluate,
@@ -127,6 +132,53 @@ def _line(edges):
     }
 
 
+def _refused():
+    """Documents refused at load, each by a check that no other line reaches."""
+    def triangle2(edit):
+        doc = _drawn()
+        edit(doc)
+        return doc
+
+    def split_edge(doc):  # b1_1->g0_1 through its midpoint mid, one in and one out
+        doc["vertices"].append("mid")
+        doc["geometry"]["coords"]["mid"] = [[5, 4], [3, 10]]
+        doc["edges"][1:2] = [{"from": "b1_1", "to": "mid"}, {"from": "mid", "to": "g0_1"}]
+        for edge in doc["edges"]:
+            edge["exponent"] = None
+
+    def without_stub(doc):  # g1_1 left with one edge in and one out
+        doc["edges"] = [e for e in doc["edges"] if (e["from"], e["to"]) != ("1", "g1_1")]
+
+    def bare(coords, edges):
+        return {
+            "epsilon2": [], "vertices": list(coords), "edges": edges,
+            "sources": ["s"], "sinks": ["t"],
+            "geometry": {"coords": coords, "face_markers": []},
+        }
+
+    # g1_1 moved so that g1_1->b1_1 crosses g2_1->1'
+    crossing = _drawn(3)
+    crossing["geometry"]["coords"]["g1_1"] = [[5, 4], [5, 2]]
+    return {
+        "duplicate-vertex-triangle2": triangle2(lambda doc: doc["vertices"].append("g0_1")),
+        "unknown-source-triangle2": triangle2(lambda doc: doc["sources"].append("zz")),
+        "missing-coords-triangle2": triangle2(
+            lambda doc: doc["geometry"]["coords"].pop("g0_1")
+        ),
+        "source-and-sink-triangle2": triangle2(lambda doc: doc["sources"].append("1'")),
+        "parallel-edges-triangle2": triangle2(
+            lambda doc: doc["edges"].append(dict(doc["edges"][0]))
+        ),
+        "split-edge-triangle2": triangle2(split_edge),
+        "without-stub-triangle2": triangle2(without_stub),
+        "crossing-triangle3": crossing,
+        "coincident-vertices": bare({"s": [0, 0], "t": [0, 0]}, []),
+        "source-at-center": bare(
+            {"s": [0, 0], "t": [1, 0], "u": [-1, 0]}, [{"from": "s", "to": "t"}]
+        ),
+    }
+
+
 def documents():
     """name -> network document written to a file for --input."""
     docs = {
@@ -157,6 +209,7 @@ def documents():
         edge["exponent"] = None
     triangle["geometry"]["coords"]["g2_1"] = [5, [5, 2]]
     docs["spoke-crossing-triangle3"] = triangle
+    docs.update(_refused())
     return docs
 
 
@@ -196,6 +249,7 @@ def commands(paths):
     once = {
         "cyclic2x2-undrawn": (["export", "transport"],),
         "spoke-crossing-triangle3": (["check", "rtt"],),
+        **dict.fromkeys(_refused(), (["check", "rtt"],)),
     }
     for name, path in paths.items():
         if name in sources or name == "perturbed-triangle5":
@@ -231,6 +285,11 @@ def commands(paths):
         ("empty-value-input-triangle", ["check", "rtt", "--input", "", "--builder", "triangle"]),
         ("empty-value-out-triangle2",
          ["check", "rtt", "--builder", "triangle", "--n", "2", "--out", ""]),
+    ]
+    # sizes the builders refuse
+    out += [
+        ("size-triangle-0", ["check", "rtt", "--builder", "triangle", "--n", "0"]),
+        ("size-chain-0,1", ["export", "transport", "--builder", "chain", "--n", "0,1"]),
     ]
     # an --out that cannot be opened is refused before the command runs
     out.append((

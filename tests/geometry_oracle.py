@@ -190,6 +190,17 @@ class CornerWalkDisc(geometry.Disc):
     def faces(self):
         pos, adj = self._scaffold_graph()
         self._first_pair(lambda e, f: same_ray(self.pos, e, f), "overlap")
+        self._first_pair(
+            lambda e, f: not set(e) & set(f)
+            and segments_meet(*(self.pos[v] for v in (*e, *f))),
+            "cross",
+        )
+        for a, b in self.edges:
+            for v in self.sources + self.sinks:
+                if self.meets_spoke((a, b), v):
+                    raise ValueError(
+                        f"edge {a!r}->{b!r} crosses the spoke of boundary vertex {v!r}"
+                    )
         rotation = {}
         rot_index = {}
         for v, nbrs in adj.items():
@@ -258,17 +269,6 @@ class CornerWalkDisc(geometry.Disc):
                 raise ValueError("network edge touches the outer face")
             lefts.append(face_marker[lo])
             rights.append(face_marker[ro])
-        self._first_pair(
-            lambda e, f: not set(e) & set(f)
-            and segments_meet(*(self.pos[v] for v in (*e, *f))),
-            "cross",
-        )
-        for a, b in self.edges:
-            for v in self.sources + self.sinks:
-                if self.meets_spoke((a, b), v):
-                    raise ValueError(
-                        f"edge {a!r}->{b!r} crosses the spoke of boundary vertex {v!r}"
-                    )
         return lefts, rights
 
 

@@ -302,6 +302,21 @@ MUTANTS = [
         "",
         ("test_verify.py",),
     ),
+    # the negative controls of the sourceless checks
+    Mutant(
+        "a failing R-matrix identity is not reported",
+        "verify.py",
+        "in sorted(mat.entries.items()):\n            if not val.is_zero():",
+        "in sorted(mat.entries.items()):\n            if False:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "an frp disagreement is not reported",
+        "cli.py",
+        "if len(set(vals.values())) != 1:",
+        "if False:",
+        ("test_cli.py",),
+    ),
     # the crossing table of a drawing
     Mutant(
         "reversed dart not negated",
@@ -353,6 +368,14 @@ MUTANTS = [
         "return _dir_cmp(*((ex - x, ey - y) for ex, ey in ends)) == 0",
         "return False",
         ("test_geometry.py",),
+    ),
+    Mutant(
+        "faces walked before the split/merge rule",
+        "geometry.py",
+        '"""Twice the face skew form, from the per-endpoint edge rule."""\n',
+        '"""Twice the face skew form, from the per-endpoint edge rule."""\n'
+        "        self.faces()\n",
+        ("test_cli_corpus.py",),
     ),
     Mutant(
         "same-ray neighbours allowed",

@@ -26,8 +26,10 @@ from qtransport.network import (
     build_chain,
     build_composite_example,
     build_triangle,
-    f_rp,
+    f_rp_closed,
+    f_rp_recursion,
     hat_blocks,
+    staircase_level,
     transport_matrix,
 )
 from qtransport.qalg import QElem, QScalar, SkewForm, weyl
@@ -218,9 +220,9 @@ def test_09_combinatorial_tables_under_1s():
     t0 = time.perf_counter()
     for r in range(1, 9):
         for p in range(1, 9):
-            val = f_rp(r, p, mode="matrix")
-            assert val == f_rp(r, p, mode="recursion")
-            assert val == f_rp(r, p, mode="closed")
+            val = staircase_level(hat_blocks(r), p)
+            assert val == f_rp_recursion(r, p)
+            assert val == f_rp_closed(r, p)
             if 1 < p <= r:
                 assert val == 0
     for r in range(1, 9):

@@ -22,6 +22,8 @@ from qtransport.network import (
     network_to_dict,
     transport_matrix,
 )
+from qtransport.qalg import QScalar
+from qtransport.rmat import CMatrix
 
 from malformed import MALFORMED, coincident_edge_ends, drawn_triangle2
 
@@ -70,6 +72,34 @@ def test_check_frp_inverts_m12_once_per_row(monkeypatch, capsys):
     code, out = _run(["check", "frp", "--r", "3", "--p", "4"], capsys)
     assert code == 0 and "PASS frp" in out
     assert inverted == [1, 2, 3]
+
+
+def test_check_rmatrix_negative_control(monkeypatch, capsys):
+    build = verify.build_R
+
+    def broken(k, inverse_q=False):  # R's q at diagonal entry (0, 0) becomes 1
+        r = build(k, inverse_q)
+        return r if inverse_q else CMatrix(r.rows, r.cols, {**r.entries, (0, 0): QScalar.one()})
+
+    monkeypatch.setattr(verify, "build_R", broken)
+    verify.const.cache_clear()
+    try:
+        code, out = _run(["check", "rmatrix", "--k", "2"], capsys)
+    finally:
+        verify.const.cache_clear()  # drop the broken constants
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL rmatrix [k=2]"
+    assert "  residual inverse[0,0] = 1*v^-2 + -1" in lines  # q^-1 - 1 with q = v^2
+
+
+def test_check_frp_negative_control(monkeypatch, capsys):
+    closed = cli.f_rp_closed
+    monkeypatch.setattr(cli, "f_rp_closed", lambda r, p: closed(r, p) + ((r, p) == (2, 3)))
+    code, out = _run(["check", "frp", "--r", "3", "--p", "3"], capsys)
+    assert code == 1
+    residuals = [line for line in out.splitlines() if "residual" in line]
+    assert residuals == ["  residual (2,3) = closed=0, matrix=-1, recursion=-1"]
 
 
 # Each size below its least value either crashed, failed an identity that

@@ -6,9 +6,9 @@ with the same outer constant was summed first, the constant then acted
 through the earlier two-sided classical_act, and the runs were folded with
 QMatrix arithmetic, one evaluate call per relation.  Its products come from
 its own copy of the earlier _product: a sheet product in either order, or a
-dense matmul of the lifts.  The dense kernels and that classical_act are the
-copies kept in test_ncmat, so the oracle shares no arithmetic with the
-routing primitive evaluate uses.  Every checker's relation
+dense matmul of the lifts.  The dense kernels, the lifts and that
+classical_act are the copies kept in test_ncmat, so the oracle shares no
+arithmetic with the routing primitive evaluate uses.  Every checker's relation
 table, on every builder below, plain and perturbed, must give the same
 residual matrices entry for entry, and so must random word tables over
 small random matrices.  The self-exchange rows with C = R*, which the
@@ -26,18 +26,15 @@ from test_ncmat import (
     FORM3,
     _sparse_qmatrix,
     dense_classical_act,
+    dense_lift1,
+    dense_lift2,
     dense_matmul,
     ordered_sheet_product,
 )
 
 from qtransport import verify
 from qtransport.affine import levels_T, loop_generators, reflection_series
-from qtransport.ncmat import (
-    NotInvertibleInSupportedClass,
-    QMatrix,
-    lift1,
-    lift2,
-)
+from qtransport.ncmat import NotInvertibleInSupportedClass, QMatrix
 from qtransport.network import (
     block_split,
     build_chain,
@@ -69,7 +66,7 @@ def _product(core):
             return ordered_sheet_product(x, y, 12)
         return ordered_sheet_product(y, x, 21)
     c = verify._constant_at(core[1], core, "mid")
-    lift_x, lift_y = (lift1, lift2) if s == 1 else (lift2, lift1)
+    lift_x, lift_y = (dense_lift1, dense_lift2) if s == 1 else (dense_lift2, dense_lift1)
     return dense_matmul(
         lift_x(x, y.rows), dense_classical_act(c, lift_y(y, x.cols), "left")
     )

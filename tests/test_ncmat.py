@@ -4,7 +4,8 @@ Frozen products and inverses were computed by hand from the Weyl product rule
 before implementation; see the inline comments for the derivations.  The
 dense matmul and the two-order sheet product that the sparse kernels replaced
 live on at the end of this file as oracles for a differential test, and so
-does classical_act as it was with both sides, one scaled QElem per hit.
+do the two single-sheet lifts and classical_act as it was with both sides,
+one scaled QElem per hit.
 """
 
 import random
@@ -496,6 +497,16 @@ def test_matmul_matches_dense_oracle(pair):
     assert matmul(a, b) == dense_matmul(a, b)
 
 
+def test_lifts_match_dense_oracle():
+    rng = random.Random(11)
+    for _ in range(30):
+        form = rng.choice([FORM2, FORM3])
+        m = _wide_qmatrix(rng, form, rng.randint(1, 3), rng.randint(1, 3))
+        d = rng.randint(1, 3)
+        assert lift1(m, d) == dense_lift1(m, d)
+        assert lift2(m, d) == dense_lift2(m, d)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_matrix_pair(chained=False))
 def test_sheet_products_match_two_order_oracle(pair):
@@ -578,6 +589,28 @@ def dense_matmul(a, b):
             out_row.append(acc)
         data.append(out_row)
     return QMatrix(a.rows, b.cols, a.form, data)
+
+
+def dense_lift1(a, d2):
+    """a acting on sheet 1: entry ((i,k),(j,l)) = a[i,j] delta_kl."""
+    z = QElem.zero(a.form)
+    data = [[z] * (a.cols * d2) for _ in range(a.rows * d2)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(d2):
+                data[i * d2 + k][j * d2 + k] = a.data[i][j]
+    return QMatrix(a.rows * d2, a.cols * d2, a.form, data)
+
+
+def dense_lift2(b, d1):
+    """b acting on sheet 2: entry ((i,k),(j,l)) = delta_ij b[k,l]."""
+    z = QElem.zero(b.form)
+    data = [[z] * (d1 * b.cols) for _ in range(d1 * b.rows)]
+    for i in range(d1):
+        for k in range(b.rows):
+            for l in range(b.cols):
+                data[i * b.rows + k][i * b.cols + l] = b.data[k][l]
+    return QMatrix(d1 * b.rows, d1 * b.cols, b.form, data)
 
 
 def ordered_sheet_product(a, b, order):

@@ -28,12 +28,14 @@ from qtransport.network import (
     block_split,
     build_chain,
     build_triangle,
-    f_rp,
+    f_rp_closed,
+    f_rp_recursion,
     hat_blocks,
     hat_matrix,
     load_network,
     network_from_dict,
     network_to_dict,
+    staircase_level,
     transport_matrix,
 )
 
@@ -825,30 +827,28 @@ def test_hat_m12_inverse_power_binomials():
 
 
 def test_f_rp_frozen_values():
-    assert f_rp(3, 5) == 3
-    assert f_rp(2, 2) == 0
+    assert staircase_level(hat_blocks(3), 5) == 3
+    assert staircase_level(hat_blocks(2), 2) == 0
     for p in range(1, 9):
-        assert f_rp(1, p) == 1
+        assert staircase_level(hat_blocks(1), p) == 1
     for r in range(1, 9):
-        assert f_rp(r, 1) == 1
+        assert staircase_level(hat_blocks(r), 1) == 1
 
 
 def test_f_rp_modes_agree():
     for r in range(1, 9):
+        blocks = hat_blocks(r)
         for p in range(1, 9):
-            a = f_rp(r, p, mode="matrix")
-            b = f_rp(r, p, mode="recursion")
-            c = f_rp(r, p, mode="closed")
+            a = staircase_level(blocks, p)
+            b = f_rp_recursion(r, p)
+            c = f_rp_closed(r, p)
             assert a == b == c, (r, p)
 
 
 def test_f_rp_recursion_relation():
-    # f^r_{p+1} = f^r_p - f^{r-1}_p
+    # f^r_{p+1} = f^r_p - f^{r-1}_p, read off the staircase levels
+    blocks = {r: hat_blocks(r) for r in range(1, 7)}
+    f = {(r, p): staircase_level(blocks[r], p) for r in blocks for p in range(1, 8)}
     for r in range(2, 7):
         for p in range(1, 7):
-            assert f_rp(r, p + 1) == f_rp(r, p) - f_rp(r - 1, p)
-
-
-def test_f_rp_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        f_rp(2, 2, mode="guess")
+            assert f[r, p + 1] == f[r, p] - f[r - 1, p]
