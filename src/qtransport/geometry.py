@@ -349,6 +349,12 @@ class Disc:
         faces are numbered by their marker's position in the marker list.
         Refuses two edges along one ray, then two that cross, then an edge
         across a spoke, before it walks the faces.
+
+        No network edge borders the outer face.  Every vertex lies within
+        extent of the centre and the ring is the square at 4 extent, so in
+        a connected scaffold the one negative-area orbit is the ring's
+        outside.  A component not joined to the ring adds a second such
+        orbit, which the walk refuses unless a marker count has failed first.
         """
         grid, adj = self._grid, self.adj
         edge_id = {}
@@ -392,7 +398,7 @@ class Disc:
                 orbits.append(orbit)
 
         face_marker = {}
-        outer = None
+        outer = False
         for oid, orbit in enumerate(orbits):
             poly = [grid[u] for u, _ in orbit]
             area2 = sum(
@@ -401,9 +407,9 @@ class Disc:
                 for k in range(len(poly))
             )
             if area2 < 0:
-                if outer is not None:
+                if outer:
                     raise ValueError("drawing is not a planar embedding")
-                outer = oid
+                outer = True
                 continue
             winding = [sum(col) for col in zip(*(self.crossing[d] for d in orbit))]
             hits = [i for i, w in enumerate(winding) if w % 2]
@@ -415,15 +421,10 @@ class Disc:
         if len(face_marker) != len(self.markers):
             raise ValueError("faces do not match the marker list")
 
-        lefts, rights = [], []
-        for frm, to in self.edges:
-            lo = orbit_of[(frm, to)]
-            ro = orbit_of[(to, frm)]
-            if lo == outer or ro == outer:
-                raise ValueError("network edge touches the outer face")
-            lefts.append(face_marker[lo])
-            rights.append(face_marker[ro])
-        return lefts, rights
+        return (
+            [face_marker[orbit_of[frm, to]] for frm, to in self.edges],
+            [face_marker[orbit_of[to, frm]] for frm, to in self.edges],
+        )
 
     def _refuse_pair(self, pairs, what):
         """Refuse the first pair (i, j) of edges in edge order, if any."""

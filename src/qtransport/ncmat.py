@@ -318,13 +318,13 @@ def add_acted(cells, m: QMatrix, coeff, c: CMatrix | None, side) -> int:
     """Add coeff (C m), coeff (m C) or, with c None, coeff m into cells.
 
     cells maps (row, col) to flat sums {code: int}, as QMatrix.from_cells
-    reads them.  coeff is 1, -1 or a QScalar; its product with each entry of
-    C stays on (v-power, int) pairs.  Each nonzero C[r, k] routes row k of m
-    to row r (left) or column r of m to column k (right); the constants of
-    the relations have at most two nonzeros per row and column.  A cell's
-    first contribution is one copy of the entry's terms, moved by the first
-    v-power; every later one is added in place.  Returns the largest span
-    added.
+    reads them.  coeff is 1, -1 or a nonzero QScalar; its product with each
+    entry of C stays on (v-power, int) pairs.  Each nonzero C[r, k] routes
+    row k of m to row r (left) or column r of m to column k (right); the
+    constants of the relations have at most two nonzeros per row and
+    column.  A cell's first contribution is one copy of the entry's terms,
+    moved by the first v-power; every later one is added in place.  Returns
+    the largest span added.
     """
     f = tuple(coeff.terms.items()) if isinstance(coeff, QScalar) else ((0, coeff),)
     # Each route adds scalar g times a line of m (its nonzero (index, entry)
@@ -340,9 +340,9 @@ def add_acted(cells, m: QMatrix, coeff, c: CMatrix | None, side) -> int:
     shift = m.form.shift
     get = cells.get
     span = 0
+    # g is a nonzero coefficient, alone or times a nonzero constant entry
+    # (CMatrix drops zeros), and Z[v, v^-1] has no zero divisors.
     for g, fixed, line, is_row in routes:
-        if not g:
-            continue
         g = [(k << shift, n) for k, n in g]
         (dk0, n0), rest = g[0], g[1:]
         plain = dk0 == 0 and n0 == 1 and not rest

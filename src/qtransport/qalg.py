@@ -246,7 +246,8 @@ class QElem:
 
     terms maps the code of each term c v^k :w^a: to its nonzero int c, and
     span bounds every |a_i|.  The constructor validates and packs a decoded
-    view {exponent tuple: QScalar}.
+    view {exponent tuple: QScalar}.  It compares by value, is not hashable
+    and has no *: qmul is the product.
     """
 
     __slots__ = ("form", "terms", "span")
@@ -293,18 +294,12 @@ class QElem:
         add_scaled(out, self, c.terms.items())
         return from_sums(self.form, out, self.span)
 
-    def __mul__(self, other: "QElem") -> "QElem":
-        return qmul(self, other)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QElem)
             and self.form == other.form
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.form, frozenset(self.terms.items())))
 
     def render(self) -> str:
         """Each monomial as "(coefficient) * w[a_1,...,a_N]", in exponent order.

@@ -166,7 +166,7 @@ def evaluate(*relations):
     """The residual QMatrix of each relation.
 
     A relation is a list of (coefficient, word) terms, the coefficient 1, -1
-    or a QScalar.  A word reads as in the paper: R (1)X (2)Y is
+    or a nonzero QScalar.  A word reads as in the paper: R (1)X (2)Y is
     ("R", (1, X), (2, Y)).  It places one matrix on each sheet, next to each
     other or around one constant, with at most one more constant outside;
     constants are named as in const and sized from the matrices beside them.

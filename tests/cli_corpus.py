@@ -20,8 +20,8 @@ change in what the command line prints.  The corpus holds:
 - documents that each break one rule the loader checks: a vertex named
   twice, an unknown source, a vertex without coordinates, a sink listed as
   a source, an edge listed twice, an edge split at its midpoint, a stub
-  removed, two vertices at one point and a source at the centre of the
-  drawing;
+  removed, a marker outside every face, two vertices at one point and a
+  source at the centre of the drawing;
 - source and size flags that the command does not read, builder sizes
   below 1, empty flag values, an --out in a missing directory, and command
   lines that argparse refuses;
@@ -149,6 +149,15 @@ def _refused():
     def without_stub(doc):  # g1_1 left with one edge in and one out
         doc["edges"] = [e for e in doc["edges"] if (e["from"], e["to"]) != ("1", "g1_1")]
 
+    def marker_outside(doc):  # a seventh generator, its face marker outside the ring
+        doc["generators"].append("f_out")
+        for row in doc["epsilon2"]:
+            row.append(0)
+        doc["epsilon2"].append([0] * len(doc["generators"]))
+        for edge in doc["edges"]:
+            edge["exponent"].append(0)
+        doc["geometry"]["face_markers"].append([1000, 1000])
+
     def bare(coords, edges):
         return {
             "epsilon2": [], "vertices": list(coords), "edges": edges,
@@ -171,6 +180,7 @@ def _refused():
         ),
         "split-edge-triangle2": triangle2(split_edge),
         "without-stub-triangle2": triangle2(without_stub),
+        "marker-outside-triangle2": triangle2(marker_outside),
         "crossing-triangle3": crossing,
         "coincident-vertices": bare({"s": [0, 0], "t": [0, 0]}, []),
         "source-at-center": bare(

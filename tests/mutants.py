@@ -143,6 +143,17 @@ MUTANTS = [
         ("test_ncmat.py", "test_evaluate_oracle.py"),
     ),
     Mutant(
+        "matmul's form check skipped",
+        "ncmat.py",
+        "    if a.form != b.form:\n"
+        '        raise ValueError("matrices live on different quantum tori")\n'
+        "    cells = {}",
+        "    if False:\n"
+        '        raise ValueError("matrices live on different quantum tori")\n'
+        "    cells = {}",
+        ("test_refusals.py",),
+    ),
+    Mutant(
         "swap_sheets keeps the column order",
         "ncmat.py",
         "order = [l * cols2 + j for j in range(cols2) for l in range(cols1)]",
@@ -356,6 +367,13 @@ MUTANTS = [
         ("test_geometry.py",),
     ),
     Mutant(
+        "collinear segments never meet",
+        "geometry.py",
+        "return max(min(a, b), min(c, d)) <= min(max(a, b), max(c, d))",
+        "return False",
+        ("test_refusals.py",),
+    ),
+    Mutant(
         "spokes left out of the sweep",
         "geometry.py",
         "segments, boxes, active, met = self.edges + self.spokes, [], [], []",
@@ -375,6 +393,13 @@ MUTANTS = [
         '"""Twice the face skew form, from the per-endpoint edge rule."""\n',
         '"""Twice the face skew form, from the per-endpoint edge rule."""\n'
         "        self.faces()\n",
+        ("test_cli_corpus.py",),
+    ),
+    Mutant(
+        "faces not matched with the marker list",
+        "geometry.py",
+        "if len(face_marker) != len(self.markers):",
+        "if False:",
         ("test_cli_corpus.py",),
     ),
     Mutant(
